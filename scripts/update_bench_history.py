@@ -35,8 +35,8 @@ HEADER = """\
 The performance trajectory of this repository, one row per
 `BENCH_<rev>.json` snapshot entry (written by `repro bench --snapshot`
 and committed at the repo root). `runs_per_second` values are only
-comparable between rows with the same scheme/graph/n/backend/grouping
-configuration — that is also the rule the CI regression gate applies.
+comparable between rows with the same scheme/graph/n/backend and the
+same `jobs` — that is also the rule the CI regression gate applies.
 
 **Do not edit by hand.** Regenerate with:
 

@@ -66,7 +66,7 @@ from repro.core import (
 from repro.simulator import RunMetrics, run_sync
 from repro.runner import GraphSpec, SweepTask, run_tasks
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",

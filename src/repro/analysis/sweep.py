@@ -35,7 +35,6 @@ from repro.distributed.base import DistributedMSTBaseline
 from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.runner.registry import resolve_baseline, resolve_scheme
 from repro.runner.runner import run_tasks
-from repro.runner.store import DEFAULT_CACHE_BACKEND
 from repro.runner.tasks import GraphSpec, SweepTask
 
 __all__ = [
@@ -104,8 +103,6 @@ def run_scheme_sweep(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "engine",
-    grouping: str = "instance",
-    cache_backend: str = DEFAULT_CACHE_BACKEND,
     resume: bool = False,
     progress: bool = False,
     problem: Optional[str] = None,
@@ -119,11 +116,9 @@ def run_scheme_sweep(
 
     Schemes may be registry names or instances; ``jobs``/``cache_dir``
     fan the runs over worker processes and an on-disk cache without
-    changing a byte of the result.  ``cache_backend`` picks the cache
-    storage (sharded SQLite store by default, ``"json"`` for per-task
-    files); ``resume=True`` checkpoints a run manifest so a killed sweep
-    restarts without recomputing finished work, and ``progress=True``
-    reports done/total + ETA on stderr:
+    changing a byte of the result.  ``resume=True`` checkpoints a run
+    manifest so a killed sweep restarts without recomputing finished
+    work, and ``progress=True`` reports done/total + ETA on stderr:
 
     >>> result = run_scheme_sweep("trivial", sizes=[8, 16], seeds=(0, 1))
     >>> [row["n"] for row in result.rows]
@@ -155,8 +150,6 @@ def run_scheme_sweep(
         tasks,
         jobs=jobs,
         cache_dir=cache_dir,
-        grouping=grouping,
-        cache_backend=cache_backend,
         resume=resume,
         progress=progress,
         progress_label="sweep",
@@ -230,8 +223,6 @@ def run_baseline_sweep(
     seeds: Sequence[int] = (0, 1),
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    grouping: str = "instance",
-    cache_backend: str = DEFAULT_CACHE_BACKEND,
     resume: bool = False,
     progress: bool = False,
     problem: Optional[str] = None,
@@ -255,8 +246,6 @@ def run_baseline_sweep(
         tasks,
         jobs=jobs,
         cache_dir=cache_dir,
-        grouping=grouping,
-        cache_backend=cache_backend,
         resume=resume,
         progress=progress,
         progress_label="sweep",

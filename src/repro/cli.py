@@ -31,7 +31,7 @@ The CLI exposes the library's main workflows without writing any Python:
     ``stats`` (rows/bytes per shard), ``gc`` (drop rows no current task
     hash can reference; with ``--queue-dir`` also prune terminal service
     jobs past ``--job-ttl`` and their orphaned artifacts, keeping the
-    ``--keep-last`` newest), ``migrate`` (import a JSON cache directory).
+    ``--keep-last`` newest).
 ``lowerbound``
     The Theorem-1 fooling-family experiment and pigeonhole table.
 ``serve``
@@ -48,10 +48,10 @@ The CLI exposes the library's main workflows without writing any Python:
     machines sharing the filesystem).
 
 Every command is deterministic given ``--seed``; ``sweep --jobs N``
-produces byte-identical output to the serial path, and so do
-``--cache-backend json`` vs ``sqlite`` and fresh vs ``--resume``\\ d
-runs (``--resume`` checkpoints a run manifest so a killed sweep or
-report restarts without recomputing finished work).
+produces byte-identical output to the serial path, and so do runs
+served from ``--cache-dir`` and ``--resume``\\ d runs (``--resume``
+checkpoints a run manifest so a killed sweep or report restarts without
+recomputing finished work).
 """
 
 from __future__ import annotations
@@ -88,15 +88,8 @@ from repro.runner.registry import (
     resolve_baseline,
     resolve_scheme,
 )
-from repro.runner.runner import GROUPING_MODES, run_tasks
-from repro.runner.store import (
-    CACHE_BACKENDS,
-    DEFAULT_CACHE_BACKEND,
-    DEFAULT_SHARDS,
-    STORE_SCHEMA_VERSION,
-    SQLiteResultStore,
-    open_result_store,
-)
+from repro.runner.runner import run_tasks
+from repro.runner.store import DEFAULT_SHARDS, STORE_SCHEMA_VERSION, SQLiteResultStore
 from repro.runner.tasks import GraphSpec, SweepTask
 
 __all__ = ["main", "build_parser", "SCHEMES", "BASELINES"]
@@ -159,17 +152,9 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         "--jobs", type=int, default=1, help="worker processes (default 1: run in-process)"
     )
     parser.add_argument(
-        "--cache-dir", default=None, help="directory for the on-disk result cache"
-    )
-    parser.add_argument(
-        "--cache-backend",
-        default=DEFAULT_CACHE_BACKEND,
-        choices=list(CACHE_BACKENDS),
-        help=(
-            "cache storage under --cache-dir: 'sqlite' is a sharded WAL-mode "
-            "store (default), 'json' the historical one-file-per-task cache; "
-            "rows are byte-identical either way"
-        ),
+        "--cache-dir",
+        default=None,
+        help="directory of the on-disk result store (sharded, WAL-mode SQLite)",
     )
     parser.add_argument(
         "--resume",
@@ -184,19 +169,6 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         "--progress",
         action="store_true",
         help="live done/total, cache-hit and ETA reporting on stderr",
-    )
-    parser.add_argument(
-        "--grouping",
-        default="instance",
-        choices=list(GROUPING_MODES),
-        help=(
-            "execution planning: 'instance' batches tasks sharing a graph "
-            "instance so the graph/trace/advice are built once per group "
-            "(default), 'seed-stack' additionally stacks all seeds of a "
-            "sweep point through one batched generation/trace/advice pass "
-            "(byte-identical rows; unstackable points fall back to "
-            "'instance'), 'none' is the historical per-task execution"
-        ),
     )
 
 
@@ -228,8 +200,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
             "paper": "Local MST computation with short advice (SPAA 2007)",
             "backends": list(BACKENDS),
             "cache": {
-                "backend": DEFAULT_CACHE_BACKEND,
-                "backends": list(CACHE_BACKENDS),
+                "backend": "sqlite",
                 "store_schema_version": STORE_SCHEMA_VERSION,
                 "store_default_shards": DEFAULT_SHARDS,
             },
@@ -387,8 +358,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         backend=args.backend,
-        grouping=args.grouping,
-        cache_backend=args.cache_backend,
         resume=args.resume,
         progress=args.progress or args.resume,
         # a qualified --scheme names its problem directly; --problem only
@@ -450,18 +419,13 @@ def _bench_one_backend(args: argparse.Namespace, backend: str) -> Dict[str, Any]
         for k in range(args.repeats)
         for target in targets
     ]
-    cache = (
-        open_result_store(args.cache_dir, backend=args.cache_backend)
-        if args.cache_dir
-        else None
-    )
+    cache = SQLiteResultStore(args.cache_dir) if args.cache_dir else None
     stats = ExecutionStats()
     start = time.perf_counter()
     rows = run_tasks(
         tasks,
         jobs=args.jobs,
         cache_dir=cache,
-        grouping=args.grouping,
         stats=stats,
         resume=args.resume,
         progress=args.progress,
@@ -475,10 +439,9 @@ def _bench_one_backend(args: argparse.Namespace, backend: str) -> Dict[str, Any]
         "n": args.n,
         "backend": backend,
         "runs": len(rows),
-        # jobs + grouping identify the execution configuration: snapshots
+        # jobs identifies the execution configuration: snapshots
         # measured under different configurations are never comparable
         "jobs": args.jobs,
-        "grouping": args.grouping,
         "tier": getattr(args, "tier", "standard"),
         "wall_seconds": round(elapsed, 4),
         "runs_per_second": round(len(rows) / elapsed, 3) if elapsed > 0 else float("inf"),
@@ -541,8 +504,8 @@ def _check_regression(payload: Dict[str, Any], baseline_path: str) -> int:
     hard failure (the return value; ``bench --baseline`` exits non-zero
     on any, which is what turns CI's perf smoke from warn-only into a
     gate).  Rows measured under a different execution configuration
-    (``jobs`` / ``grouping``) are never compared — throughput across
-    configurations is apples-to-oranges by construction.
+    (``jobs``) are never compared — throughput across configurations is
+    apples-to-oranges by construction.
     """
     try:
         baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
@@ -561,13 +524,12 @@ def _check_regression(payload: Dict[str, Any], baseline_path: str) -> int:
         if base_row is None:
             print(f"warning: baseline has no entry for {key}", file=sys.stderr)
             continue
-        config = (row.get("jobs", 1), row.get("grouping", "instance"))
-        # snapshots predating the grouping field were measured per-task
-        base_config = (base_row.get("jobs", 1), base_row.get("grouping", "none"))
-        if config != base_config:
+        jobs = row.get("jobs", 1)
+        base_jobs = base_row.get("jobs", 1)
+        if jobs != base_jobs:
             print(
                 f"warning: skipping {key}: baseline was measured with "
-                f"jobs/grouping {base_config}, this run used {config}",
+                f"jobs={base_jobs}, this run used jobs={jobs}",
                 file=sys.stderr,
             )
             continue
@@ -623,7 +585,6 @@ def bench_history_entries(directory: Path) -> List[Dict[str, Any]]:
                     "graph": row.get("graph", payload.get("graph", "?")),
                     "n": row.get("n", payload.get("n", "?")),
                     "backend": row.get("backend", "engine"),
-                    "grouping": row.get("grouping", "none"),
                     "tier": row.get("tier", "standard"),
                     "runs_per_second": row["runs_per_second"],
                     "stage_seconds": (
@@ -641,7 +602,6 @@ BENCH_HISTORY_COLUMNS = (
     "graph",
     "n",
     "backend",
-    "grouping",
     "tier",
     "runs_per_second",
     "stage_seconds",
@@ -678,8 +638,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise ValueError("--repeats must be >= 1")
     if args.tier == "large":
-        # the large tier pins the instance and backend; scheme, repeats,
-        # grouping and profiling stay selectable
+        # the large tier pins the instance and backend and forces
+        # profiling on; scheme and repeats stay selectable
         args.graph = _LARGE_TIER["graph"]
         args.n = _LARGE_TIER["n"]
         args.backend = _LARGE_TIER["backend"]
@@ -751,8 +711,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         backend=args.backend,
-        grouping=args.grouping,
-        cache_backend=args.cache_backend,
         resume=args.resume,
         progress=args.progress or args.resume,
     )
@@ -767,7 +725,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    """Maintenance of the sharded SQLite result store (stats/gc/migrate)."""
+    """Maintenance of the sharded SQLite result store (stats/gc)."""
     directory = Path(args.cache_dir)
     queue_dir = getattr(args, "queue_dir", None)
     has_shards = any(directory.glob("shard-*.sqlite"))
@@ -789,51 +747,39 @@ def _cmd_store(args: argparse.Namespace) -> int:
             )
             print(format_table(payload["per_shard"]))
         return 0
-    if args.store_command == "gc":
-        # queue retention first: pruning terminal jobs can orphan result
-        # rows, and the shard gc that follows is what reclaims their bytes
-        queue_payload: Optional[Dict[str, Any]] = None
-        if queue_dir:
-            from repro.service.queue import LeaseQueue
+    # gc — queue retention first: pruning terminal jobs can orphan result
+    # rows, and the shard gc that follows is what reclaims their bytes
+    queue_payload: Optional[Dict[str, Any]] = None
+    if queue_dir:
+        from repro.service.queue import LeaseQueue
 
-            queue_payload = LeaseQueue(Path(queue_dir)).gc(
-                job_ttl=args.job_ttl, keep_last=args.keep_last
-            )
-        if has_shards:
-            payload = SQLiteResultStore(args.cache_dir).gc(vacuum=not args.no_vacuum)
-        else:
-            payload = {"removed": 0, "kept": 0}
-        if queue_payload is not None:
-            payload["queue"] = {
-                "jobs_removed": len(queue_payload["jobs"]),
-                "items_removed": len(queue_payload["items"]),
-                "quarantine_removed": queue_payload["quarantine"],
-                "jobs": queue_payload["jobs"],
-            }
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            print(
-                f"gc: removed {payload['removed']} stale row(s), "
-                f"kept {payload['kept']}"
-            )
-            if queue_payload is not None:
-                print(
-                    f"queue gc: removed {len(queue_payload['jobs'])} job(s), "
-                    f"{len(queue_payload['items'])} orphaned item(s), "
-                    f"{queue_payload['quarantine']} quarantine row(s)"
-                )
-        return 0
-    store = SQLiteResultStore(args.cache_dir)
-    # migrate
-    payload = store.migrate_json_cache(args.from_json)
+        queue_payload = LeaseQueue(Path(queue_dir)).gc(
+            job_ttl=args.job_ttl, keep_last=args.keep_last
+        )
+    if has_shards:
+        payload = SQLiteResultStore(args.cache_dir).gc(vacuum=not args.no_vacuum)
+    else:
+        payload = {"removed": 0, "kept": 0}
+    if queue_payload is not None:
+        payload["queue"] = {
+            "jobs_removed": len(queue_payload["jobs"]),
+            "items_removed": len(queue_payload["items"]),
+            "quarantine_removed": queue_payload["quarantine"],
+            "jobs": queue_payload["jobs"],
+        }
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
         print(
-            f"migrate: imported {payload['imported']} row(s) from "
-            f"{args.from_json}, skipped {payload['skipped']}"
+            f"gc: removed {payload['removed']} stale row(s), "
+            f"kept {payload['kept']}"
         )
+        if queue_payload is not None:
+            print(
+                f"queue gc: removed {len(queue_payload['jobs'])} job(s), "
+                f"{len(queue_payload['items'])} orphaned item(s), "
+                f"{queue_payload['quarantine']} quarantine row(s)"
+            )
     return 0
 
 
@@ -1102,8 +1048,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "emit the per-stage timing breakdown (graph build / trace / "
-            "advice / backend execution) of the grouped executor; with "
-            "--grouping none the stages are not instrumented"
+            "advice / backend execution) of the grouped executor"
         ),
     )
     bench_parser.add_argument(
@@ -1113,8 +1058,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "benchmark tier: 'standard' uses --graph/--n/--backend as "
             "given; 'large' pins the hypercube(n=131072) instance on the "
-            "analytic backend with profiling on (scheme, repeats and "
-            "grouping stay selectable)"
+            "analytic backend with profiling on (scheme and repeats stay "
+            "selectable)"
         ),
     )
     bench_sub = bench_parser.add_subparsers(
@@ -1163,8 +1108,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect and maintain the SQLite result store",
         description=(
             "Maintenance of the sharded SQLite result store: row/size stats per "
-            "shard, garbage collection of rows no current task hash can ever "
-            "reference, and one-shot migration of a JSON cache directory."
+            "shard and garbage collection of rows no current task hash can "
+            "ever reference."
         ),
     )
     store_sub = store_parser.add_subparsers(dest="store_command", required=True)
@@ -1201,16 +1146,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="always keep the N most recently updated terminal jobs (default 3)",
     )
-    store_migrate = store_sub.add_parser(
-        "migrate", help="import an existing JSON cache directory"
-    )
-    store_migrate.add_argument(
-        "--from-json",
-        required=True,
-        metavar="DIR",
-        help="JSON cache directory to import (<hash>.json files)",
-    )
-    for store_cmd in (store_stats, store_gc, store_migrate):
+    for store_cmd in (store_stats, store_gc):
         store_cmd.add_argument(
             "--cache-dir", required=True, help="directory of the SQLite store"
         )

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 
-from repro.core.bits import BitReader, BitString, BitWriter
+from repro.core.bits import BitReader, BitString
 from repro.core.scheme_main import (
     ShortAdviceScheme,
     _MainProgram,
@@ -100,15 +100,10 @@ class LevelAdviceScheme(ShortAdviceScheme):
     def _extra_header_bits(self, u: int) -> BitString:
         return self._level_bits[u]
 
-    def _fragment_advice(self, sel) -> BitString:
-        """``A(F)`` with the paper's literal level bit instead of the rank."""
-        a_writer = BitWriter()
-        a_writer.write_bit(1 if sel.is_up else 0)
-        a_writer.write_bit(sel.level_of_target_fragment)
-        a_writer.write_gamma(sel.choosing_dfs_index)
-        return a_writer.getvalue()
-
     def _fragment_advice_batch(self, arrays):
+        """``A(F)`` with the paper's literal level bit instead of the rank:
+        per selection, the orientation bit, the level of the target
+        fragment and the γ-coded DFS index of the choosing node."""
         from repro.core.scheme_main import _batch_bit_codes
 
         return _batch_bit_codes(

@@ -65,10 +65,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.advice import AdviceAssignment
-from repro.core.bits import BitReader, BitString, BitWriter
+from repro.core.bits import BitReader, BitString
 from repro.core.oracle import AdvisingScheme
 from repro.graphs.weighted_graph import PortNumberedGraph
-from repro.mst.boruvka import BoruvkaTrace, FragmentSelection, boruvka_trace
+from repro.mst.boruvka import BoruvkaTrace, boruvka_trace
 from repro.mst.rooted_tree import ROOT_OUTPUT
 from repro.simulator.algorithm import NodeProgram, ProgramFactory
 from repro.simulator.node import NodeContext
@@ -251,9 +251,8 @@ class ShortAdviceScheme(AdvisingScheme):
         data_bits = self._pack_with_capacity_search(graph, trace, phases)
         return self._finish_advice(graph, root, trace, phases, data_bits)
 
-    # The oracle is split into hooks so :meth:`compute_advice_batch` can
-    # run the capacity search for a whole stacked sweep point at once
-    # while the scheme-specific pieces stay per instance:
+    # The oracle is split into hooks so the level variant overrides only
+    # its scheme-specific pieces and shares the capacity search:
     #
     # ``_check_instance``    precondition checks, before anything is built
     # ``_prepare_headers``   per-node header state (the level variant's bitmap)
@@ -304,163 +303,20 @@ class ShortAdviceScheme(AdvisingScheme):
         advice._advice = assigned
         return advice
 
-    @classmethod
-    def compute_advice_batch(
-        cls,
-        schemes: Sequence["ShortAdviceScheme"],
-        graphs: Sequence[PortNumberedGraph],
-        root: int = 0,
-        traces: Optional[Sequence[BoruvkaTrace]] = None,
-    ) -> List[AdviceAssignment]:
-        """The oracle for a whole stacked sweep point at once.
-
-        ``schemes[i]`` must be a **distinct** instance per graph: each one
-        keeps the ``last_capacity``/``last_layout`` packing state that the
-        analytic backend replays for its instance.
-
-        The capacity-independent plan (fragment advice strings, flattened
-        preorders) is collected per seed as usual; the capacity search is
-        then run over the disjoint union of all still-pending seeds — one
-        prefix-sum placement pass per candidate capacity instead of one
-        per ``(seed, capacity)`` pair.  Placement arithmetic is local to a
-        segment and segments never span seeds, so a seed that overflows a
-        candidate cannot perturb the seeds that fit: each seed adopts
-        exactly the capacity (and the byte-identical layout) its solo
-        :meth:`compute_advice` run would have chosen.
-        """
-        if traces is None:
-            traces = [boruvka_trace(g, root=root) for g in graphs]
-        if not (len(schemes) == len(graphs) == len(traces)):
-            raise ValueError("schemes, graphs and traces must align")
-        if not graphs:
-            return []
-        n = graphs[0].n
-        phases = num_boruvka_phases(n)
-        plans: List[List[Dict[str, Any]]] = []
-        for scheme, g, tr in zip(schemes, graphs, traces):
-            if g.n != n:
-                raise ValueError("seed stacking requires instances of one size")
-            scheme._check_instance(g)
-            scheme._prepare_headers(g, tr, phases)
-            plans.append(scheme._collect_advice_plan(tr, phases))
-
-        data_bits: List[Optional[Dict[int, BitString]]] = [None] * len(graphs)
-        pending = list(range(len(graphs)))
-        for cap in schemes[0]._capacity_candidates:
-            placements, failed = cls._place_plan_stacked(plans, pending, n, cap)
-            for s in pending:
-                if s in failed:
-                    continue
-                schemes[s].last_capacity = cap
-                data_bits[s] = schemes[s]._materialize_plan(
-                    plans[s], placements[s], n
-                )
-            pending = sorted(failed)
-            if not pending:
-                break
-        if pending:  # pragma: no cover - the largest cap always fits
-            raise CapacityError("no candidate capacity could hold the fragment advice")
-        return [
-            scheme._finish_advice(g, root, tr, phases, bits)
-            for scheme, g, tr, bits in zip(schemes, graphs, traces, data_bits)
-        ]
-
-    @staticmethod
-    def _place_plan_stacked(
-        plans: List[List[Dict[str, Any]]],
-        pending: List[int],
-        n: int,
-        cap: int,
-    ) -> Tuple[Dict[int, List[Tuple["np.ndarray", "np.ndarray"]]], set]:
-        """:meth:`_place_plan` over the disjoint union of ``pending`` seeds.
-
-        Unlike the solo placement this never returns early: every phase of
-        every seed is placed, per-segment overflows are recorded, and a
-        seed fails iff one of **its** segments overflowed in any phase.
-        The ``used`` array is node-local (seed ``j`` occupies the slice
-        ``[j*n, (j+1)*n)``) and the fill arithmetic only ever differences
-        the cumulative free capacity within one segment, so an overflowing
-        seed's garbage placement stays confined to its own slice.
-        """
-        num = len(pending)
-        used = np.zeros(num * n, dtype=np.int64)
-        placements: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {
-            s: [] for s in pending
-        }
-        failed: set = set()
-        depth = max((len(plans[s]) for s in pending), default=0)
-        empty = np.empty(0, dtype=np.int64)
-        for k in range(depth):
-            contrib = [(j, s) for j, s in enumerate(pending) if len(plans[s]) > k]
-            nodes_parts, alens_parts, segid_parts, segstart_parts = [], [], [], []
-            pos_bounds = [0]
-            seg_bounds = [0]
-            seg_off = 0
-            pos_off = 0
-            for j, s in contrib:
-                phase = plans[s][k]
-                nodes_parts.append(phase["nodes"] + j * n)
-                alens_parts.append(phase["a_lens"])
-                segid_parts.append(phase["seg_id"] + seg_off)
-                segstart_parts.append(phase["seg_starts"][1:] + pos_off)
-                seg_off += phase["a_lens"].size
-                pos_off += phase["nodes"].size
-                pos_bounds.append(pos_off)
-                seg_bounds.append(seg_off)
-            if pos_off == 0:
-                for j, s in contrib:
-                    placements[s].append((empty, empty))
-                continue
-            all_nodes = np.concatenate(nodes_parts)
-            a_lens = np.concatenate(alens_parts)
-            seg_id = np.concatenate(segid_parts)
-            seg_starts = np.concatenate(([0], np.concatenate(segstart_parts)))
-            free_cum = np.concatenate(([0], np.cumsum(cap - used[all_nodes])))
-            filled = np.minimum(
-                free_cum[1:] - free_cum[seg_starts[:-1]][seg_id],
-                a_lens[seg_id],
-            )
-            over = filled[seg_starts[1:] - 1] < a_lens  # per-segment overflow
-            if np.any(over):
-                over_segs = np.flatnonzero(over)
-                for (j, s), lo, hi in zip(contrib, seg_bounds, seg_bounds[1:]):
-                    if np.any((over_segs >= lo) & (over_segs < hi)):
-                        failed.add(s)
-            prev = np.concatenate(([0], filled[:-1]))
-            prev[seg_starts[:-1]] = 0
-            takes = filled - prev
-            used[all_nodes] += takes
-            for (j, s), lo, hi in zip(contrib, pos_bounds, pos_bounds[1:]):
-                placements[s].append((takes[lo:hi], filled[lo:hi]))
-        return placements, failed
-
     def _extra_header_bits(self, u: int) -> Optional[BitString]:
         """Scheme-specific header fields (the level variant adds its bitmap)."""
         return None
 
-    def _fragment_advice(self, sel: "FragmentSelection") -> BitString:
-        """The fragment advice string ``A(F)`` of one selection.
-
-        Rank-coded variant (deviation D1): orientation bit, γ-coded rank
-        of the selected edge at the choosing node, γ-coded DFS index of
-        the choosing node.  The level variant overrides this with the
-        paper's literal level-coded record; the shared packer below is
-        oblivious to the contents.
-        """
-        a_writer = BitWriter()
-        a_writer.write_bit(1 if sel.is_up else 0)
-        a_writer.write_gamma(sel.rank_at_choosing)
-        a_writer.write_gamma(sel.choosing_dfs_index)
-        return a_writer.getvalue()
-
     def _fragment_advice_batch(
         self, arrays: Dict[str, "np.ndarray"]
     ) -> Tuple[List[BitString], "np.ndarray"]:
-        """All ``A(F)`` strings of one phase at once (column view).
+        """The fragment advice strings ``A(F)`` of one phase (column view).
 
-        Must produce exactly the per-selection bits of
-        :meth:`_fragment_advice`; the level variant overrides both in
-        lockstep.
+        Rank-coded variant (deviation D1): per selection, the orientation
+        bit, the γ-coded rank of the selected edge at the choosing node
+        and the γ-coded DFS index of the choosing node.  The level
+        variant overrides this with the paper's literal level-coded
+        record; the shared packer below is oblivious to the contents.
         """
         return _batch_bit_codes(
             [

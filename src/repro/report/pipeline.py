@@ -51,7 +51,6 @@ from repro.report.spec import (
 )
 from repro.runner.registry import resolve_baseline, resolve_scheme
 from repro.runner.runner import run_tasks
-from repro.runner.store import DEFAULT_CACHE_BACKEND
 from repro.runner.tasks import SweepTask
 from repro.simulator.adversary import FaultSpec
 
@@ -292,8 +291,6 @@ def generate_report(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: Optional[str] = None,
-    grouping: str = "instance",
-    cache_backend: str = DEFAULT_CACHE_BACKEND,
     resume: bool = False,
     progress: bool = False,
     executor: Optional[Any] = None,
@@ -302,10 +299,9 @@ def generate_report(
 
     Artifacts land in ``out_dir`` (created if missing): per experiment a
     ``<name>.md`` and one or more ``<name>*.csv``, plus a top-level
-    ``index.md``.  ``jobs``/``cache_dir``/``grouping``/``cache_backend``
-    are forwarded to the runner; ``backend`` overrides the spec's
-    default execution backend — none of them can change a single
-    artifact byte.  ``resume=True`` checkpoints a run manifest next to
+    ``index.md``.  ``jobs``/``cache_dir`` are forwarded to the runner;
+    ``backend`` overrides the spec's default execution backend — none of
+    them can change a single artifact byte.  ``resume=True`` checkpoints a run manifest next to
     the cache (a killed report re-executes zero finished tasks when
     regenerated) and ``progress=True`` reports done/total + ETA on
     stderr.  The grouped executor pays off here in particular: a spec
@@ -325,8 +321,6 @@ def generate_report(
         flat,
         jobs=jobs,
         cache_dir=cache_dir,
-        grouping=grouping,
-        cache_backend=cache_backend,
         resume=resume,
         progress=progress,
         progress_label="report",

@@ -9,11 +9,9 @@ amortises that workload:
 * :mod:`~repro.runner.tasks` — :class:`GraphSpec` (a picklable,
   hashable graph factory) and :class:`SweepTask` (one ``(target, graph,
   n, seed)`` work unit with a stable content hash);
-* :mod:`~repro.runner.cache` — the ``json`` cache backend: one result
-  file per task hash;
-* :mod:`~repro.runner.store` — the default ``sqlite`` backend: a
-  sharded, WAL-mode SQLite store with batched transactional upserts,
-  plus ``stats`` / ``gc`` / JSON-cache migration maintenance;
+* :mod:`~repro.runner.store` — the result store behind ``--cache-dir``:
+  a sharded, WAL-mode SQLite store with batched transactional upserts,
+  plus ``stats`` / ``gc`` maintenance;
 * :mod:`~repro.runner.manifest` — run manifests, the per-group
   checkpoint ledger behind ``--resume``;
 * :mod:`~repro.runner.progress` — live done/total + ETA reporting on
@@ -29,11 +27,10 @@ amortises that workload:
 
 ``analysis/sweep.py``, the ``repro.report`` pipeline, the ``sweep
 --jobs`` / ``bench`` CLI commands and the ``benchmarks/`` suite all
-route through :func:`run_tasks`, so the serial, parallel, grouped and
-ungrouped paths produce byte-identical aggregated results.
+route through :func:`run_tasks`, so serial, parallel, cached and
+resumed runs produce byte-identical aggregated results.
 """
 
-from repro.runner.cache import ResultCache
 from repro.runner.manifest import RunManifest
 from repro.runner.plan import ExecutionStats, InstanceContext, TaskGroup, plan_groups
 from repro.runner.progress import ProgressReporter
@@ -49,39 +46,27 @@ from repro.runner.registry import (
     resolve_scheme,
     resolve_target,
 )
-from repro.runner.runner import GROUPING_MODES, execute_task, run_tasks
-from repro.runner.store import (
-    CACHE_BACKENDS,
-    DEFAULT_CACHE_BACKEND,
-    DEFAULT_SHARDS,
-    STORE_SCHEMA_VERSION,
-    SQLiteResultStore,
-    open_result_store,
-)
+from repro.runner.runner import execute_task, run_tasks
+from repro.runner.store import DEFAULT_SHARDS, STORE_SCHEMA_VERSION, SQLiteResultStore
 from repro.runner.tasks import GraphSpec, SweepTask
 
 __all__ = [
     "BACKENDS",
     "BASELINES",
-    "CACHE_BACKENDS",
-    "DEFAULT_CACHE_BACKEND",
     "DEFAULT_SHARDS",
     "GRAPH_FAMILIES",
-    "GROUPING_MODES",
     "SCHEMES",
     "STORE_SCHEMA_VERSION",
     "ExecutionStats",
     "GraphSpec",
     "InstanceContext",
     "ProgressReporter",
-    "ResultCache",
     "RunManifest",
     "SQLiteResultStore",
     "SweepTask",
     "TaskGroup",
     "build_graph",
     "execute_task",
-    "open_result_store",
     "plan_groups",
     "problem_names",
     "qualified_names",

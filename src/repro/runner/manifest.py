@@ -9,8 +9,7 @@ manifest's job is orchestration:
   / ``repro report --resume`` with the same workload find their own
   ledger and report how much of the run was already done;
 * it is checkpointed **per completed group** (atomic temp-file +
-  ``os.replace`` rewrite, same discipline as the JSON cache), in the
-  same breath as the group's rows are committed to the store — so the
+  ``os.replace`` rewrite), in the same breath as the group's rows are committed to the store — so the
   set of checkpointed hashes is always a subset of the rows actually
   persisted, and a resumed run re-executes zero checkpointed tasks.
 

@@ -14,11 +14,12 @@ artifacts, building each of them exactly once:
   per ``(instance, root)`` — they live in per-graph memos, which the
   grouping turns from "lucky when tasks happen to be adjacent" into a
   guarantee, including under ``--jobs N`` where the runner ships whole
-  groups to workers instead of blind contiguous chunks;
+  groups to workers;
 * the **advice** of each scheme is computed once per ``(scheme, root)``
   and reused by every backend that runs that scheme.
 
-Rows are byte-identical to per-task execution: every shared artifact is
+Rows are byte-identical to isolated execution (one fresh context per
+task, :func:`~repro.runner.runner.execute_task`): every shared artifact is
 a deterministic pure function of the instance, so sharing is observable
 only as speed.  :class:`ExecutionStats` aggregates per-stage wall time
 (graph / trace / advice / execute) and cache counters; ``repro bench
@@ -31,7 +32,7 @@ from __future__ import annotations
 import inspect
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.oracle import run_scheme
 from repro.distributed.base import run_baseline
@@ -41,12 +42,9 @@ from repro.runner.tasks import GraphSpec, SweepTask
 __all__ = [
     "ExecutionStats",
     "InstanceContext",
-    "StackedContext",
-    "StackedGroup",
     "TaskGroup",
     "instance_key",
     "plan_groups",
-    "plan_super_groups",
 ]
 
 #: the stages a grouped execution is broken into, in reporting order
@@ -64,10 +62,6 @@ class ExecutionStats:
 
     #: instance groups executed (0 when every task was a cache hit)
     groups: int = 0
-    #: tasks executed through grouped contexts
-    grouped_tasks: int = 0
-    #: seed-stacked super-groups executed (``grouping="seed-stack"`` only)
-    stacked_groups: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     #: wall seconds per stage: graph build / trace / advice / execution
@@ -144,97 +138,6 @@ def plan_groups(tasks: Sequence[SweepTask]) -> List[TaskGroup]:
         )
         for key in order
     ]
-
-
-@dataclass(frozen=True)
-class StackedGroup:
-    """All instance groups of one sweep point, stackable across seeds.
-
-    The member groups share everything but the seed — same family,
-    density, requested size, root and treatment multiset — so the
-    expensive per-instance preparations can run once over the whole
-    stack: batched graph generation, one union Borůvka phase loop
-    (:func:`repro.mst.boruvka.boruvka_trace_stacked`) and one capacity
-    search per scheme across all seeds.
-    """
-
-    #: shared sweep-point identity: ``(family, density, n, root, treatments)``
-    key: Hashable
-    groups: Tuple[TaskGroup, ...]
-
-
-def _stack_signature(group: TaskGroup) -> Optional[Hashable]:
-    """What a group must agree on (besides the seed) to be stackable.
-
-    ``None`` marks the group unstackable: no shared-instance identity
-    (ad-hoc graph factories), mixed roots, non-registry targets (ad-hoc
-    scheme objects cannot be instantiated once per seed), or scheme tasks
-    of a problem other than ``mst`` (the stacked kernel batches Borůvka
-    traces and MST advice; other problems keep the per-instance path).
-    """
-    if group.key is None:
-        return None
-    roots = {task.root for task in group.tasks}
-    if len(roots) != 1:
-        return None
-    for task in group.tasks:
-        if not isinstance(task.target, str):
-            return None
-        if task.kind == "scheme" and task.problem != "mst":
-            return None
-    family, density, n, _seed = group.key
-    treatments = tuple(
-        sorted(
-            # the fault key must be a sortable tuple: one instance group
-            # holds the same target under many faults (a robustness grid),
-            # and mixing None with dataclasses would break the sort
-            (
-                t.kind,
-                t.problem,
-                t.target,
-                t.backend,
-                ()
-                if t.fault is None
-                else (t.fault.delta, t.fault.crash_rate, t.fault.recovery, t.fault.churn),
-            )
-            for t in group.tasks
-        )
-    )
-    return (family, density, n, roots.pop(), treatments)
-
-
-def plan_super_groups(
-    groups: Sequence[TaskGroup],
-) -> List[Union[TaskGroup, "StackedGroup"]]:
-    """Collect instance groups that differ only in the seed into stacks.
-
-    Groups with matching stack signatures (≥ 2 of them — a single seed
-    gains nothing from stacking) are replaced by one :class:`StackedGroup`
-    at the position of their first member; everything else — heterogeneous
-    grids, partial-miss groups whose surviving treatments differ across
-    seeds, non-MST problems, ad-hoc targets — passes through unchanged and
-    runs on the plain per-instance path.
-    """
-    buckets: Dict[Hashable, List[int]] = {}
-    for index, group in enumerate(groups):
-        signature = _stack_signature(group)
-        if signature is not None:
-            buckets.setdefault(signature, []).append(index)
-    stacked_at: Dict[int, StackedGroup] = {}
-    absorbed = set()
-    for signature, indices in buckets.items():
-        if len(indices) >= 2:
-            stacked_at[indices[0]] = StackedGroup(
-                key=signature, groups=tuple(groups[i] for i in indices)
-            )
-            absorbed.update(indices)
-    units: List[Union[TaskGroup, StackedGroup]] = []
-    for index, group in enumerate(groups):
-        if index in stacked_at:
-            units.append(stacked_at[index])
-        elif index not in absorbed:
-            units.append(group)
-    return units
 
 
 #: per scheme class: whether ``compute_advice`` accepts a ``trace``
@@ -360,105 +263,3 @@ class InstanceContext:
             "correct": report.correct,
             "round_bound": report.round_bound,
         }
-
-
-class StackedContext:
-    """One sweep point's shared artifacts, built across **all** its seeds.
-
-    The seed-stacked big sibling of :class:`InstanceContext`: where the
-    instance context builds the graph / trace / advice once per seed,
-    this context builds them once per *stack* —
-
-    * graphs of the ``random`` family come out of
-      :func:`~repro.graphs.generators.random_connected_graph_batch`
-      (RNG-stream-compatible with per-seed construction, so the
-      instances are byte-identical); other families build per seed;
-    * one union-find phase loop traces every seed's Borůvka run at once
-      and pre-seeds each graph's trace and Kruskal memos;
-    * each scheme's oracle runs through its ``compute_advice_batch``
-      (the Theorem-3 variants share one capacity search across seeds).
-
-    Execution then delegates to one pre-warmed :class:`InstanceContext`
-    per seed, so rows are those of the per-instance path by
-    construction.  Stage seconds are attributed once per super-group:
-    the batched graph/trace/advice work is timed here, and the member
-    contexts only ever add ``execute`` time (their shared artifacts are
-    already in place).
-    """
-
-    def __init__(self, stacked: StackedGroup, stats: Optional[ExecutionStats] = None) -> None:
-        self._stacked = stacked
-        self._stats = stats
-        self._contexts: Optional[List[InstanceContext]] = None
-
-    def _timed(self, stage: str, start: float) -> None:
-        if self._stats is not None:
-            self._stats.add_stage(stage, time.perf_counter() - start)
-
-    def _prepare(self) -> List[InstanceContext]:
-        if self._contexts is not None:
-            return self._contexts
-        groups = self._stacked.groups
-        rep = groups[0].tasks[0]
-
-        start = time.perf_counter()
-        spec = rep.graph.key_dict()
-        if spec["family"] == "random":
-            from repro.graphs.generators import random_connected_graph_batch
-
-            graphs = random_connected_graph_batch(
-                rep.n,
-                spec["density"],
-                seeds=[group.tasks[0].seed for group in groups],
-            )
-        else:
-            graphs = [group.tasks[0].build_graph() for group in groups]
-        self._timed("graph", start)
-
-        root = rep.root % graphs[0].n
-        scheme_pairs: List[Tuple[str, str]] = []
-        for task in groups[0].tasks:
-            if task.kind == "scheme" and (task.problem, task.target) not in scheme_pairs:
-                scheme_pairs.append((task.problem, task.target))
-
-        traces = None
-        if scheme_pairs:
-            from repro.mst.boruvka import boruvka_trace_stacked
-
-            start = time.perf_counter()
-            traces = boruvka_trace_stacked(graphs, root=root)
-            self._timed("trace", start)
-
-        contexts: List[InstanceContext] = []
-        for graph in graphs:
-            context = InstanceContext(stats=self._stats)
-            context._graph = graph
-            contexts.append(context)
-
-        if scheme_pairs:
-            start = time.perf_counter()
-            for problem, target in scheme_pairs:
-                schemes = [resolve_scheme(target, problem=problem) for _ in groups]
-                advices = type(schemes[0]).compute_advice_batch(
-                    schemes, graphs, root=root, traces=traces
-                )
-                for context, scheme, advice in zip(contexts, schemes, advices):
-                    context._advice[(problem, target, root)] = (scheme, advice)
-            self._timed("advice", start)
-
-        self._contexts = contexts
-        return contexts
-
-    def execute_all(self) -> List[Tuple[int, Dict[str, Any]]]:
-        """Run every task of every member group; ``(index, row)`` pairs.
-
-        Indices are the member groups' planned positions (the miss-list
-        positions assigned by :func:`plan_groups`), rows are exactly the
-        per-instance rows.
-        """
-        contexts = self._prepare()
-        rows: List[Tuple[int, Dict[str, Any]]] = []
-        for group, context in zip(self._stacked.groups, contexts):
-            for index, task in zip(group.indices, group.tasks):
-                rows.append((index, context.execute(task)))
-        return rows

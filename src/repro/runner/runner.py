@@ -5,24 +5,19 @@
 --jobs`` / ``bench`` commands and the benchmark suite.  Guarantees:
 
 * **Determinism** — results come back in task order regardless of
-  ``jobs`` or ``grouping``; workers return plain measured rows and all
-  aggregation happens in the parent, so every execution mode is
-  byte-identical.
-* **Instance grouping** — with ``grouping="instance"`` (the default)
-  cache misses are partitioned by :func:`repro.runner.plan.plan_groups`
-  into groups sharing one graph instance, and each group runs against
-  one :class:`~repro.runner.plan.InstanceContext`: the graph, Borůvka
-  trace, rooted tree and per-scheme advice are built **once per group**
-  instead of once per task.  With ``jobs=N`` whole groups are shipped to
-  workers (instead of blind contiguous chunks), so the sharing holds in
-  every worker process too.  ``grouping="none"`` keeps the historical
-  per-task path for A/B comparison.
+  ``jobs``; workers return plain measured rows and all aggregation
+  happens in the parent, so serial and parallel runs are byte-identical.
+* **Instance grouping** — cache misses are partitioned by
+  :func:`repro.runner.plan.plan_groups` into groups sharing one graph
+  instance, and each group runs against one
+  :class:`~repro.runner.plan.InstanceContext`: the graph, Borůvka trace,
+  rooted tree and per-scheme advice are built **once per group** instead
+  of once per task.  With ``jobs=N`` whole groups are shipped to
+  workers, so the sharing holds in every worker process too.
 * **Caching** — with ``cache_dir`` set, cacheable tasks (registry-name
   target + :class:`GraphSpec` graph) are looked up / stored by their
   content hash (computed once per task and reused for lookup, store and
-  planning).  ``cache_backend`` selects the storage: ``"sqlite"`` (the
-  default — a sharded WAL store, see :mod:`repro.runner.store`) or
-  ``"json"`` (one file per task, see :mod:`repro.runner.cache`).  A
+  planning) in a :class:`~repro.runner.store.SQLiteResultStore`.  A
   cache-warm call never constructs a single group.
 * **Checkpointing** — results are committed to the cache *as each
   group's work completes* (batched upserts, streamed back from workers
@@ -50,25 +45,13 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.runner.cache import ResultCache
 from repro.runner.manifest import RunManifest
-from repro.runner.plan import (
-    ExecutionStats,
-    InstanceContext,
-    StackedContext,
-    StackedGroup,
-    TaskGroup,
-    plan_groups,
-    plan_super_groups,
-)
+from repro.runner.plan import ExecutionStats, InstanceContext, TaskGroup, plan_groups
 from repro.runner.progress import ProgressReporter
-from repro.runner.store import DEFAULT_CACHE_BACKEND, SQLiteResultStore, open_result_store
+from repro.runner.store import SQLiteResultStore
 from repro.runner.tasks import SweepTask
 
-__all__ = ["LocalExecutor", "execute_task", "run_tasks", "GROUPING_MODES"]
-
-#: accepted values of ``run_tasks(..., grouping=...)``
-GROUPING_MODES = ("instance", "seed-stack", "none")
+__all__ = ["LocalExecutor", "execute_task", "run_tasks"]
 
 
 def execute_task(task: SweepTask) -> Dict[str, Any]:
@@ -83,18 +66,19 @@ def execute_task(task: SweepTask) -> Dict[str, Any]:
     return InstanceContext().execute(task)
 
 
-def _execute_chunk(chunk: Sequence[SweepTask]) -> List[Dict[str, Any]]:
-    """Worker entry point of the ungrouped path: one contiguous slice."""
-    return [execute_task(task) for task in chunk]
+def _execute_group(
+    group: TaskGroup, stats: Optional[ExecutionStats]
+) -> List[Tuple[int, Dict[str, Any]]]:
+    """Run one instance group against one shared context; ``(miss_index, row)`` pairs."""
+    context = InstanceContext(stats=stats)
+    return [(index, context.execute(task)) for index, task in zip(group.indices, group.tasks)]
 
 
 def _execute_group_chunk(
-    chunk: Sequence[Union[TaskGroup, StackedGroup]],
+    chunk: Sequence[TaskGroup],
 ) -> Tuple[List[Tuple[int, Dict[str, Any]]], Dict[str, float]]:
-    """Worker entry point of the grouped paths: whole groups at a time.
+    """Worker entry point: whole instance groups at a time.
 
-    ``grouping="seed-stack"`` ships whole :class:`StackedGroup`\\ s, so
-    the cross-seed sharing holds inside every worker process too.
     Returns ``(miss_index, row)`` pairs plus the worker's stage-seconds
     breakdown, so the parent can reassemble rows in task order and
     aggregate profiling data across processes.
@@ -102,12 +86,7 @@ def _execute_group_chunk(
     stats = ExecutionStats()
     rows: List[Tuple[int, Dict[str, Any]]] = []
     for group in chunk:
-        if isinstance(group, StackedGroup):
-            rows.extend(StackedContext(group, stats=stats).execute_all())
-        else:
-            context = InstanceContext(stats=stats)
-            for index, task in zip(group.indices, group.tasks):
-                rows.append((index, context.execute(task)))
+        rows.extend(_execute_group(group, stats))
     return rows, stats.stage_seconds
 
 
@@ -128,38 +107,34 @@ def _chunked(items: Sequence[Any], size: int) -> List[List[Any]]:
 class LocalExecutor:
     """The default miss executor: in-process, or a local process pool.
 
-    ``run_tasks`` plans the cache misses and hands the resulting units to
-    an *executor*; this one runs them here (``jobs=1``) or fans chunks of
-    them over worker processes.  The sweep service plugs in a
+    ``run_tasks`` plans the cache misses and hands the resulting groups
+    to an *executor*; this one runs them here (``jobs=1``) or fans chunks
+    of them over worker processes.  The sweep service plugs in a
     :class:`repro.service.queue.QueueExecutor` instead, which routes the
-    same units through a durable lease queue — planning, caching and
+    same groups through a durable lease queue — planning, caching and
     byte-identity live in ``run_tasks`` and are shared by construction.
 
-    The pool survives worker death: a SIGKILLed or OOM-killed worker used
-    to strand ``Pool.imap`` forever — now the broken pool is detected,
-    every chunk whose result was lost is requeued **once** on a fresh
-    pool (with a warning on stderr), and a chunk lost twice raises
-    instead of looping (it is killing its workers, which deserves a
-    poison-task error, not an infinite respawn).
+    The pool survives worker death: when a SIGKILLed or OOM-killed worker
+    breaks the pool (whether that surfaces while a result is awaited or
+    when the next chunk is submitted), every chunk whose result was lost
+    is requeued **once** on a fresh pool (with a warning on stderr), and
+    a chunk lost twice raises instead of looping (it is killing its
+    workers, which deserves a poison-task error, not an infinite
+    respawn).
     """
 
     #: how often one chunk may take a worker down before it is treated as
     #: poison (the satellite contract: requeue the lost group once)
     MAX_CHUNK_REQUEUES = 1
 
-    def __init__(self, jobs: int = 1, chunksize: Optional[int] = None) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.chunksize = chunksize
-
-    # ------------------------------------------------------------------ #
-    # the executor contract (run_units / run_task_list)
-    # ------------------------------------------------------------------ #
 
     def run_units(
         self,
-        units: Sequence[Union[TaskGroup, StackedGroup]],
+        units: Sequence[TaskGroup],
         commit: Callable[[List[Tuple[int, Dict[str, Any]]]], None],
         stats: Optional[ExecutionStats] = None,
     ) -> None:
@@ -168,72 +143,35 @@ class LocalExecutor:
         if self.jobs > 1 and len(units) > 1:
             chunks = _chunked(units, max(1, math.ceil(len(units) / (self.jobs * 4))))
 
-            def _deliver(_, result: Tuple[List[Tuple[int, Dict[str, Any]]], Dict[str, float]]) -> None:
+            def _deliver(result: Tuple[List[Tuple[int, Dict[str, Any]]], Dict[str, float]]) -> None:
                 chunk_rows, stage_seconds = result
                 commit(list(chunk_rows))
                 if stats is not None:
                     stats.merge_stage_dict(stage_seconds)
 
-            self._run_chunks(_execute_group_chunk, chunks, _deliver)
+            self._run_chunks(chunks, _deliver)
             return
         for unit in units:
-            if isinstance(unit, StackedGroup):
-                commit(StackedContext(unit, stats=stats).execute_all())
-            else:
-                context = InstanceContext(stats=stats)
-                commit(
-                    [
-                        (index, context.execute(task))
-                        for index, task in zip(unit.indices, unit.tasks)
-                    ]
-                )
-
-    def run_task_list(
-        self,
-        tasks: Sequence[SweepTask],
-        commit: Callable[[List[Tuple[int, Dict[str, Any]]]], None],
-    ) -> None:
-        """Execute ungrouped tasks; ``commit`` receives ``(position, row)``
-        batches in task order (the historical ``grouping="none"`` path)."""
-        if self.jobs > 1 and len(tasks) > 1:
-            chunksize = self.chunksize
-            if chunksize is None:
-                chunksize = max(1, math.ceil(len(tasks) / (self.jobs * 4)))
-            chunks = _chunked(tasks, chunksize)
-            offsets = [0]
-            for chunk in chunks:
-                offsets.append(offsets[-1] + len(chunk))
-
-            def _deliver(index: int, chunk_rows: List[Dict[str, Any]]) -> None:
-                commit(
-                    [(offsets[index] + i, row) for i, row in enumerate(chunk_rows)]
-                )
-
-            self._run_chunks(_execute_chunk, chunks, _deliver)
-            return
-        for position, task in enumerate(tasks):
-            commit([(position, execute_task(task))])
-
-    # ------------------------------------------------------------------ #
-    # pool plumbing with dead-worker recovery
-    # ------------------------------------------------------------------ #
+            commit(_execute_group(unit, stats))
 
     def _run_chunks(
         self,
-        fn: Callable[[Any], Any],
-        chunks: Sequence[Any],
-        deliver: Callable[[int, Any], None],
+        chunks: Sequence[List[TaskGroup]],
+        deliver: Callable[[Any], None],
     ) -> None:
-        """Run ``fn`` over every chunk on a process pool, delivering results
-        in submission order as they stream back.
+        """Run every chunk on a process pool, delivering results in
+        submission order as they stream back.
 
-        A dead worker breaks the whole :class:`ProcessPoolExecutor`;
-        completed futures keep their results, so only the chunks whose
-        results were actually lost are resubmitted (each at most
-        :data:`MAX_CHUNK_REQUEUES` times) on a fresh pool.  Delivery order
-        is unaffected: chunk *i* is always delivered after chunk *i - 1*,
-        exactly like the ordered ``imap`` this replaces, so the cache /
-        checkpoint write sequence stays deterministic.
+        A dead worker breaks the whole :class:`ProcessPoolExecutor`:
+        awaiting a result raises :class:`BrokenProcessPool`, and so does
+        every later ``submit``.  Completed futures keep their results, so
+        only the submitted chunks whose results were actually lost, plus
+        the chunk whose ``submit`` raised, count as requeued (each at
+        most :data:`MAX_CHUNK_REQUEUES` times); they and every chunk not
+        yet submitted rerun on a fresh pool.
+        Delivery order is unaffected: chunk *i* is always delivered after
+        chunk *i - 1*, so the cache / checkpoint write sequence stays
+        deterministic.
         """
         results: Dict[int, Any] = {}
         requeues: Dict[int, int] = {}
@@ -246,20 +184,19 @@ class LocalExecutor:
                 max_workers=min(self.jobs, max(1, len(to_run))),
                 mp_context=_fork_context(),
             )
-            broken = False
+            futures: Dict[int, Any] = {}
             try:
-                futures = {i: pool.submit(fn, chunks[i]) for i in to_run}
-                for i in range(next_to_deliver, len(chunks)):
-                    if i not in results:
-                        try:
+                try:
+                    for i in to_run:
+                        futures[i] = pool.submit(_execute_group_chunk, chunks[i])
+                    for i in range(next_to_deliver, len(chunks)):
+                        if i not in results:
                             results[i] = futures[i].result()
-                        except BrokenProcessPool:
-                            broken = True
-                            break
-                    deliver(i, results.pop(i))
-                    next_to_deliver = i + 1
-                if not broken:
+                        deliver(results.pop(i))
+                        next_to_deliver = i + 1
                     return
+                except BrokenProcessPool:
+                    pass
                 # the pool died under us: harvest every future that did
                 # complete (their results are intact), then requeue the rest
                 for j, future in futures.items():
@@ -270,8 +207,13 @@ class LocalExecutor:
                     except BrokenProcessPool:
                         pass
                 lost = [
-                    j for j in to_run if j >= next_to_deliver and j not in results
+                    j for j in futures if j >= next_to_deliver and j not in results
                 ]
+                if len(futures) < len(to_run):
+                    # the break surfaced at this chunk's submit: count it
+                    # too, so a pool refusing every submit cannot respawn
+                    # forever
+                    lost.append(to_run[len(futures)])
                 for j in lost:
                     requeues[j] = requeues.get(j, 0) + 1
                     if requeues[j] > self.MAX_CHUNK_REQUEUES:
@@ -293,11 +235,8 @@ class LocalExecutor:
 def run_tasks(
     tasks: Iterable[SweepTask],
     jobs: int = 1,
-    cache_dir: Optional[Union[str, Path, ResultCache, SQLiteResultStore]] = None,
-    chunksize: Optional[int] = None,
-    grouping: str = "instance",
+    cache_dir: Optional[Union[str, Path, SQLiteResultStore]] = None,
     stats: Optional[ExecutionStats] = None,
-    cache_backend: str = DEFAULT_CACHE_BACKEND,
     resume: bool = False,
     progress: bool = False,
     progress_label: str = "tasks",
@@ -307,37 +246,30 @@ def run_tasks(
 
     ``jobs=1`` runs in-process (no pickling — closures and ad-hoc scheme
     instances are fine); ``jobs>1`` distributes cache misses over a
-    process pool.  ``cache_dir`` may be a directory path (opened with
-    ``cache_backend``: ``"sqlite"`` by default, ``"json"`` for the
-    historical per-task files) or an already-open store/cache instance.
-    ``grouping="instance"`` (default) batches tasks sharing a graph
-    instance through one shared context; ``grouping="none"`` is the
-    historical per-task execution.  ``resume=True`` checkpoints a run
-    manifest alongside the cache (and requires one); ``progress=True``
-    reports done/total + ETA on stderr.  ``stats`` may be an
+    process pool.  ``cache_dir`` may be a directory path (opened as a
+    :class:`~repro.runner.store.SQLiteResultStore`) or an already-open
+    store.  ``resume=True`` checkpoints a run manifest alongside the
+    cache (and requires one); ``progress=True`` reports done/total + ETA
+    on stderr.  ``stats`` may be an
     :class:`~repro.runner.plan.ExecutionStats` to be filled with cache
     counters and the per-stage timing breakdown.
 
     ``executor`` plugs in how planned misses actually run: by default a
-    :class:`LocalExecutor` built from ``jobs``/``chunksize``; the sweep
-    service passes a ``QueueExecutor`` that routes the identical units
-    through its durable lease queue.  Planning, cache lookups,
-    checkpointing and row order are identical either way — which is what
-    keeps serial, ``--jobs N`` and service execution byte-identical.
+    :class:`LocalExecutor` built from ``jobs``; the sweep service passes
+    a ``QueueExecutor`` that routes the identical groups through its
+    durable lease queue.  Planning, cache lookups, checkpointing and row
+    order are identical either way — which is what keeps serial,
+    ``--jobs N`` and service execution byte-identical.
     """
     task_list = list(tasks)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if executor is None:
-        executor = LocalExecutor(jobs=jobs, chunksize=chunksize)
-    if grouping not in GROUPING_MODES:
-        raise ValueError(
-            f"grouping must be one of {', '.join(GROUPING_MODES)}, got {grouping!r}"
-        )
-    cache: Optional[Union[ResultCache, SQLiteResultStore]] = None
+        executor = LocalExecutor(jobs=jobs)
+    cache: Optional[SQLiteResultStore] = None
     if cache_dir is not None:
         if isinstance(cache_dir, (str, Path)):
-            cache = open_result_store(cache_dir, backend=cache_backend)
+            cache = SQLiteResultStore(cache_dir)
         else:
             cache = cache_dir
     if resume and cache is None:
@@ -409,22 +341,10 @@ def run_tasks(
 
     try:
         if misses:
-            if grouping in ("instance", "seed-stack"):
-                groups = plan_groups(misses)
-                units: Sequence[Union[TaskGroup, StackedGroup]] = groups
-                if grouping == "seed-stack":
-                    # collect same-signature seed groups into super-groups;
-                    # everything unstackable stays on the per-instance path
-                    units = plan_super_groups(groups)
-                if stats is not None:
-                    stats.groups += len(groups)
-                    stats.grouped_tasks += len(misses)
-                    stats.stacked_groups += sum(
-                        1 for unit in units if isinstance(unit, StackedGroup)
-                    )
-                executor.run_units(units, _commit_miss_rows, stats=stats)
-            else:
-                executor.run_task_list(misses, _commit_miss_rows)
+            groups = plan_groups(misses)
+            if stats is not None:
+                stats.groups += len(groups)
+            executor.run_units(groups, _commit_miss_rows, stats=stats)
     finally:
         if reporter is not None:
             reporter.close()

@@ -1,14 +1,12 @@
-"""Sharded, WAL-mode SQLite result store — the default cache backend.
+"""Sharded, WAL-mode SQLite result store behind ``--cache-dir``.
 
-The one-file-per-task JSON cache (:mod:`repro.runner.cache`) is simple
-and robust, but it tops out long before production-scale sweeps: a full
-``specs/paper.toml`` grid already writes hundreds of files, and
+A one-file-per-task cache tops out long before production-scale sweeps:
+a full ``specs/paper.toml`` grid already means hundreds of files, and
 million-task sweeps would mean millions of inodes, O(files) warm-up
 stats and no transactional way to checkpoint a run.  This module keeps
-the exact lookup/store contract of :class:`~repro.runner.cache.ResultCache`
-(``get`` / ``put`` / ``put_many``, ``hits`` / ``misses`` counters, a
-corrupt or version-mismatched entry is a miss) on top of a small number
-of SQLite files:
+the lookup/store contract of a cache (``get`` / ``put`` / ``put_many``,
+``hits`` / ``misses`` counters, a corrupt or version-mismatched entry is
+a miss) on top of a small number of SQLite files:
 
 * **Shard layout** — ``shard-00.sqlite`` ... ``shard-NN.sqlite`` inside
   the store directory; a task hash is routed by its leading hex digits
@@ -25,17 +23,14 @@ of SQLite files:
   one ``BEGIN IMMEDIATE`` transaction per shard, so parallel ``--jobs``
   sweeps and wholly concurrent invocations interleave safely.
 * **Corruption recovery** — a shard that fails to open or query is
-  treated as all-misses (matching ``ResultCache``'s corrupt-file
-  semantics); the first write to it deletes and recreates the shard
-  file, so one torn file costs recomputation, never a crash.
-* **Byte identity** — rows are stored as the same JSON text the JSON
-  backend writes (``repr``-round-tripping floats), so a sweep served
-  from the store is byte-identical to a fresh or JSON-cached one.
+  treated as all-misses; the first write to it deletes and recreates
+  the shard file, so one torn file costs recomputation, never a crash.
+* **Byte identity** — rows are stored as ``json.dumps`` text
+  (``repr``-round-tripping floats), so a sweep served from the store is
+  byte-identical to a fresh one.
 
-:func:`open_result_store` is the backend selector behind the CLI's
-``--cache-backend {json,sqlite}`` flag; ``repro store`` exposes
-:meth:`SQLiteResultStore.stats`, :meth:`SQLiteResultStore.gc` and
-:meth:`SQLiteResultStore.migrate_json_cache` for maintenance.
+``repro store`` exposes :meth:`SQLiteResultStore.stats` and
+:meth:`SQLiteResultStore.gc` for maintenance.
 """
 
 from __future__ import annotations
@@ -49,22 +44,16 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.runner.cache import CACHE_VERSION, ResultCache
-
 __all__ = [
-    "CACHE_BACKENDS",
     "DEFAULT_BUSY_TIMEOUT_MS",
-    "DEFAULT_CACHE_BACKEND",
     "DEFAULT_LOCK_RETRIES",
     "DEFAULT_SHARDS",
     "STORE_SCHEMA_VERSION",
     "SQLiteResultStore",
-    "open_result_store",
 ]
 
 #: bump when the on-disk table layout changes; a shard carrying another
-#: schema version is dropped and rebuilt (its rows become misses),
-#: mirroring how the JSON cache treats version-mismatched files
+#: schema version is dropped and rebuilt (its rows become misses)
 STORE_SCHEMA_VERSION = 1
 
 #: default shard count of a freshly created store.  Shards only need to
@@ -73,12 +62,6 @@ STORE_SCHEMA_VERSION = 1
 #: two is plenty; reopening an existing store ignores this and adopts
 #: the on-disk layout.
 DEFAULT_SHARDS = 4
-
-#: selectable cache backends, in the order the CLI lists them
-CACHE_BACKENDS = ("json", "sqlite")
-
-#: the backend used when a plain directory path is given
-DEFAULT_CACHE_BACKEND = "sqlite"
 
 #: how long one SQLite call waits on another writer before raising
 #: ``database is locked`` — set explicitly with ``PRAGMA busy_timeout``
@@ -95,9 +78,6 @@ DEFAULT_LOCK_RETRIES = 5
 #: first lock-retry delay in seconds (doubles per attempt, capped)
 _LOCK_BACKOFF_BASE = 0.05
 _LOCK_BACKOFF_CAP = 2.0
-
-ResultStore = Union[ResultCache, "SQLiteResultStore"]
-
 
 def _is_locked(exc: sqlite3.Error) -> bool:
     """Whether an error is SQLite's transient lock/busy condition."""
@@ -121,31 +101,8 @@ def _lock_backoff_delay(token: str, attempt: int) -> float:
     return base * (0.5 + jitter)
 
 
-def open_result_store(
-    directory: Union[str, Path], backend: str = DEFAULT_CACHE_BACKEND
-) -> ResultStore:
-    """Open the result store of the requested backend over ``directory``.
-
-    Both backends implement the same contract (``get`` / ``put`` /
-    ``put_many`` plus ``hits`` / ``misses``), so everything downstream of
-    :func:`repro.runner.runner.run_tasks` is backend-agnostic.
-
-    >>> import tempfile
-    >>> with tempfile.TemporaryDirectory() as tmp:
-    ...     type(open_result_store(tmp, "json")).__name__
-    'ResultCache'
-    """
-    if backend == "json":
-        return ResultCache(directory)
-    if backend == "sqlite":
-        return SQLiteResultStore(directory)
-    raise ValueError(
-        f"cache backend must be one of {', '.join(CACHE_BACKENDS)}, got {backend!r}"
-    )
-
-
 class SQLiteResultStore:
-    """N SQLite shard files implementing the ``ResultCache`` contract."""
+    """N SQLite shard files behind one ``get`` / ``put`` / ``put_many`` cache."""
 
     def __init__(
         self,
@@ -192,9 +149,7 @@ class SQLiteResultStore:
 
     @property
     def layout_path(self) -> Path:
-        """The file pinning this directory's shard count (JSON content;
-        deliberately not ``*.json``, which is the cache-entry namespace
-        of the JSON backend)."""
+        """The file pinning this directory's shard count (JSON content)."""
         return self.directory / "store.layout"
 
     def _claim_layout(self, requested: int) -> int:
@@ -264,8 +219,7 @@ class SQLiteResultStore:
         row = conn.execute("SELECT value FROM meta WHERE key='schema_version'").fetchone()
         if row is not None and row[0] != str(STORE_SCHEMA_VERSION):
             # a shard written by another schema generation: its rows are
-            # stale by definition — drop and rebuild, exactly like the
-            # JSON cache overwriting a version-mismatched file
+            # stale by definition — drop and rebuild
             conn.execute("DROP TABLE IF EXISTS results")
             conn.execute("DELETE FROM meta")
             row = None
@@ -305,10 +259,9 @@ class SQLiteResultStore:
     def _recover_shard(self, index: int) -> None:
         """Delete and recreate a shard that SQLite refuses to use.
 
-        The JSON cache treats a corrupt file as a miss and overwrites it
-        on the next ``put``; the shard-level equivalent is dropping the
-        whole file (plus its WAL sidecars) and starting fresh — the rows
-        it held become recomputable misses, never an error.
+        The whole file (plus its WAL sidecars) is dropped and started
+        fresh — the rows it held become recomputable misses, never an
+        error.
         """
         self._drop_conn(index)
         path = self.path_for_shard(index)
@@ -331,7 +284,7 @@ class SQLiteResultStore:
         return state
 
     # ------------------------------------------------------------------ #
-    # the ResultCache contract
+    # the cache contract
     # ------------------------------------------------------------------ #
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
@@ -377,8 +330,8 @@ class SQLiteResultStore:
         """
         by_shard: Dict[int, List[Tuple[str, str, str]]] = {}
         for key, task_content, result in items:
-            # no sort_keys, like the JSON backend: a row read back must
-            # serialise byte-identically to a freshly computed one
+            # no sort_keys: a row read back must serialise
+            # byte-identically to a freshly computed one
             by_shard.setdefault(self.shard_for(key), []).append(
                 (key, json.dumps(task_content), json.dumps(result))
             )
@@ -539,45 +492,3 @@ class SQLiteResultStore:
                     # it on untouched shards would be pure wasted I/O
                     conn.execute("VACUUM")
         return {"removed": removed, "kept": kept}
-
-    def migrate_json_cache(
-        self, json_dir: Union[str, Path], batch_size: int = 4096
-    ) -> Dict[str, int]:
-        """Import an existing JSON cache directory, transactionally.
-
-        Every readable, current-version ``<hash>.json`` entry is upserted
-        under its file-stem key; corrupt or version-mismatched files are
-        skipped (they were misses in the JSON backend too).  The rows'
-        JSON text is re-serialised through the same ``json.dumps`` both
-        backends use, so migrated rows serve byte-identical sweeps.
-
-        Entries land in batches of ``batch_size`` (each batch one
-        transaction per touched shard), keeping memory flat however large
-        the source directory is; upserts are idempotent, so an
-        interrupted migration can simply be re-run.
-        """
-        items: List[Tuple[str, Dict[str, Any], Dict[str, Any]]] = []
-        imported = 0
-        skipped = 0
-        for path in sorted(Path(json_dir).glob("*.json")):
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                skipped += 1
-                continue
-            if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
-                skipped += 1
-                continue
-            result = payload.get("result")
-            if not isinstance(result, dict):
-                skipped += 1
-                continue
-            items.append((path.stem, payload.get("task") or {}, result))
-            if len(items) >= batch_size:
-                self.put_many(items)
-                imported += len(items)
-                items = []
-        if items:
-            self.put_many(items)
-            imported += len(items)
-        return {"imported": imported, "skipped": skipped}

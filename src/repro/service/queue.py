@@ -868,8 +868,8 @@ class LeaseQueue:
 class QueueExecutor:
     """Runner executor that ships task groups through a :class:`LeaseQueue`.
 
-    Drop-in for :class:`repro.runner.runner.LocalExecutor` on the
-    grouped path: ``run_units`` serialises each :class:`TaskGroup`,
+    Drop-in for :class:`repro.runner.runner.LocalExecutor`:
+    ``run_units`` serialises each :class:`TaskGroup`,
     enqueues it under its content key, then polls the queue and the
     shared result store, committing each group's rows the moment its
     item completes.  Commit order is completion order — the rows
@@ -907,7 +907,7 @@ class QueueExecutor:
 
     def run_units(
         self,
-        units: Sequence[Any],
+        units: Sequence[TaskGroup],
         commit: Callable[[List[Tuple[int, Dict[str, Any]]]], None],
         stats: Optional[Any] = None,
     ) -> None:
@@ -920,12 +920,6 @@ class QueueExecutor:
         pending: Dict[str, List[Tuple[Tuple[int, ...], List[str]]]] = {}
         entries: List[Tuple[str, Dict[str, Any]]] = []
         for unit in units:
-            if not isinstance(unit, TaskGroup):
-                raise ValueError(
-                    "service execution requires grouping='instance'; seed-stacked "
-                    "super-groups are an in-process optimisation and do not ship "
-                    "over the queue"
-                )
             hashes = [task.task_hash() for task in unit.tasks]
             if any(task_hash is None for task_hash in hashes):
                 raise ValueError(
@@ -966,18 +960,6 @@ class QueueExecutor:
             raise QuarantinedTasksError(
                 sorted(quarantined_errors), quarantined_errors
             )
-
-    def run_task_list(
-        self,
-        tasks: Sequence[Any],
-        commit: Callable[[List[Tuple[int, Dict[str, Any]]]], None],
-    ) -> None:
-        # ungrouped tasks become singleton groups: same queue, same dedup
-        units = [
-            TaskGroup(key=None, indices=(index,), tasks=(task,))
-            for index, task in enumerate(tasks)
-        ]
-        self.run_units(units, commit)
 
     @staticmethod
     def _rows_for(store: SQLiteResultStore, hashes: List[str]) -> List[Dict[str, Any]]:

@@ -22,7 +22,7 @@ from repro.graphs.generators import (
     random_geometric_graph,
 )
 from repro.graphs.weighted_graph import PortNumberedGraph
-from repro.runner import GraphSpec, ResultCache, SweepTask, run_tasks
+from repro.runner import GraphSpec, SQLiteResultStore, SweepTask, run_tasks
 from repro.runner.registry import SCHEMES
 from repro.simulator.analytic import (
     AnalyticUnsupported,
@@ -241,21 +241,26 @@ def test_backend_changes_the_cache_key():
 
 
 def test_cache_rows_are_backend_isolated(tmp_path):
-    cache = ResultCache(tmp_path)
+    import sqlite3
+    from contextlib import closing
+
+    cache = SQLiteResultStore(tmp_path)
     engine_task = SweepTask("scheme", "theorem3", GraphSpec(), 16, 0)
     analytic_task = SweepTask("scheme", "theorem3", GraphSpec(), 16, 0, backend="analytic")
     (engine_row,) = run_tasks([engine_task], cache_dir=cache)
     assert cache.misses == 1 and cache.hits == 0
     (analytic_row,) = run_tasks([analytic_task], cache_dir=cache)
-    # the analytic task was NOT served the engine row: two distinct files
+    # the analytic task was NOT served the engine row: two distinct rows
     assert cache.misses == 2 and cache.hits == 0
-    assert len(list(tmp_path.glob("*.json"))) == 2
+    assert cache.stats()["rows"] == 2
     # ... even though the measured rows are identical (the whole point)
     assert engine_row == analytic_row
     # and the stored task content says which backend produced each row
-    backends = {
-        json.loads(p.read_text())["task"]["backend"] for p in tmp_path.glob("*.json")
-    }
+    backends = set()
+    for index in range(cache.shards):
+        with closing(sqlite3.connect(cache.path_for_shard(index))) as conn:
+            for (task_text,) in conn.execute("SELECT task FROM results"):
+                backends.add(json.loads(task_text)["backend"])
     assert backends == {"engine", "analytic"}
 
 

@@ -54,15 +54,14 @@ class TestCommands:
 
     def test_info_json(self, capsys):
         import repro
-        from repro.runner import DEFAULT_CACHE_BACKEND, STORE_SCHEMA_VERSION
+        from repro.runner import STORE_SCHEMA_VERSION
 
         assert main(["info", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == repro.__version__
         assert payload["backends"] == ["engine", "analytic"]
-        # the active cache backend and store schema are machine-readable
-        assert payload["cache"]["backend"] == DEFAULT_CACHE_BACKEND
-        assert payload["cache"]["backends"] == ["json", "sqlite"]
+        # the result store and its schema are machine-readable
+        assert payload["cache"]["backend"] == "sqlite"
         assert payload["cache"]["store_schema_version"] == STORE_SCHEMA_VERSION
         assert set(payload["graph_families"]) == set(GRAPH_FAMILIES)
         schemes = {row["name"] for row in payload["schemes"]}
@@ -132,24 +131,23 @@ class TestCommands:
         assert main(argv) == 0  # second run is served from the store
         assert capsys.readouterr().out == first
 
-    def test_sweep_cache_dir_json_backend(self, tmp_path, capsys):
-        argv = [
-            "sweep", "--scheme", "trivial", "--sizes", "8,16", "--repeats", "1",
-            "--json", "--cache-dir", str(tmp_path), "--cache-backend", "json",
-        ]
+    def test_sweep_parallel_cold_and_serial_warm_store_byte_identical(self, tmp_path, capsys):
+        argv = ["sweep", "--scheme", "theorem3", "--sizes", "8,16", "--repeats", "2", "--json"]
         assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert len(list(tmp_path.glob("*.json"))) == 2
-        assert main(argv) == 0  # second run is served from the cache
-        assert capsys.readouterr().out == first
+        bare = capsys.readouterr().out
+        cached = argv + ["--cache-dir", str(tmp_path)]
+        # cold: worker processes execute the groups, the parent stores rows
+        assert main(cached + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == bare
+        # warm: every row is served from the store the parallel run filled
+        assert main(cached) == 0
+        assert capsys.readouterr().out == bare
 
     def test_sweep_backends_and_resume_byte_identical(self, tmp_path, capsys):
         argv = ["sweep", "--scheme", "trivial", "--sizes", "8,16", "--repeats", "1", "--json"]
         assert main(argv) == 0
         bare = capsys.readouterr().out
         assert main(argv + ["--cache-dir", str(tmp_path / "s")]) == 0
-        assert capsys.readouterr().out == bare
-        assert main(argv + ["--cache-dir", str(tmp_path / "j"), "--cache-backend", "json"]) == 0
         assert capsys.readouterr().out == bare
         # fresh vs resumed runs: same bytes on stdout, progress on stderr
         resumed = argv + ["--cache-dir", str(tmp_path / "r"), "--resume"]
@@ -281,12 +279,88 @@ class TestBackendFlag:
         assert "cannot read baseline" in capsys.readouterr().err
 
 
+class TestBenchCli:
+    def test_bench_profile_json(self, capsys):
+        code = main(
+            [
+                "bench", "--scheme", "all", "--n", "16", "--repeats", "4",
+                "--profile", "--json",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["tier"] == "standard"
+        assert payload["correct"] is True
+        assert payload["instance_groups"] == 4
+        assert set(payload["stage_seconds"]) == {"graph", "trace", "advice", "execute"}
+
+    def test_bench_profile_merges_worker_stages(self, capsys):
+        code = main(
+            [
+                "bench", "--scheme", "all", "--n", "16", "--repeats", "4",
+                "--jobs", "2", "--profile", "--json",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["jobs"] == 2
+        assert payload["correct"] is True
+        assert payload["instance_groups"] == 4
+        # the stages ran in the worker processes and were merged back
+        assert all(seconds > 0.0 for seconds in payload["stage_seconds"].values())
+
+    def test_bench_large_tier_pins_instance_and_profiles(self, capsys, monkeypatch):
+        # the real large tier is hypercube(131072); shrink it so the test
+        # exercises the pinning logic, not the wall clock
+        import repro.cli as cli
+
+        monkeypatch.setattr(
+            cli, "_LARGE_TIER", {"graph": "hypercube", "n": 16, "backend": "analytic"}
+        )
+        code = main(
+            [
+                "bench", "--tier", "large", "--scheme", "theorem3",
+                "--repeats", "2", "--json",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["tier"] == "large"
+        assert payload["graph"] == "hypercube"
+        assert payload["n"] == 16
+        assert payload["backend"] == "analytic"
+        assert "stage_seconds" in payload  # the tier forces --profile
+
+    def test_bench_history_renders_snapshots(self, tmp_path, capsys):
+        snapshot = {
+            "kind": "bench-snapshot",
+            "rev": "abc1234",
+            "payload": {
+                "scheme": "all", "graph": "random", "n": 1024,
+                "backend": "analytic", "tier": "standard",
+                "runs_per_second": 72.5,
+                "stage_seconds": {"graph": 0.2, "trace": 0.3},
+            },
+        }
+        (tmp_path / "BENCH_abc1234.json").write_text(json.dumps(snapshot))
+        code = main(["bench", "history", "--dir", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "abc1234" in out and "72.5" in out and "trace=0.3" in out
+
+    def test_bench_history_json_and_empty_dir(self, tmp_path, capsys):
+        assert main(["bench", "history", "--dir", str(tmp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+        assert main(["bench", "history", "--dir", str(tmp_path)]) == 1
+        assert "no BENCH_" in capsys.readouterr().err
+
+
 class TestStoreCommand:
-    def _populate(self, tmp_path, backend="sqlite"):
-        directory = tmp_path / backend
+    def _populate(self, tmp_path):
+        directory = tmp_path / "store"
         argv = [
             "sweep", "--scheme", "trivial", "--sizes", "8,16", "--repeats", "1",
-            "--json", "--cache-dir", str(directory), "--cache-backend", backend,
+            "--json", "--cache-dir", str(directory),
         ]
         assert main(argv) == 0
         return directory
@@ -310,25 +384,6 @@ class TestStoreCommand:
         assert main(["store", "gc", "--cache-dir", str(directory), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"removed": 0, "kept": 2}
-
-    def test_migrate_then_serve(self, tmp_path, capsys):
-        json_dir = self._populate(tmp_path, backend="json")
-        store_dir = tmp_path / "migrated"
-        capsys.readouterr()
-        argv = [
-            "store", "migrate", "--cache-dir", str(store_dir),
-            "--from-json", str(json_dir), "--json",
-        ]
-        assert main(argv) == 0
-        assert json.loads(capsys.readouterr().out) == {"imported": 2, "skipped": 0}
-        # the migrated store serves the sweep without recomputation
-        sweep = [
-            "sweep", "--scheme", "trivial", "--sizes", "8,16", "--repeats", "1",
-            "--json", "--cache-dir", str(store_dir), "--resume",
-        ]
-        assert main(sweep) == 0
-        captured = capsys.readouterr()
-        assert "2 cached" in captured.err
 
     def test_store_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -423,7 +478,7 @@ class TestBenchHistoryHelpers:
                 "results": [
                     {
                         "scheme": "theorem3", "graph": "random", "n": 256,
-                        "backend": "analytic", "grouping": "none",
+                        "backend": "analytic",
                         "tier": "standard", "runs_per_second": 123.456,
                     }
                 ]

@@ -41,6 +41,8 @@ def traced(request):
 class TestTrace:
     def test_produces_the_reference_mst(self, traced):
         _, graph, _, trace = traced
+        # the trace seeds the Kruskal memo; drop it so Kruskal really runs
+        graph._kruskal_cache = None
         assert trace.mst_edge_ids() == kruskal_mst(graph)
 
     def test_phase_count_bound(self, traced):
@@ -124,6 +126,34 @@ class TestTrace:
         # the partition after the only recorded phase is still available
         partition = truncated.partition_before_phase(2)
         assert sum(partition.sizes()) == graph.n
+
+
+class TestKruskalMemoSeeding:
+    """The trace seeds the instance's Kruskal memo with its MST; that is
+    only sound if Borůvka and Kruskal agree edge for edge, ties included."""
+
+    @pytest.mark.parametrize("weight_mode", ["distinct", "integer"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_trace_seeds_the_kruskal_memo(self, seed, weight_mode):
+        def build():
+            return random_connected_graph(
+                30, 0.15, seed=seed, weight_mode=weight_mode, weight_range=4
+            )
+
+        graph, twin = build(), build()
+        assert getattr(graph, "_kruskal_cache", None) is None
+        trace = boruvka_trace(graph, root=0)
+        # the twin never saw a trace: its Kruskal pass really runs
+        reference = kruskal_mst(twin)
+        assert graph._kruskal_cache == tuple(reference)
+        assert kruskal_mst(graph) == reference == trace.mst_edge_ids()
+
+    def test_trace_keeps_an_existing_memo(self):
+        graph = random_connected_graph(25, 0.2, seed=9)
+        kruskal_mst(graph)
+        memo = graph._kruskal_cache
+        boruvka_trace(graph, root=3)
+        assert graph._kruskal_cache is memo
 
 
 class TestFragmentPartition:

@@ -5,6 +5,7 @@ tests: when hypothesis is not installed, the deterministic generator
 suite in ``test_generators.py`` still runs in full.
 """
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -13,12 +14,40 @@ given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategi
 from repro.graphs import (  # noqa: E402  (after the optional-dep gate)
     hypercube_graph,
     power_law_graph,
+    random_connected_graph,
     random_geometric_graph,
     torus_graph,
 )
 
 
 class TestGeneratorProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 48),
+        prob=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        seed=st.integers(0, 2**31 - 1),
+        weight_mode=st.sampled_from(["distinct", "uniform"]),
+    )
+    def test_random_connected_properties(self, n, prob, seed, weight_mode):
+        g = random_connected_graph(n, prob, seed=seed, weight_mode=weight_mode)
+        g.validate()
+        assert g.n == n
+        assert g.is_connected()
+        # a spanning tree plus G(n, p) extras, never a multi-edge
+        pairs = {(min(u, v), max(u, v)) for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist())}
+        assert len(pairs) == g.m
+        assert n - 1 <= g.m <= n * (n - 1) // 2
+        if prob == 0.0:
+            assert g.m == n - 1
+        if prob == 1.0:
+            assert g.m == n * (n - 1) // 2
+        if weight_mode == "distinct":
+            assert g.has_distinct_weights()
+        # determinism: the same seed rebuilds the same instance, ports included
+        twin = random_connected_graph(n, prob, seed=seed, weight_mode=weight_mode)
+        for field in ("edge_u", "edge_v", "edge_w", "edge_port_u", "edge_port_v"):
+            assert np.array_equal(getattr(g, field), getattr(twin, field))
+
     @settings(max_examples=25, deadline=None)
     @given(dim=st.integers(1, 7), seed=st.integers(0, 2**31 - 1))
     def test_hypercube_properties(self, dim, seed):

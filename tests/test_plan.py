@@ -15,6 +15,10 @@ from repro.runner import (
 )
 from repro.runner.plan import instance_key
 from repro.runner.registry import build_graph
+from repro.runner.tasks import clear_graph_memo
+
+SCHEMES = ("trivial", "theorem2", "theorem3", "theorem3-level")
+BASELINES = ("ghs", "full-info")
 
 
 def _mixed_grid():
@@ -33,6 +37,36 @@ def _mixed_grid():
         for name in ("ghs", "full-info")
     ]
     return tasks
+
+
+def _point_tasks(family, num_seeds, n=16, backend="analytic", density=0.2):
+    """Every scheme and baseline of one sweep point over ``num_seeds`` seeds."""
+    tasks = [
+        SweepTask("scheme", target, GraphSpec(family, density), n, seed, backend=backend)
+        for seed in range(num_seeds)
+        for target in SCHEMES
+    ]
+    tasks += [
+        SweepTask("baseline", name, GraphSpec(family, density), n, seed)
+        for seed in range(num_seeds)
+        for name in BASELINES
+    ]
+    return tasks
+
+
+def _isolated_rows(tasks):
+    """The reference rows: every task on a freshly built instance.
+
+    The graph memo is cleared before each task, so no trace, rooted tree,
+    Kruskal MST or advice is shared between tasks — unlike the grouped
+    path, where one instance carries all of them for its whole group.
+    """
+    rows = []
+    for task in tasks:
+        clear_graph_memo()
+        rows.append(execute_task(task))
+    clear_graph_memo()
+    return rows
 
 
 class TestPlanGroups:
@@ -76,13 +110,91 @@ class TestPlanGroups:
         d = SweepTask("scheme", "trivial", GraphSpec("random", 0.9), 8, 0)
         assert instance_key(c) != instance_key(d)
 
+    def test_each_seed_of_a_point_is_one_group(self):
+        tasks = _point_tasks("random", 5)
+        groups = plan_groups(tasks)
+        assert len(groups) == 5
+        for seed, group in enumerate(groups):
+            assert {task.seed for task in group.tasks} == {seed}
+            assert len(group.tasks) == len(SCHEMES) + len(BASELINES)
+
+    def test_partial_treatment_sets_still_group_by_instance(self):
+        # seed 1 lost a treatment (e.g. to a cache hit): grouping only
+        # looks at the instance, not at which treatments remain
+        tasks = [
+            SweepTask("scheme", "trivial", GraphSpec("random", 0.2), 12, 0),
+            SweepTask("scheme", "theorem3", GraphSpec("random", 0.2), 12, 0),
+            SweepTask("scheme", "trivial", GraphSpec("random", 0.2), 12, 1),
+        ]
+        assert [g.indices for g in plan_groups(tasks)] == [(0, 1), (2,)]
+
+    def test_roots_share_one_instance_group(self):
+        tasks = [
+            SweepTask("scheme", target, GraphSpec("random", 0.2), 12, 0, root=root)
+            for root in (0, 5, 11)
+            for target in ("trivial", "theorem3")
+        ]
+        (group,) = plan_groups(tasks)
+        assert group.indices == tuple(range(len(tasks)))
+        # per-root traces and advice inside one context: rows unchanged
+        assert json.dumps(run_tasks(tasks)) == json.dumps(_isolated_rows(tasks))
+
+    def test_problems_share_one_instance_group(self):
+        tasks = [
+            SweepTask("scheme", target, GraphSpec("random", 0.2), 12, seed)
+            for seed in (0, 1)
+            for target in ("leader/rank", "trivial", "theorem3")
+        ]
+        groups = plan_groups(tasks)
+        assert [g.indices for g in groups] == [(0, 1, 2), (3, 4, 5)]
+        assert json.dumps(run_tasks(tasks)) == json.dumps(_isolated_rows(tasks))
+
+
+class TestGroupedMatchesIsolated:
+    """Every scheme plus the baselines over three graph families and three
+    seed counts: grouping is observable only as speed."""
+
+    @pytest.mark.parametrize("family", ["random", "powerlaw", "hypercube"])
+    @pytest.mark.parametrize("num_seeds", [1, 5, 16])
+    def test_grouped_rows_equal_isolated_rows(self, family, num_seeds):
+        tasks = _point_tasks(family, num_seeds)
+        reference = _isolated_rows(tasks)
+        assert json.dumps(run_tasks(tasks)) == json.dumps(reference)
+
+    def test_engine_backend_rows_are_identical_too(self):
+        # the engine backend shares traces and advice across the group
+        # as well; rounds/messages must not shift by a bit
+        tasks = _point_tasks("random", 4, n=12, backend="engine")
+        reference = _isolated_rows(tasks)
+        assert json.dumps(run_tasks(tasks)) == json.dumps(reference)
+
+    def test_parallel_grouped_rows_are_identical(self):
+        tasks = _point_tasks("random", 6, n=12)
+        serial = run_tasks(tasks)
+        parallel = run_tasks(tasks, jobs=2)
+        assert json.dumps(serial) == json.dumps(parallel)
+
+    def test_heterogeneous_grid_keeps_sizes_apart(self):
+        # two sizes: the seeds of each size form their own groups
+        tasks = [
+            SweepTask("scheme", "theorem3", GraphSpec("random", 0.2), n, seed)
+            for n in (12, 20)
+            for seed in (0, 1, 2)
+        ]
+        groups = plan_groups(tasks)
+        assert len(groups) == 6
+        assert all(len({t.n for t in g.tasks}) == 1 for g in groups)
+        reference = _isolated_rows(tasks)
+        assert json.dumps(run_tasks(tasks)) == json.dumps(reference)
+
 
 class TestGroupedExecution:
     def test_grouped_serial_parallel_and_ungrouped_are_byte_identical(self):
         tasks = _mixed_grid()
-        grouped = run_tasks(tasks, grouping="instance")
-        ungrouped = run_tasks(tasks, grouping="none")
-        parallel = run_tasks(tasks, jobs=4, grouping="instance")
+        grouped = run_tasks(tasks)
+        # the ungrouped reference: every task in its own fresh context
+        ungrouped = [execute_task(task) for task in tasks]
+        parallel = run_tasks(tasks, jobs=4)
         assert json.dumps(grouped) == json.dumps(ungrouped)
         assert json.dumps(grouped) == json.dumps(parallel)
 
@@ -90,10 +202,6 @@ class TestGroupedExecution:
         task = SweepTask("scheme", "theorem3", GraphSpec("random", 0.1), 16, 3)
         (grouped_row,) = run_tasks([task])
         assert json.dumps(execute_task(task)) == json.dumps(grouped_row)
-
-    def test_invalid_grouping_rejected(self):
-        with pytest.raises(ValueError):
-            run_tasks([SweepTask("scheme", "trivial", GraphSpec(), 8, 0)], grouping="wat")
 
     def test_stats_report_groups_and_stages(self):
         from repro.runner.tasks import clear_graph_memo
@@ -103,11 +211,31 @@ class TestGroupedExecution:
         stats = ExecutionStats()
         run_tasks(tasks, stats=stats)
         assert stats.groups == 4
-        assert stats.grouped_tasks == len(tasks)
         assert stats.cache_misses == len(tasks) and stats.cache_hits == 0
         stages = stats.stages_dict()
         assert set(stages) == {"graph", "trace", "advice", "execute"}
         assert stages["execute"] > 0.0
+
+    def test_stats_count_one_group_per_seed(self):
+        clear_graph_memo()
+        tasks = _point_tasks("random", 4)
+        stats = ExecutionStats()
+        run_tasks(tasks, stats=stats)
+        assert stats.groups == 4
+        assert stats.cache_misses == len(tasks) and stats.cache_hits == 0
+        stages = stats.stages_dict()
+        # the trace-driven theorem schemes make every stage do real work
+        assert all(stages[stage] > 0.0 for stage in ("graph", "trace", "advice", "execute"))
+
+    def test_parallel_stats_merge_worker_stages(self):
+        tasks = _point_tasks("random", 4)
+        stats = ExecutionStats()
+        run_tasks(tasks, jobs=2, stats=stats)
+        assert stats.groups == 4
+        assert stats.cache_misses == len(tasks)
+        # the stage seconds were measured in the workers and merged here
+        assert set(stats.stage_seconds) == {"graph", "trace", "advice", "execute"}
+        assert stats.stages_dict()["execute"] > 0.0
 
     def test_warm_cache_skips_group_construction_entirely(self, tmp_path):
         tasks = [
@@ -124,7 +252,6 @@ class TestGroupedExecution:
         second = run_tasks(tasks, cache_dir=cache, stats=warm)
         assert cache.hits == len(tasks)
         assert warm.groups == 0  # no group was ever constructed
-        assert warm.grouped_tasks == 0
         assert warm.stage_seconds == {}
         assert json.dumps(first) == json.dumps(second)
 

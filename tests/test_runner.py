@@ -8,7 +8,6 @@ from repro.analysis.sweep import run_baseline_sweep, run_scheme_sweep
 from repro.core.scheme_trivial import TrivialRankScheme
 from repro.runner import (
     GraphSpec,
-    ResultCache,
     SQLiteResultStore,
     SweepTask,
     execute_task,
@@ -16,7 +15,6 @@ from repro.runner import (
     resolve_scheme,
     run_tasks,
 )
-from repro.runner.cache import CACHE_VERSION
 from repro.runner.registry import BASELINES, SCHEMES, build_graph
 
 
@@ -139,14 +137,6 @@ class TestRunTasks:
         with pytest.raises(ValueError):
             run_tasks(self.TASKS, jobs=0)
 
-    def test_json_cache_round_trip(self, tmp_path):
-        fresh = run_tasks(self.TASKS, jobs=1, cache_dir=tmp_path, cache_backend="json")
-        assert len(list(tmp_path.glob("*.json"))) == len(self.TASKS)
-        cache = ResultCache(tmp_path)
-        cached = run_tasks(self.TASKS, jobs=1, cache_dir=cache)
-        assert cache.hits == len(self.TASKS)
-        assert json.dumps(fresh) == json.dumps(cached)
-
     def test_sqlite_cache_round_trip_is_the_default(self, tmp_path):
         fresh = run_tasks(self.TASKS, jobs=1, cache_dir=tmp_path)
         assert list(tmp_path.glob("*.json")) == []  # sqlite shards, not files
@@ -156,25 +146,31 @@ class TestRunTasks:
         assert store.hits == len(self.TASKS)
         assert json.dumps(fresh) == json.dumps(cached)
 
-    def test_backends_serve_byte_identical_rows(self, tmp_path):
-        via_json = run_tasks(self.TASKS, cache_dir=tmp_path / "j", cache_backend="json")
-        via_sqlite = run_tasks(self.TASKS, cache_dir=tmp_path / "s", cache_backend="sqlite")
-        warm_json = run_tasks(self.TASKS, cache_dir=tmp_path / "j", cache_backend="json")
-        warm_sqlite = run_tasks(self.TASKS, cache_dir=tmp_path / "s", cache_backend="sqlite")
-        blobs = {json.dumps(rows) for rows in (via_json, via_sqlite, warm_json, warm_sqlite)}
+    def test_cold_and_warm_store_rows_are_byte_identical(self, tmp_path):
+        cold_serial = run_tasks(self.TASKS, cache_dir=tmp_path / "serial")
+        cold_parallel = run_tasks(self.TASKS, jobs=2, cache_dir=tmp_path / "parallel")
+        store = SQLiteResultStore(tmp_path / "serial")
+        warm_parallel = run_tasks(self.TASKS, jobs=2, cache_dir=store)
+        assert store.hits == len(self.TASKS) and store.misses == 0
+        blobs = {json.dumps(rows) for rows in (cold_serial, cold_parallel, warm_parallel)}
         assert len(blobs) == 1
 
-    def test_unknown_cache_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            run_tasks(self.TASKS, cache_dir=tmp_path, cache_backend="wat")
+    def test_corrupt_stored_row_is_recomputed(self, tmp_path):
+        import sqlite3
+        from contextlib import closing
 
-    def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
-        run_tasks(self.TASKS[:1], cache_dir=tmp_path, cache_backend="json")
-        (victim,) = tmp_path.glob("*.json")
-        victim.write_text("{not json")
-        rows = run_tasks(self.TASKS[:1], cache_dir=tmp_path, cache_backend="json")
-        assert rows[0]["correct"] is True
-        assert json.loads(victim.read_text())["version"] == CACHE_VERSION  # rewritten
+        (fresh,) = run_tasks(self.TASKS[:1], cache_dir=tmp_path)
+        store = SQLiteResultStore(tmp_path)
+        key = self.TASKS[0].task_hash()
+        store.close()
+        with closing(sqlite3.connect(store.path_for_shard(store.shard_for(key)))) as conn:
+            with conn:
+                conn.execute("UPDATE results SET result = ? WHERE key = ?", ("{not json", key))
+        store = SQLiteResultStore(tmp_path)
+        (rows,) = run_tasks(self.TASKS[:1], cache_dir=store)
+        assert store.misses == 1 and store.hits == 0
+        assert json.dumps(rows) == json.dumps(fresh)
+        assert SQLiteResultStore(tmp_path).get(key) == fresh  # rewritten
 
     def test_uncacheable_tasks_bypass_the_cache(self, tmp_path):
         task = SweepTask("scheme", TrivialRankScheme(), GraphSpec("random", 0.1), 8, 0)
@@ -210,11 +206,10 @@ class TestSweepRouting:
         )
         assert result.rows[0]["correct"]
 
-    @pytest.mark.parametrize("backend,opener", [("json", ResultCache), ("sqlite", SQLiteResultStore)])
-    def test_sweep_cache_reuse(self, tmp_path, backend, opener):
+    def test_sweep_cache_reuse(self, tmp_path):
         kwargs = dict(sizes=(8, 16), graph_factory=GraphSpec("random", 0.1), seeds=(0, 1))
-        first = run_scheme_sweep("trivial", cache_dir=tmp_path, cache_backend=backend, **kwargs)
-        cache = opener(tmp_path)
+        first = run_scheme_sweep("trivial", cache_dir=tmp_path, **kwargs)
+        cache = SQLiteResultStore(tmp_path)
         second = run_scheme_sweep("trivial", cache_dir=cache, **kwargs)
         assert cache.hits == 4
         assert json.dumps(first.rows) == json.dumps(second.rows)

@@ -37,7 +37,8 @@ import pytest
 
 from repro.report.pipeline import generate_report
 from repro.report.spec import parse_spec_text
-from repro.runner.plan import InstanceContext, StackedGroup, TaskGroup, plan_groups
+import repro.runner.runner as runner_module
+from repro.runner.plan import InstanceContext, TaskGroup, plan_groups
 from repro.runner.runner import run_tasks
 from repro.runner.store import SQLiteResultStore
 from repro.runner.tasks import GraphSpec, SweepTask, task_from_wire, task_to_wire
@@ -555,13 +556,9 @@ class TestQueueGC:
 
 
 class TestQueueExecutor:
-    def test_rejects_stacked_groups_and_uncacheable_tasks(self, tmp_path):
+    def test_rejects_uncacheable_tasks(self, tmp_path):
         queue = LeaseQueue(tmp_path)
         executor = QueueExecutor(queue, "job")
-        [group] = plan_groups([make_task()])
-        stacked = StackedGroup(key=("x",), groups=(group,))
-        with pytest.raises(ValueError, match="seed-stacked"):
-            executor.run_units([stacked], lambda batch: None)
         uncacheable = SweepTask(
             kind="scheme", target="trivial", graph=lambda n, seed: None, n=8, seed=0
         )
@@ -717,6 +714,56 @@ class TestDeadPoolWorker:
         with pytest.raises(RuntimeError, match="died twice"):
             run_tasks(tasks, jobs=2)
 
+    def test_pool_broken_at_submit_time_is_requeued(self, monkeypatch, capfd):
+        """A worker that dies between two ``submit`` calls makes the next
+        ``submit`` raise ``BrokenProcessPool``; that must take the same
+        requeue path as a break seen while awaiting a result."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        tasks = [make_task(seed=seed, target=target) for seed in range(4) for target in ("trivial", "theorem3")]
+        reference = run_tasks(tasks)
+        raised = []
+
+        class BreaksOnSecondSubmit(runner_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.submits = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                self.submits += 1
+                if self.submits == 2 and not raised:
+                    raised.append(True)
+                    raise BrokenProcessPool("a worker died between submits")
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        rows = run_tasks(tasks, jobs=2)
+        assert raised  # the submit-time break really happened
+        assert rows == reference
+        assert "worker process died" in capfd.readouterr().err
+
+    def test_pool_refusing_every_submit_raises_instead_of_spinning(self, monkeypatch):
+        """A pool whose very first ``submit`` raises has no future in
+        flight; the refused chunk itself must count as lost, or every
+        fresh pool would be refused the same way forever."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        tasks = [make_task(seed=seed) for seed in range(4)]
+        submits = []
+
+        class RefusesEverySubmit(runner_module.ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submits.append(fn)
+                # fail fast instead of hanging if the requeue loop spins
+                assert len(submits) <= 10, "respawned a refusing pool forever"
+                raise BrokenProcessPool("the pool broke before any submit")
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", RefusesEverySubmit)
+        with pytest.raises(RuntimeError, match="died twice"):
+            run_tasks(tasks, jobs=2)
+        # one refused submit per pool: the first chunk, then its requeue
+        assert len(submits) == 2
+
 
 # ------------------------------------------------------------------ #
 # the chaos test: SIGKILL a real worker mid-sweep
@@ -858,29 +905,35 @@ class TestSweepServiceDrainAndResume:
         assert service.queue.job_record(job_id)["state"] == LeaseQueue.JOB_RUNNING
 
         # "restart": a fresh service over the same directory resumes the
-        # parked job, and an in-process worker drains the queue
+        # parked job, and a worker process drains the queue.  Not a worker
+        # thread: the worker forks one child per item, and forking while
+        # this process's job and polling threads sit inside SQLite can
+        # hand the child a mutex that is never released
         service2 = SweepService(queue_dir, lease_ttl=5.0, poll_interval=0.05)
         assert service2.resume_running_jobs() == [job_id]
-        worker = threading.Thread(
-            target=run_worker,
-            kwargs=dict(queue_dir=queue_dir, idle_exit=5.0, poll_interval=0.05),
-            daemon=True,
-        )
-        worker.start()
-        deadline = time.monotonic() + 120.0
-        while time.monotonic() < deadline:
-            record = service2.queue.job_record(job_id)
-            if record["state"] != LeaseQueue.JOB_RUNNING:
-                break
-            time.sleep(0.25)
+        worker = spawn_test_worker(queue_dir, lease_ttl=5.0, delay=0.0)
+        try:
+            deadline = time.monotonic() + 120.0
+            while time.monotonic() < deadline:
+                record = service2.queue.job_record(job_id)
+                if record["state"] != LeaseQueue.JOB_RUNNING:
+                    break
+                time.sleep(0.25)
+        finally:
+            worker.kill()
+            worker.wait()
         assert record["state"] == LeaseQueue.JOB_DONE, record["error"]
-        worker.join(timeout=30)
         assert (service2.artifacts_dir(job_id) / "index.md").is_file()
 
     def test_identical_submissions_collapse(self, tmp_path):
         service = SweepService(tmp_path / "svc")
-        job_a, created_a = service.submit_text(CHAOS_SPEC, "toml")
-        job_b, created_b = service.submit_text(CHAOS_SPEC, "toml")
-        assert job_a == job_b
-        assert created_a and not created_b
-        assert len(service.queue.list_jobs()) == 1
+        try:
+            job_a, created_a = service.submit_text(CHAOS_SPEC, "toml")
+            job_b, created_b = service.submit_text(CHAOS_SPEC, "toml")
+            assert job_a == job_b
+            assert created_a and not created_b
+            assert len(service.queue.list_jobs()) == 1
+        finally:
+            # no worker ever drains this job: stop its polling thread so
+            # it does not outlive the test (later tests fork processes)
+            service.drain(timeout=30.0)

@@ -1,9 +1,9 @@
 """Tests of the sharded SQLite result store, run manifests and resume.
 
-The store must be a drop-in for :class:`repro.runner.cache.ResultCache`:
-same lookup/store contract, same miss-on-corruption semantics, and —
-most importantly — byte-identical sweep output whichever backend served
-the rows.  The multiprocessing stress test hammers one store from many
+The store's contract: ``get`` / ``put`` / ``put_many`` with hit/miss
+counters, corruption is a miss (never an error), and — most importantly
+— sweeps served from the store are byte-identical to fresh ones.  The
+multiprocessing stress test hammers one store from many
 concurrent writer processes with overlapping task sets, which is the
 shape of several ``--jobs`` sweeps sharing a cache directory.
 """
@@ -19,11 +19,9 @@ from repro.runner import (
     ExecutionStats,
     GraphSpec,
     ProgressReporter,
-    ResultCache,
     RunManifest,
     SQLiteResultStore,
     SweepTask,
-    open_result_store,
     run_tasks,
 )
 from repro.runner.manifest import run_id_for
@@ -41,21 +39,13 @@ def _row(tag):
     return {"kind": "scheme", "value": 0.1 + tag, "correct": True}
 
 
-class TestOpenResultStore:
-    def test_backend_selection(self, tmp_path):
-        assert isinstance(open_result_store(tmp_path / "j", "json"), ResultCache)
-        assert isinstance(open_result_store(tmp_path / "s", "sqlite"), SQLiteResultStore)
-        with pytest.raises(ValueError):
-            open_result_store(tmp_path, "wat")
-
+class TestSQLiteStoreContract:
     def test_unusable_directory_rejected(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
         with pytest.raises(ValueError):
             SQLiteResultStore(blocker / "sub")
 
-
-class TestSQLiteStoreContract:
     def test_round_trip_and_counters(self, tmp_path):
         store = SQLiteResultStore(tmp_path)
         assert store.get("0" * 64) is None
@@ -150,7 +140,7 @@ class TestCorruptShardRecovery:
         store.close()
         store.path_for_shard(index).write_text("this is not a database")
 
-        # ResultCache semantics: corruption is a miss, never an error ...
+        # corruption is a miss, never an error ...
         reopened = SQLiteResultStore(tmp_path)
         assert reopened.get(key) is None
         assert reopened.misses == 1
@@ -223,19 +213,6 @@ class TestCorruptShardRecovery:
 
 
 class TestMaintenance:
-    def test_migrate_json_cache(self, tmp_path):
-        json_dir = tmp_path / "json"
-        rows = run_tasks(TASKS, cache_dir=json_dir, cache_backend="json")
-        (json_dir / "broken.json").write_text("{nope")
-        store = SQLiteResultStore(tmp_path / "store")
-        # batch_size below the entry count: the streaming path must flush
-        # every batch, not just the last partial one
-        summary = store.migrate_json_cache(json_dir, batch_size=2)
-        assert summary == {"imported": len(TASKS), "skipped": 1}
-        served = run_tasks(TASKS, cache_dir=store)
-        assert store.hits == len(TASKS)
-        assert json.dumps(served) == json.dumps(rows)
-
     def test_gc_drops_foreign_generations(self, tmp_path):
         store = SQLiteResultStore(tmp_path)
         run_tasks(TASKS, cache_dir=store)
