@@ -118,10 +118,9 @@ def run_baseline(
     problem = getattr(baseline, "problem", DEFAULT_PROBLEM)
     if fault is not None and fault.churn and problem != "mst":
         raise ValueError("edge-weight churn is only defined for the MST problem")
-    if max_rounds is None:
-        bound = baseline.round_bound(graph)
-        if bound is not None:
-            max_rounds = int(bound) + 50
+    bound = baseline.round_bound(graph)
+    if max_rounds is None and bound is not None:
+        max_rounds = int(bound) + 50
     if fault is None:
         result = run_sync(
             graph,
@@ -153,6 +152,6 @@ def run_baseline(
         rounds=result.metrics.rounds,
         metrics=result.metrics,
         check=check,
-        round_bound=baseline.round_bound(graph),
+        round_bound=bound,
         problem=problem,
     )

@@ -22,40 +22,101 @@ messages grow to ``Θ(m log n)`` bits, which the simulator measures and
 the benchmarks report as a violently non-CONGEST ``congest_factor``.
 Node identifiers must be distinct (as the paper requires for this
 algorithm).
+
+Simulation cost: the wire still carries the whole knowledge base every
+round, but the simulator's per-round work follows what each node
+*newly* learns.  A received record is kept as the immutable tuple it
+arrived as, closure is tracked incrementally (the set of mentioned
+identifiers only grows; knowledge is closed once it mentions no more
+identifiers than it has records), and the gossip payload
+(:class:`_Knowledge`) is rebuilt only when knowledge grew.  Its wire
+size is summed from per-record ``estimate_bits`` shares, each computed
+once by the record's owner, and reaches the engine through the
+``bit_length_exact`` hook — it equals
+``estimate_bits((_MSG_KNOWLEDGE, entries))`` of the plain tuple payload
+(the additive sequence rule of :mod:`repro.simulator.message`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.distributed.base import DistributedMSTBaseline
 from repro.graphs.properties import diameter
 from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.mst.rooted_tree import ROOT_OUTPUT
 from repro.simulator.algorithm import NodeProgram, ProgramFactory
+from repro.simulator.message import estimate_bits
 from repro.simulator.node import NodeContext
 
 __all__ = ["FullInformationMST"]
 
 #: record announcing the sender's identifier (round 1)
 _MSG_HELLO = 11
-#: knowledge-base gossip: a tuple of per-node records
+#: knowledge-base gossip (:class:`_Knowledge`, printed and sized as the
+#: plain tuple ``(_MSG_KNOWLEDGE, entries)``)
 _MSG_KNOWLEDGE = 12
+
+#: one node's adjacency: ``(weight, neighbour id)`` indexed by its ports
+Record = Tuple[Tuple[float, int], ...]
+
+#: wire size of the gossip message around its entries (tag + framing)
+_KNOWLEDGE_HEADER_BITS = estimate_bits((_MSG_KNOWLEDGE, ()))
+
+#: the neighbour identifier of one ``(weight, neighbour id)`` pair
+_neighbour_id = itemgetter(1)
+
+
+def _record_share(node_id: int, record: Record) -> int:
+    """Wire bits one ``(id, record)`` entry adds to a knowledge payload."""
+    return estimate_bits(((node_id, record),))
+
+
+class _Knowledge:
+    """The knowledge gossip: ``(_MSG_KNOWLEDGE, entries)`` with its exact size.
+
+    ``known`` maps every identifier to its record and that record's
+    wire share; the sender snapshots it once per knowledge growth and
+    never mutates it afterwards (``ids`` is its key set, for the
+    receivers' set differences).  The shares are simulation-level size
+    metadata — a pure function of the entry, like a ``BitString``'s
+    length — so reading them reveals nothing the message does not.
+    """
+
+    __slots__ = ("known", "ids", "_bits")
+
+    def __init__(self, known: Dict[int, Tuple[Record, int]], bits: int) -> None:
+        self.known = known
+        self.ids = frozenset(known)
+        self._bits = bits
+
+    @property
+    def entries(self) -> Tuple[Tuple[int, Record], ...]:
+        """The plain payload's entries: ``(id, record)`` sorted by id."""
+        known = self.known
+        return tuple((node_id, known[node_id][0]) for node_id in sorted(known))
+
+    def bit_length_exact(self) -> int:
+        """``estimate_bits((_MSG_KNOWLEDGE, self.entries))``, precomputed."""
+        return self._bits
+
+    def __repr__(self) -> str:
+        return repr((_MSG_KNOWLEDGE, self.entries))
 
 
 class _FullInfoProgram(NodeProgram):
     """Flood local knowledge until the whole graph is known, then solve locally."""
 
     def __init__(self) -> None:
-        # id -> tuple of (weight, neighbour id) indexed by that node's ports
-        self.records: Dict[int, Tuple[Tuple[float, int], ...]] = {}
+        # id -> (record, wire share of the record's entry)
+        self.known: Dict[int, Tuple[Record, int]] = {}
+        # every identifier that has a record or appears in one
+        self.mentioned: Set[int] = set()
         self.neighbor_ids: Dict[int, int] = {}
         self.prev_size = -1
-        # the knowledge payload is rebuilt only when the knowledge base
-        # grew (records never shrink), so the same tuple object is reused
-        # across rounds — the engine then also sizes it only once per round
-        self._payload_cache: Optional[Tuple] = None
-        self._payload_cache_size = -1
+        self._bits = _KNOWLEDGE_HEADER_BITS
+        self._payload: Optional[_Knowledge] = None
 
     def init(self, ctx: NodeContext) -> None:
         if ctx.degree == 0:
@@ -65,55 +126,61 @@ class _FullInfoProgram(NodeProgram):
             ctx.send(port, (_MSG_HELLO, ctx.node_id))
 
     def on_round(self, ctx: NodeContext, inbox: Dict[int, object]) -> None:
+        known = self.known
         for port, payload in inbox.items():
-            if not isinstance(payload, tuple) or not payload:
-                continue
-            if payload[0] == _MSG_HELLO:
+            if payload.__class__ is _Knowledge:
+                theirs = payload.known
+                for node_id in payload.ids.difference(known):
+                    self._learn(node_id, *theirs[node_id])
+            elif isinstance(payload, tuple) and payload and payload[0] == _MSG_HELLO:
                 self.neighbor_ids[port] = payload[1]
-            elif payload[0] == _MSG_KNOWLEDGE:
-                for node_id, record in payload[1]:
-                    self.records.setdefault(node_id, tuple(tuple(x) for x in record))
 
-        if len(self.neighbor_ids) == ctx.degree and ctx.node_id not in self.records:
+        if len(self.neighbor_ids) == ctx.degree and ctx.node_id not in known:
             # own record becomes available once every neighbour identified itself
-            self.records[ctx.node_id] = tuple(
-                (ctx.weight(p), self.neighbor_ids[p]) for p in ctx.ports()
-            )
+            record = tuple((ctx.weight(p), self.neighbor_ids[p]) for p in ctx.ports())
+            self._learn(ctx.node_id, record, _record_share(ctx.node_id, record))
 
-        if self._knowledge_closed() and len(self.records) == self.prev_size:
+        # closed: every mentioned identifier has a record (``known`` is a
+        # subset of ``mentioned``, so equal sizes mean equal sets)
+        closed = bool(known) and len(self.mentioned) == len(known)
+        if closed and len(known) == self.prev_size:
             self._finish(ctx)
             return
-        self.prev_size = len(self.records)
+        self.prev_size = len(known)
 
-        if self._payload_cache_size != len(self.records):
-            self._payload_cache = (_MSG_KNOWLEDGE, tuple(sorted(self.records.items())))
-            self._payload_cache_size = len(self.records)
-        payload = self._payload_cache
+        if self._payload is None or len(self._payload.known) != len(known):
+            self._payload = _Knowledge(dict(known), self._bits)
+        payload = self._payload
         for port in ctx.ports():
             ctx.send(port, payload)
 
     # ------------------------------------------------------------------ #
 
-    def _knowledge_closed(self) -> bool:
-        if not self.records:
-            return False
-        mentioned = set(self.records)
-        for record in self.records.values():
-            mentioned.update(nid for _, nid in record)
-        return mentioned == set(self.records)
+    def _learn(self, node_id: int, record: Record, share: int) -> None:
+        self.known[node_id] = (record, share)
+        self._bits += share
+        self.mentioned.add(node_id)
+        self.mentioned.update(map(_neighbour_id, record))
 
     def _finish(self, ctx: NodeContext) -> None:
-        # reconstruct edges with the canonical (weight, sorted id pair) order
-        edges: Dict[Tuple[int, int], float] = {}
-        for node_id, record in self.records.items():
-            for weight, other in record:
-                key = (min(node_id, other), max(node_id, other))
-                edges[key] = weight
-        ordered = sorted(edges.items(), key=lambda kv: (kv[1], kv[0]))
+        known = self.known
+        ids = sorted(known)
+        root_id = ids[0]
+        if ctx.node_id == root_id:
+            ctx.halt(ROOT_OUTPUT)
+            return
 
-        ids = sorted(self.records)
-        index_of = {node_id: k for k, node_id in enumerate(ids)}
-        parent = list(range(len(ids)))
+        # every edge once, from its smaller endpoint's record, in the
+        # canonical (weight, sorted id pair) order
+        edges = [
+            (weight, node_id, other)
+            for node_id, (record, _) in known.items()
+            for weight, other in record
+            if node_id < other
+        ]
+        edges.sort()
+
+        parent = {node_id: node_id for node_id in ids}
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -122,18 +189,18 @@ class _FullInfoProgram(NodeProgram):
             return x
 
         tree_adj: Dict[int, List[int]] = {node_id: [] for node_id in ids}
-        for (a, b), _w in ordered:
-            ra, rb = find(index_of[a]), find(index_of[b])
+        unions_left = len(ids) - 1
+        for _, a, b in edges:
+            ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
                 tree_adj[a].append(b)
                 tree_adj[b].append(a)
+                unions_left -= 1
+                if not unions_left:
+                    break
 
         # root the tree at the smallest identifier and find this node's parent
-        root_id = ids[0]
-        if ctx.node_id == root_id:
-            ctx.halt(ROOT_OUTPUT)
-            return
         parent_of: Dict[int, Optional[int]] = {root_id: None}
         stack = [root_id]
         while stack:

@@ -238,7 +238,7 @@ class AdversaryEngine(SyncEngine):
 
         active = [u for u in range(n) if not contexts[u].halted]
         on_round = [program.on_round for program in programs]
-        wake = [0] * n
+        wake = [ctx._wake_round for ctx in contexts]
         wiring = self.network.wiring
         pending = self._collect_outboxes(range(n))
         logical = 0  # the synchronous round being emulated (ctx.round)

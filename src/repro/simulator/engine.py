@@ -182,8 +182,9 @@ class SyncEngine:
         # nodes halt instead of re-scanning all n contexts every round
         active = [u for u in range(n) if not contexts[u].halted]
         on_round = [program.on_round for program in programs]
-        # per-node wake-up round of the idle-scheduling hint (0 = every round)
-        wake = [0] * n
+        # per-node wake-up round of the idle-scheduling hint (0 = every
+        # round), seeded from hints set during init
+        wake = [ctx._wake_round for ctx in contexts]
         wiring = network.wiring
         pending = self._collect_outboxes(range(n))
         round_number = 0

@@ -100,8 +100,8 @@ class NodeContext:
         the skipped rounds is triggered either by a message or by a round
         number it can compute in advance — fixed round schedules like the
         GHS-style baseline qualify.  The hint lasts until the next
-        invocation; programs that never call it are invoked every round,
-        exactly as before.
+        invocation; a hint set in ``init`` holds from round 1.  Programs
+        that never call it are invoked every round, exactly as before.
         """
         if round_number > self._wake_round:
             self._wake_round = round_number

@@ -11,12 +11,17 @@ from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
     grid_graph,
+    hypercube_graph,
     path_graph,
+    power_law_graph,
     random_connected_graph,
     star_graph,
+    torus_graph,
 )
 from repro.graphs.properties import diameter
 from repro.graphs.weighted_graph import PortNumberedGraph
+from repro.simulator.message import estimate_bits
+from repro.simulator.node import NodeContext
 
 
 BASELINE_GRAPHS = [
@@ -27,6 +32,53 @@ BASELINE_GRAPHS = [
     ("grid3x4", grid_graph(3, 4, seed=5)),
     ("rand24", random_connected_graph(24, 0.12, seed=6)),
     ("rand36", random_connected_graph(36, 0.08, seed=7)),
+]
+
+
+# full-info runs pinned field for field: RunMetrics.as_dict() and
+# messages_per_round as measured when the knowledge payload was a plain
+# ``(12, entries)`` tuple sized by the generic estimate_bits walk
+FULL_INFO_PINNED = [
+    (
+        "random48",
+        lambda: random_connected_graph(48, 0.1, seed=21),
+        {
+            "n": 48, "rounds": 6, "total_messages": 1718, "total_message_bits": 10810721,
+            "max_message_bits": 15037, "max_edge_bits_per_round": 15037,
+            "undelivered_messages": 0, "congest_factor": 2692.4084088404093,
+        },
+        [332, 332, 332, 332, 332, 58],
+    ),
+    (
+        "torus6x6",
+        lambda: torus_graph(6, 6, seed=22),
+        {
+            "n": 36, "rounds": 8, "total_messages": 1152, "total_message_bits": 3834616,
+            "max_message_bits": 6647, "max_edge_bits_per_round": 6647,
+            "undelivered_messages": 0, "congest_factor": 1285.705304843999,
+        },
+        [144] * 8,
+    ),
+    (
+        "hypercube5",
+        lambda: hypercube_graph(5, seed=23),
+        {
+            "n": 32, "rounds": 7, "total_messages": 1120, "total_message_bits": 4067530,
+            "max_message_bits": 7253, "max_edge_bits_per_round": 7253,
+            "undelivered_messages": 0, "congest_factor": 1450.6,
+        },
+        [160] * 7,
+    ),
+    (
+        "powerlaw40",
+        lambda: power_law_graph(40, seed=24),
+        {
+            "n": 40, "rounds": 8, "total_messages": 927, "total_message_bits": 3036885,
+            "max_message_bits": 6962, "max_edge_bits_per_round": 6962,
+            "undelivered_messages": 0, "congest_factor": 1308.172503624807,
+        },
+        [152, 152, 152, 152, 152, 128, 35, 4],
+    ),
 ]
 
 
@@ -52,6 +104,33 @@ class TestFullInformation:
         report = run_baseline(FullInformationMST(), PortNumberedGraph(1, []))
         assert report.correct
         assert report.rounds == 0
+
+    @pytest.mark.parametrize(
+        "name,build,metrics,per_round", FULL_INFO_PINNED, ids=[c[0] for c in FULL_INFO_PINNED]
+    )
+    def test_accounting_is_pinned(self, monkeypatch, name, build, metrics, per_round):
+        sent = []
+        send = NodeContext.send
+
+        def capturing_send(ctx, port, payload):
+            sent.append(payload)
+            send(ctx, port, payload)
+
+        monkeypatch.setattr(NodeContext, "send", capturing_send)
+        report = run_baseline(FullInformationMST(), build())
+        assert report.correct
+        assert report.metrics.as_dict() == metrics
+        assert report.metrics.messages_per_round == per_round
+
+        knowledge = {id(p): p for p in sent if not isinstance(p, tuple)}.values()
+        assert knowledge
+        for payload in knowledge:
+            # the precomputed size is exactly the generic walk over the
+            # plain tuple form, and the payload prints as that tuple
+            plain = (12, payload.entries)
+            assert payload.bit_length_exact() == estimate_bits(plain)
+            assert estimate_bits(payload) == estimate_bits(plain)
+            assert repr(payload) == repr(plain)
 
 
 class TestSynchronizedBoruvka:

@@ -7,9 +7,13 @@ from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
     grid_graph,
+    hypercube_graph,
     path_graph,
+    power_law_graph,
     random_connected_graph,
+    random_geometric_graph,
     star_graph,
+    torus_graph,
 )
 from repro.graphs.properties import (
     bfs_layers,
@@ -22,6 +26,33 @@ from repro.graphs.properties import (
     shortest_path_lengths,
 )
 from repro.graphs.weighted_graph import PortNumberedGraph
+
+# sizes on both sides of the 64-source word blocks of the exact diameter
+_WORD_SIZES = (1, 2, 63, 64, 65, 130)
+_TORUS_SHAPES = {63: (7, 9), 64: (8, 8), 65: (5, 13), 130: (10, 13)}
+_DIAMETER_CASES = (
+    [("random", n) for n in _WORD_SIZES]
+    + [("path", n) for n in _WORD_SIZES]
+    + [("powerlaw", n) for n in _WORD_SIZES if n >= 2]
+    + [("geometric", n) for n in _WORD_SIZES if n >= 2]
+    + [("torus", n) for n in _TORUS_SHAPES]
+    # hypercubes only come in powers of two: one word, a full word, two words
+    + [("hypercube", n) for n in (2, 32, 64, 128)]
+)
+
+
+def _sized_instance(family, n):
+    if family == "random":
+        return random_connected_graph(n, 0.05, seed=n)
+    if family == "path":
+        return path_graph(n, seed=n)
+    if family == "powerlaw":
+        return power_law_graph(n, seed=n)
+    if family == "geometric":
+        return random_geometric_graph(n, seed=n)
+    if family == "torus":
+        return torus_graph(*_TORUS_SHAPES[n], seed=n)
+    return hypercube_graph(n.bit_length() - 1, seed=n)
 
 
 class TestProperties:
@@ -48,6 +79,22 @@ class TestProperties:
         assert diameter(complete_graph(6, seed=0)) == 1
         assert diameter(grid_graph(3, 4, seed=0)) == 5
 
+    @pytest.mark.parametrize(
+        "family,n", _DIAMETER_CASES, ids=[f"{f}{n}" for f, n in _DIAMETER_CASES]
+    )
+    def test_diameter_matches_per_source_bfs(self, family, n):
+        g = _sized_instance(family, n)
+        assert g.n == n
+        assert diameter(g) == max(eccentricity(g, u) for u in range(g.n))
+
+    def test_diameter_counts_the_last_source_of_each_word(self):
+        # a path whose only two peripheral nodes are the 64th source of
+        # the first and of the second word block
+        order = [63] + [u for u in range(130) if u not in (63, 127)] + [127]
+        edges = [(a, b, float(k)) for k, (a, b) in enumerate(zip(order, order[1:]))]
+        g = PortNumberedGraph(130, edges)
+        assert diameter(g) == 129
+
     def test_diameter_double_sweep_on_large_tree(self):
         g = path_graph(3000, seed=0)
         assert diameter(g, exact_limit=100) == 2999  # double sweep is exact on trees
@@ -64,6 +111,9 @@ class TestProperties:
             diameter(g)
         with pytest.raises(ValueError):
             eccentricity(g, 0)
+        # a path on 69 nodes plus an isolated node spans two word blocks
+        with pytest.raises(ValueError):
+            diameter(PortNumberedGraph(70, [(u, u + 1, float(u)) for u in range(68)]))
 
     def test_connected_components(self):
         g = PortNumberedGraph(5, [(0, 1, 1.0), (2, 3, 2.0)])

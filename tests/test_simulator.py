@@ -338,11 +338,11 @@ class TestIdleSchedulingEdgeCases:
         assert [r for node, r in invocations if node == 0] == [1, 2, 3, 4]
         assert result.metrics.rounds == 4
 
-    def test_idle_hint_in_init_is_not_honoured(self):
-        # the engine samples the wake hint after on_round invocations
-        # only; a hint set during init does not survive into round 1
-        # (programs with fixed schedules set their first hint in round 1,
-        # exactly as the GHS baseline does)
+    def test_idle_hint_in_init_is_honoured(self):
+        # a hint set during init seeds the engine's wake-up round: with
+        # nothing in flight, neither node is invoked before round 10
+        from repro.simulator.adversary import AdversaryEngine
+
         rounds_seen = []
 
         class HintInInit(NodeProgram):
@@ -353,9 +353,18 @@ class TestIdleSchedulingEdgeCases:
                 rounds_seen.append(ctx.round)
                 ctx.halt(ctx.round)
 
-        result = run_sync(path_graph(2, seed=0), lambda ctx: HintInInit())
+        g = path_graph(2, seed=0)
+        result = run_sync(g, lambda ctx: HintInInit())
         assert result.completed
-        assert rounds_seen == [1, 1]  # both nodes invoked immediately
+        assert rounds_seen == [10, 10]  # both nodes first invoked in round 10
+        assert result.outputs == {0: 10, 1: 10}
+        assert result.metrics.rounds == 10
+        assert result.metrics.messages_per_round == [0] * 10
+
+        rounds_seen.clear()
+        null = AdversaryEngine(g, lambda ctx: HintInInit()).run()
+        assert rounds_seen == [10, 10]
+        assert null == result
 
     def test_idle_skip_charges_exactly_the_skipped_rounds(self):
         class SleepThenHalt(NodeProgram):
