@@ -16,11 +16,7 @@ import math
 from conftest import publish
 
 from repro.analysis import format_table
-from repro.core.lower_bound import (
-    average_advice_lower_bound,
-    run_fooling_experiment,
-    truncated_trivial_failures,
-)
+from repro.core.lower_bound import average_advice_lower_bound, run_fooling_experiment
 from repro.core.scheme_trivial import TrivialRankScheme
 from repro.graphs.lowerbound_family import build_gn
 from repro.mst.verify import unique_mst_edge_ids
@@ -48,7 +44,7 @@ def _pigeonhole_rows(h=16, i=4):
     rows = []
     experiment = run_fooling_experiment(h, i)
     for budget in range(0, math.ceil(math.log2(h - i)) + 2):
-        result = truncated_trivial_failures(h, i, budget_bits=budget)
+        result = experiment.failures(budget)
         rows.append(
             {
                 "h": h,

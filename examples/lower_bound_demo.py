@@ -23,11 +23,7 @@ import math
 
 from repro import TrivialRankScheme, build_gn, run_scheme
 from repro.analysis import format_table
-from repro.core.lower_bound import (
-    average_advice_lower_bound,
-    run_fooling_experiment,
-    truncated_trivial_failures,
-)
+from repro.core.lower_bound import average_advice_lower_bound, run_fooling_experiment
 from repro.mst.verify import unique_mst_edge_ids
 
 
@@ -52,7 +48,7 @@ def main() -> None:
     # ---- 3. the pigeonhole ------------------------------------------------
     rows = []
     for budget in range(0, math.ceil(math.log2(h - i)) + 1):
-        result = truncated_trivial_failures(h, i, budget_bits=budget)
+        result = experiment.failures(budget)
         rows.append(
             {
                 "advice bits at u_i": budget,

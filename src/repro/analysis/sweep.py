@@ -33,7 +33,7 @@ from repro.core.oracle import AdvisingScheme
 from repro.core.problem import DEFAULT_PROBLEM
 from repro.distributed.base import DistributedMSTBaseline
 from repro.graphs.weighted_graph import PortNumberedGraph
-from repro.runner.registry import resolve_baseline, resolve_scheme
+from repro.runner.registry import graph_shape, resolve_baseline, resolve_scheme
 from repro.runner.runner import run_tasks
 from repro.runner.tasks import GraphSpec, SweepTask
 
@@ -54,15 +54,18 @@ def resolve_actual_sizes(
 ) -> List[int]:
     """Map requested sizes to the sizes the factory actually realises.
 
-    Structured families round a requested ``n`` to the nearest realisable
-    shape (grid/torus to squares, hypercube to powers of two, ``gn`` to
-    an even clique split), and derived columns — ``log2_n``,
-    ``congest_factor``, the theoretical bounds — must be computed at the
-    *real* size or they quietly describe a different instance.  Builds
-    one instance per size to read ``n`` off it; instances are memoised
-    per process, so the sweep pays this construction anyway.
+    Structured families round a requested ``n`` (the rule, with its
+    cases, is :func:`repro.runner.registry.graph_shape`), and derived
+    columns — ``log2_n``, ``congest_factor``, the theoretical bounds —
+    must be computed at the *real* size or they quietly describe a
+    different instance.  A :class:`~repro.runner.tasks.GraphSpec` reads
+    the size off that rule without building anything; any other factory
+    builds one instance per size (at ``seed``) to read ``n`` off it.
     """
+    if isinstance(factory, GraphSpec):
+        return [graph_shape(factory.family, n).n for n in sizes]
     return [factory(n, seed).n for n in sizes]
+
 
 #: ``factory(n, seed) -> PortNumberedGraph``
 GraphFactory = Callable[[int, int], PortNumberedGraph]
@@ -129,6 +132,8 @@ def run_scheme_sweep(
     >>> parallel.rows == result.rows  # byte-identical to serial
     True
     """
+    if not seeds:
+        raise ValueError("a sweep needs at least one seed")
     factory = graph_factory if graph_factory is not None else default_graph_factory()
     scheme_obj = resolve_scheme(scheme, problem=problem)
     task_problem = getattr(scheme_obj, "problem", DEFAULT_PROBLEM)
@@ -158,7 +163,7 @@ def run_scheme_sweep(
         name=scheme_obj.name,
         rows=aggregate_scheme_rows(
             scheme_obj,
-            resolve_actual_sizes(factory, sizes, seeds[0] if seeds else 0),
+            resolve_actual_sizes(factory, sizes, seeds[0]),
             len(seeds),
             raw,
         ),
@@ -227,7 +232,15 @@ def run_baseline_sweep(
     progress: bool = False,
     problem: Optional[str] = None,
 ) -> SweepResult:
-    """Run a no-advice baseline on every size in ``sizes``."""
+    """Run a no-advice baseline on every size in ``sizes``.
+
+    >>> run_baseline_sweep("ghs", [16], seeds=())
+    Traceback (most recent call last):
+        ...
+    ValueError: a sweep needs at least one seed
+    """
+    if not seeds:
+        raise ValueError("a sweep needs at least one seed")
     factory = graph_factory if graph_factory is not None else default_graph_factory()
     baseline_obj = resolve_baseline(baseline, problem=problem)
     tasks = [
@@ -254,7 +267,7 @@ def run_baseline_sweep(
         name=baseline_obj.name,
         rows=aggregate_baseline_rows(
             baseline_obj,
-            resolve_actual_sizes(factory, sizes, seeds[0] if seeds else 0),
+            resolve_actual_sizes(factory, sizes, seeds[0]),
             len(seeds),
             raw,
         ),

@@ -68,11 +68,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 from repro.analysis.sweep import run_scheme_sweep
 from repro.analysis.tables import format_table
 from repro.analysis.tradeoff import theoretical_tradeoff_rows, tradeoff_rows
-from repro.core.lower_bound import (
-    average_advice_lower_bound,
-    run_fooling_experiment,
-    truncated_trivial_failures,
-)
+from repro.core.lower_bound import average_advice_lower_bound, run_fooling_experiment
 from repro.core.oracle import run_scheme
 from repro.core.problem import DEFAULT_PROBLEM, get_problem, problem_names, split_target
 from repro.core.scheme_average import paper_average_constant
@@ -346,6 +342,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sizes = [int(x) for x in args.sizes.split(",") if x.strip()]
     if not sizes:
         raise ValueError("--sizes must list at least one size")
+    if args.repeats < 1:
+        raise ValueError("--repeats must be >= 1")
     seeds = tuple(range(args.repeats))
 
     # the scheme is passed by registry name and the graph as a GraphSpec so
@@ -788,16 +786,7 @@ def _cmd_lowerbound(args: argparse.Namespace) -> int:
     if not 2 <= i <= h - 1:
         raise ValueError("--i must satisfy 2 <= i <= h - 1")
     experiment = run_fooling_experiment(h, i)
-    rows = []
-    for budget in range(0, math.ceil(math.log2(max(h - i, 2))) + 2):
-        result = truncated_trivial_failures(h, i, budget_bits=budget)
-        rows.append(
-            {
-                "advice_bits": budget,
-                "groups": result["num_groups"],
-                "guaranteed_failures": result["min_failures"],
-            }
-        )
+    rows = experiment.pigeonhole(math.ceil(math.log2(max(h - i, 2))) + 1)
     payload = {
         "h": h,
         "i": i,

@@ -13,9 +13,13 @@ average advice ``Ω(log n)``.
 
 This module turns the argument into executable experiments:
 
-* :func:`run_fooling_experiment` builds the family and *verifies its
+* :func:`run_fooling_experiment` builds the family once, *verifies its
   premises* computationally (identical views, pairwise-distinct correct
-  ports, the spine really is the unique MST of every variant);
+  ports, the spine really is the unique MST of every variant) and keeps
+  the trivial scheme's advice at the target of every variant, so the
+  returned :class:`FoolingExperiment` answers the pigeonhole for any
+  budget (:meth:`FoolingExperiment.failures`,
+  :meth:`FoolingExperiment.pigeonhole`) without rebuilding anything;
 * :func:`truncated_trivial_failures` carries out the pigeonhole
   explicitly: any 0-round decoder whose advice at ``u_i`` is truncated
   to ``b`` bits is guaranteed at least ``(h - i) - 2^b`` errors on the
@@ -28,8 +32,8 @@ This module turns the argument into executable experiments:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.bits import BitString
 from repro.core.scheme_trivial import TrivialRankScheme
@@ -38,7 +42,7 @@ from repro.graphs.lowerbound_family import (
     average_advice_lower_bound_bits,
     fooling_family,
 )
-from repro.mst.kruskal import kruskal_mst
+from repro.graphs.weighted_graph import LocalView
 from repro.mst.verify import unique_mst_edge_ids
 
 __all__ = [
@@ -60,6 +64,36 @@ def required_bits_at_node(h: int, i: int) -> float:
     return math.log2(max(h - i, 1))
 
 
+#: what a 0-round decoder at the target sees in one variant: the trivial
+#: scheme's full advice there and the target's local view
+_TargetKnowledge = Tuple[BitString, LocalView]
+
+
+def _trivial_knowledge(variants: Sequence[FoolingVariant]) -> Tuple[_TargetKnowledge, ...]:
+    """The trivial scheme's advice and the local view at the target, per variant."""
+    scheme = TrivialRankScheme()
+    knowledge = []
+    for v in variants:
+        advice = scheme.compute_advice(v.instance.graph, root=v.instance.v(1))
+        knowledge.append(
+            (advice.get(v.target_node), v.instance.graph.local_view(v.target_node))
+        )
+    return tuple(knowledge)
+
+
+def _pigeonhole(knowledge: Sequence[_TargetKnowledge], budget_bits: int) -> Dict[str, int]:
+    """Group the variants by (advice truncated to ``budget_bits``, view)."""
+    if budget_bits < 0:
+        raise ValueError("budget_bits must be non-negative")
+    groups = {(full[: min(budget_bits, len(full))], view) for full, view in knowledge}
+    return {
+        "num_variants": len(knowledge),
+        "num_groups": len(groups),
+        "min_failures": max(0, len(knowledge) - len(groups)),
+        "budget_bits": budget_bits,
+    }
+
+
 @dataclass(frozen=True)
 class FoolingExperiment:
     """Verified premises of the Theorem-1 pigeonhole for one target node."""
@@ -71,6 +105,9 @@ class FoolingExperiment:
     distinct_correct_ports: int
     all_msts_are_spine: bool
     required_bits: float
+    #: per variant, the trivial scheme's advice and the local view at the
+    #: target — all any budget's pigeonhole needs
+    knowledge: Tuple[_TargetKnowledge, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def premises_hold(self) -> bool:
@@ -81,11 +118,45 @@ class FoolingExperiment:
             and self.all_msts_are_spine
         )
 
+    def failures(self, budget_bits: int) -> Dict[str, int]:
+        """:func:`truncated_trivial_failures` for this family, without rebuilding it.
+
+        >>> experiment = run_fooling_experiment(10, 3)
+        >>> experiment.failures(0) == truncated_trivial_failures(10, 3, budget_bits=0)
+        True
+        """
+        return _pigeonhole(self.knowledge, budget_bits)
+
+    def pigeonhole(self, max_budget_bits: int) -> List[Dict[str, int]]:
+        """The pigeonhole table: one row per budget ``0..max_budget_bits``.
+
+        >>> run_fooling_experiment(10, 3).pigeonhole(1)  # doctest: +NORMALIZE_WHITESPACE
+        [{'advice_bits': 0, 'groups': 1, 'guaranteed_failures': 6},
+         {'advice_bits': 1, 'groups': 1, 'guaranteed_failures': 6}]
+        """
+        rows = []
+        for budget in range(max_budget_bits + 1):
+            result = self.failures(budget)
+            rows.append(
+                {
+                    "advice_bits": budget,
+                    "groups": result["num_groups"],
+                    "guaranteed_failures": result["min_failures"],
+                }
+            )
+        return rows
+
 
 def run_fooling_experiment(h: int, i: int, seed: int = 0) -> FoolingExperiment:
-    """Build the fooling family for ``u_i`` in ``G_n`` and verify its premises."""
+    """Build the fooling family for ``u_i`` in ``G_n`` once and verify its premises.
+
+    The result also carries the trivial scheme's advice at ``u_i`` in
+    every variant, so its :meth:`~FoolingExperiment.failures` answers
+    every budget's pigeonhole from this one build.
+    """
     variants = fooling_family(h, i, seed=seed)
-    views = {v.instance.graph.local_view(v.target_node) for v in variants}
+    knowledge = _trivial_knowledge(variants)
+    views = {view for _, view in knowledge}
     ports = {v.correct_parent_port for v in variants}
     all_spine = True
     for v in variants:
@@ -101,6 +172,7 @@ def run_fooling_experiment(h: int, i: int, seed: int = 0) -> FoolingExperiment:
         distinct_correct_ports=len(ports),
         all_msts_are_spine=all_spine,
         required_bits=required_bits_at_node(h, i),
+        knowledge=knowledge,
     )
 
 
@@ -119,25 +191,8 @@ def truncated_trivial_failures(
     matter how clever the decoder is.
 
     Returns a dictionary with ``num_variants``, ``num_groups`` and the
-    guaranteed number of failures ``min_failures``.
+    guaranteed number of failures ``min_failures``.  Builds the family
+    for this one budget; to tabulate several, call
+    :meth:`FoolingExperiment.failures` on one :func:`run_fooling_experiment`.
     """
-    if budget_bits < 0:
-        raise ValueError("budget_bits must be non-negative")
-    variants = fooling_family(h, i, seed=seed)
-    scheme = TrivialRankScheme()
-    groups: Dict[Tuple[BitString, object], int] = {}
-    for v in variants:
-        advice = scheme.compute_advice(v.instance.graph, root=v.instance.v(1))
-        full = advice.get(v.target_node)
-        truncated = full[: min(budget_bits, len(full))]
-        view = v.instance.graph.local_view(v.target_node)
-        key = (truncated, view)
-        groups[key] = groups.get(key, 0) + 1
-    num_groups = len(groups)
-    num_variants = len(variants)
-    return {
-        "num_variants": num_variants,
-        "num_groups": num_groups,
-        "min_failures": max(0, num_variants - num_groups),
-        "budget_bits": budget_bits,
-    }
+    return _pigeonhole(_trivial_knowledge(fooling_family(h, i, seed=seed)), budget_bits)

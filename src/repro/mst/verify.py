@@ -15,7 +15,7 @@ minimum total weight.  This module provides the checks:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.mst.kruskal import kruskal_mst
@@ -85,6 +85,57 @@ def verify_cut_property(graph: PortNumberedGraph, edge_ids: Iterable[int]) -> bo
     return True
 
 
+def _non_tree_cycles(
+    graph: PortNumberedGraph, tree_ids: Iterable[int]
+) -> Iterator[Tuple[int, List[int]]]:
+    """Yield ``(edge_id, tree_path)`` for every edge of ``graph`` outside the forest.
+
+    ``tree_ids`` must be a forest containing a spanning tree of each
+    component that a non-tree edge lies in (a spanning tree, or a
+    spanning forest of a disconnected graph).  The forest is rooted
+    once, every component from its smallest node, and the tree path
+    between the endpoints of a non-tree edge is found by climbing parent
+    pointers from the deeper endpoint, then from both, until they meet.
+    """
+    tree = set(tree_ids)
+    edge_u, edge_v = graph.edge_u.tolist(), graph.edge_v.tolist()
+    adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(graph.n)]
+    for eid in tree:
+        u, v = edge_u[eid], edge_v[eid]
+        adjacency[u].append((v, eid))
+        adjacency[v].append((u, eid))
+    parent = [-1] * graph.n
+    parent_edge = [-1] * graph.n
+    depth = [-1] * graph.n
+    for root in range(graph.n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y, eid in adjacency[x]:
+                if depth[y] < 0:
+                    depth[y] = depth[x] + 1
+                    parent[y], parent_edge[y] = x, eid
+                    stack.append(y)
+    for eid in range(graph.m):
+        if eid in tree:
+            continue
+        a, b = edge_u[eid], edge_v[eid]
+        path: List[int] = []
+        while depth[a] > depth[b]:
+            path.append(parent_edge[a])
+            a = parent[a]
+        while depth[b] > depth[a]:
+            path.append(parent_edge[b])
+            b = parent[b]
+        while a != b:
+            path += (parent_edge[a], parent_edge[b])
+            a, b = parent[a], parent[b]
+        yield eid, path
+
+
 def verify_cycle_property(graph: PortNumberedGraph, edge_ids: Iterable[int]) -> bool:
     """Check the cycle property of a spanning tree.
 
@@ -95,41 +146,12 @@ def verify_cycle_property(graph: PortNumberedGraph, edge_ids: Iterable[int]) -> 
     ids = set(int(e) for e in edge_ids)
     if not is_spanning_tree(graph, ids):
         return False
-
-    # build tree adjacency for path queries
-    adjacency: Dict[int, List[Tuple[int, int]]] = {u: [] for u in range(graph.n)}
-    for eid in ids:
-        u, v = int(graph.edge_u[eid]), int(graph.edge_v[eid])
-        adjacency[u].append((v, eid))
-        adjacency[v].append((u, eid))
-
-    def tree_path_edges(a: int, b: int) -> List[int]:
-        # BFS from a to b over the tree
-        prev: Dict[int, Tuple[int, int]] = {a: (-1, -1)}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            if x == b:
-                break
-            for y, eid in adjacency[x]:
-                if y not in prev:
-                    prev[y] = (x, eid)
-                    stack.append(y)
-        path = []
-        cur = b
-        while prev[cur][0] != -1:
-            path.append(prev[cur][1])
-            cur = prev[cur][0]
-        return path
-
-    for eid in range(graph.m):
-        if eid in ids:
-            continue
-        u, v, w = int(graph.edge_u[eid]), int(graph.edge_v[eid]), float(graph.edge_w[eid])
-        for path_edge in tree_path_edges(u, v):
-            if float(graph.edge_w[path_edge]) > w + 1e-12:
-                return False
-    return True
+    weights = graph.edge_w.tolist()
+    return not any(
+        weights[path_edge] > weights[eid] + 1e-12
+        for eid, path in _non_tree_cycles(graph, ids)
+        for path_edge in path
+    )
 
 
 def unique_mst_edge_ids(graph: PortNumberedGraph) -> Tuple[bool, List[int]]:
@@ -146,36 +168,10 @@ def unique_mst_edge_ids(graph: PortNumberedGraph) -> Tuple[bool, List[int]]:
     spine path as its one and only MST.
     """
     tree = kruskal_mst(graph)
-    id_set = set(tree)
-    adjacency: Dict[int, List[Tuple[int, int]]] = {u: [] for u in range(graph.n)}
-    for eid in tree:
-        u, v = int(graph.edge_u[eid]), int(graph.edge_v[eid])
-        adjacency[u].append((v, eid))
-        adjacency[v].append((u, eid))
-
-    def tree_path_edges(a: int, b: int) -> List[int]:
-        prev: Dict[int, Tuple[int, int]] = {a: (-1, -1)}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            if x == b:
-                break
-            for y, eid in adjacency[x]:
-                if y not in prev:
-                    prev[y] = (x, eid)
-                    stack.append(y)
-        path = []
-        cur = b
-        while prev[cur][0] != -1:
-            path.append(prev[cur][1])
-            cur = prev[cur][0]
-        return path
-
-    for eid in range(graph.m):
-        if eid in id_set:
-            continue
-        u, v, w = int(graph.edge_u[eid]), int(graph.edge_v[eid]), float(graph.edge_w[eid])
-        for path_edge in tree_path_edges(u, v):
-            if abs(float(graph.edge_w[path_edge]) - w) <= 1e-12:
-                return False, sorted(tree)
-    return True, sorted(tree)
+    weights = graph.edge_w.tolist()
+    unique = not any(
+        abs(weights[path_edge] - weights[eid]) <= 1e-12
+        for eid, path in _non_tree_cycles(graph, tree)
+        for path_edge in path
+    )
+    return unique, sorted(tree)

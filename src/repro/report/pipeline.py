@@ -256,11 +256,7 @@ def _lowerbound_payload(
     experiment: LowerBoundExperiment,
 ) -> Tuple[Dict[str, Any], List[Dict[str, Any]], List[Dict[str, Any]], bool]:
     """Run the Theorem-1 computations of one lower-bound experiment."""
-    from repro.core.lower_bound import (
-        average_advice_lower_bound,
-        run_fooling_experiment,
-        truncated_trivial_failures,
-    )
+    from repro.core.lower_bound import average_advice_lower_bound, run_fooling_experiment
 
     fooling = run_fooling_experiment(experiment.h, experiment.i)
     summary = {
@@ -271,16 +267,7 @@ def _lowerbound_payload(
         "required_bits": round(fooling.required_bits, 3),
         "average_lower_bound_bits": round(average_advice_lower_bound(experiment.h), 3),
     }
-    pigeonhole = []
-    for budget in range(experiment.max_budget_bits + 1):
-        result = truncated_trivial_failures(experiment.h, experiment.i, budget_bits=budget)
-        pigeonhole.append(
-            {
-                "advice_bits": budget,
-                "groups": result["num_groups"],
-                "guaranteed_failures": result["min_failures"],
-            }
-        )
+    pigeonhole = fooling.pigeonhole(experiment.max_budget_bits)
     curve = lowerbound_curve_rows(experiment.h_curve)
     return summary, pigeonhole, curve, fooling.premises_hold
 
@@ -365,10 +352,11 @@ def generate_report(
             )
         elif isinstance(experiment, TradeoffExperiment):
             correct = all(row["correct"] for row in rows)
-            # structured families round the requested size (grid/torus to
-            # squares, hypercube to powers of two), so read the real size
-            # off the instance — the build is memoised per process
-            actual_n = experiment.graph(experiment.n, experiment.seed).n
+            # structured families round the requested size: label the
+            # table at the size the family realises
+            (actual_n,) = resolve_actual_sizes(
+                experiment.graph, [experiment.n], experiment.seed
+            )
             # baselines use no advice: render explicit zeros, not blanks
             display = [
                 {"max_advice_bits": 0, "avg_advice_bits": 0.0, **row, "n": actual_n}

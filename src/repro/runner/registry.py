@@ -14,7 +14,7 @@ targets can never drift apart.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, NamedTuple, Optional, Union
 
 from repro.core.oracle import AdvisingScheme
 from repro.core.problem import (
@@ -48,6 +48,8 @@ __all__ = [
     "resolve_target",
     "resolve_scheme",
     "resolve_baseline",
+    "Shape",
+    "graph_shape",
     "build_graph",
 ]
 
@@ -134,39 +136,89 @@ def resolve_baseline(
     return resolve_target("baseline", baseline, problem=problem)
 
 
+class Shape(NamedTuple):
+    """What a graph family realises for one requested size."""
+
+    #: the generator's size argument: a node count, a square side, a
+    #: hypercube dimension or a ``G_n`` clique size
+    arg: int
+    #: node count of the instance built from ``arg``
+    n: int
+
+
+def graph_shape(family: str, n: int) -> Shape:
+    """The size rule of ``family``: the shape ``build_graph`` builds for ``n``.
+
+    Five families realise exactly ``n`` nodes (``powerlaw`` at least
+    2).  The structured ones round:
+
+    * ``grid`` and ``torus`` round *down* to a square of side
+      ``isqrt(n)`` (at least 2, resp. 3), so a torus asked for 15 nodes
+      has 9, not 16;
+    * ``hypercube`` rounds to the nearest power of two in log scale,
+      ``2 ** round(log2(n))``, so 40 gives 32 but 48 gives 64;
+    * ``gn`` rounds down to an even count: two cliques of ``n // 2``
+      nodes (at least 2 each).
+
+    Sizes a family's generator rejects (a cycle below 3 nodes, a
+    hypercube above ``2^20``) still raise from :func:`build_graph`.
+    Reading a size off this rule costs no build, which is how report
+    rendering labels rows at the realised size without an instance.
+
+    >>> graph_shape("torus", 15)
+    Shape(arg=3, n=9)
+    >>> [graph_shape("torus", 24).n, graph_shape("grid", 10).n]
+    [16, 9]
+    >>> [graph_shape("hypercube", 40).n, graph_shape("hypercube", 48).n]
+    [32, 64]
+    >>> [graph_shape("gn", 9).n, graph_shape("powerlaw", 1).n, graph_shape("random", 100).n]
+    [8, 2, 100]
+    """
+    if family in ("grid", "torus"):
+        side = max(2 if family == "grid" else 3, math.isqrt(n))
+        return Shape(side, side * side)
+    if family == "hypercube":
+        dim = max(1, round(math.log2(max(n, 2))))
+        return Shape(dim, 2**dim)
+    if family == "gn":
+        half = max(2, n // 2)
+        return Shape(half, 2 * half)
+    if family == "powerlaw":
+        return Shape(max(n, 2), max(n, 2))
+    if family in GRAPH_FAMILIES:
+        return Shape(n, n)
+    raise ValueError(f"unknown graph kind {family!r}; known: {', '.join(GRAPH_FAMILIES)}")
+
+
 def build_graph(family: str, n: int, seed: int, density: float = 0.05) -> PortNumberedGraph:
     """Build one instance of a named graph family (shared with the CLI).
 
-    ``n`` is a *requested* size; structured families round it to the
-    nearest realisable shape (``grid``/``torus`` to a square side,
-    ``hypercube`` to a power of two, ``gn`` to an even split across its
-    two cliques), so always read the actual size off the returned
-    instance.  ``density`` only shapes the ``random`` family.
+    ``n`` is a *requested* size: the instance has the shape
+    :func:`graph_shape` gives for it, so structured families may realise
+    a different node count.  ``density`` only shapes the ``random``
+    family.
 
     >>> build_graph("hypercube", 30, seed=0).n  # rounded to 2^5
     32
     >>> build_graph("torus", 16, seed=0).n
     16
     """
+    arg = graph_shape(family, n).arg
     if family == "random":
-        return random_connected_graph(n, min(1.0, density), seed=seed)
+        return random_connected_graph(arg, min(1.0, density), seed=seed)
     if family == "complete":
-        return complete_graph(n, seed=seed)
+        return complete_graph(arg, seed=seed)
     if family == "cycle":
-        return cycle_graph(n, seed=seed)
+        return cycle_graph(arg, seed=seed)
     if family == "grid":
-        side = max(2, int(math.isqrt(n)))
-        return grid_graph(side, side, seed=seed)
+        return grid_graph(arg, arg, seed=seed)
     if family == "torus":
-        side = max(3, int(math.isqrt(n)))
-        return torus_graph(side, side, seed=seed)
+        return torus_graph(arg, arg, seed=seed)
     if family == "hypercube":
-        dim = max(1, round(math.log2(max(n, 2))))
-        return hypercube_graph(dim, seed=seed)
+        return hypercube_graph(arg, seed=seed)
     if family == "geometric":
-        return random_geometric_graph(n, seed=seed)
+        return random_geometric_graph(arg, seed=seed)
     if family == "powerlaw":
-        return power_law_graph(max(n, 2), attach=2, seed=seed)
-    if family == "gn":
-        return build_gn(max(2, n // 2), seed=seed).graph
-    raise ValueError(f"unknown graph kind {family!r}; known: {', '.join(GRAPH_FAMILIES)}")
+        return power_law_graph(arg, attach=2, seed=seed)
+    # "gn": graph_shape has already rejected every unknown family
+    return build_gn(arg, seed=seed).graph

@@ -73,6 +73,19 @@ class TestSweeps:
         assert all(r > 0 for r in result.series("rounds"))
         assert all(r["max_advice_bits"] == 0 for r in result.rows)
 
+    @pytest.mark.parametrize(
+        "sweep,target", [(run_scheme_sweep, "trivial"), (run_baseline_sweep, "ghs")]
+    )
+    def test_empty_seeds_rejected_before_planning(self, monkeypatch, sweep, target):
+        import repro.analysis.sweep as sweep_module
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("an empty seed list must not reach the runner")
+
+        monkeypatch.setattr(sweep_module, "run_tasks", no_run)
+        with pytest.raises(ValueError, match="at least one seed"):
+            sweep(target, [16], seeds=())
+
 
 class TestTradeoff:
     def test_measured_rows_cover_all_schemes(self):

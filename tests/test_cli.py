@@ -6,6 +6,46 @@ import pytest
 
 from repro.cli import SCHEMES, BASELINES, GRAPH_FAMILIES, build_parser, main, _make_graph
 
+#: ``repro lowerbound --h 10 --i 3 --json``, byte for byte
+LOWERBOUND_10_3_JSON = """\
+{
+  "h": 10,
+  "i": 3,
+  "variants": 7,
+  "views_identical": true,
+  "distinct_correct_ports": 7,
+  "required_bits": 2.807354922057604,
+  "average_lower_bound_bits": 0.7649604009193639,
+  "pigeonhole": [
+    {
+      "advice_bits": 0,
+      "groups": 1,
+      "guaranteed_failures": 6
+    },
+    {
+      "advice_bits": 1,
+      "groups": 1,
+      "guaranteed_failures": 6
+    },
+    {
+      "advice_bits": 2,
+      "groups": 1,
+      "guaranteed_failures": 6
+    },
+    {
+      "advice_bits": 3,
+      "groups": 2,
+      "guaranteed_failures": 5
+    },
+    {
+      "advice_bits": 4,
+      "groups": 4,
+      "guaranteed_failures": 3
+    }
+  ]
+}
+"""
+
 
 class TestParser:
     def test_requires_a_command(self):
@@ -110,6 +150,11 @@ class TestCommands:
         assert main(["sweep", "--scheme", "trivial", "--sizes", ","]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_sweep_rejects_fewer_than_one_repeat(self, capsys, repeats):
+        assert main(["sweep", "--scheme", "trivial", "--sizes", "16", "--repeats", repeats]) == 2
+        assert capsys.readouterr().err == "error: --repeats must be >= 1\n"
+
     def test_sweep_jobs_output_is_byte_identical(self, capsys):
         argv = ["sweep", "--scheme", "trivial", "--sizes", "8,16", "--repeats", "2", "--json"]
         assert main(argv) == 0
@@ -203,6 +248,10 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["variants"] == 6
         assert payload["views_identical"] is True
+
+    def test_lowerbound_json_output_is_pinned(self, capsys):
+        assert main(["lowerbound", "--h", "10", "--i", "3", "--json"]) == 0
+        assert capsys.readouterr().out == LOWERBOUND_10_3_JSON
 
     def test_lowerbound_invalid_target(self, capsys):
         assert main(["lowerbound", "--h", "8", "--i", "1"]) == 2

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import repro.core.lower_bound as lower_bound
 from repro.core.lower_bound import (
     average_advice_lower_bound,
     required_bits_at_node,
@@ -13,6 +14,7 @@ from repro.core.lower_bound import (
 from repro.core.oracle import run_scheme
 from repro.core.scheme_trivial import TrivialRankScheme
 from repro.graphs.lowerbound_family import build_gn, fooling_family
+from repro.report import generate_report, spec_from_dict
 
 
 class TestFoolingExperiment:
@@ -65,6 +67,64 @@ class TestPigeonhole:
             # and the target node's output is exactly the correct parent port
             advice = scheme.compute_advice(graph, root=root)
             assert advice.bits_of(variant.target_node) >= 1
+
+
+class TestFamilyBuiltOnce:
+    """One build of the fooling family answers every budget's pigeonhole."""
+
+    CASES = [(6, 2), (8, 3), (12, 4)]
+
+    def test_report_pigeonhole_equals_per_budget_truncation(self, tmp_path, monkeypatch):
+        builds = []
+        original = lower_bound.fooling_family
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lower_bound, "fooling_family", counting)
+        spec = spec_from_dict(
+            {
+                "title": "t",
+                "experiment": [
+                    {
+                        "name": f"lb-{h}-{i}",
+                        "kind": "lowerbound",
+                        "h": h,
+                        "i": i,
+                        "max_budget_bits": 6,
+                        "h_curve": [4],
+                    }
+                    for h, i in self.CASES
+                ],
+            }
+        )
+        result = generate_report(spec, tmp_path)
+        assert result.all_correct
+        # fooling_family runs once per lower-bound experiment
+        assert builds == [(h, i) for h, i in self.CASES]
+
+        for h, i in self.CASES:
+            lines = (tmp_path / f"lb-{h}-{i}_pigeonhole.csv").read_text().splitlines()
+            assert lines[0] == "advice_bits,groups,guaranteed_failures"
+            rows = [tuple(int(cell) for cell in line.split(",")) for line in lines[1:]]
+            expected = []
+            for budget in range(7):
+                truncated = truncated_trivial_failures(h, i, budget_bits=budget)
+                expected.append((budget, truncated["num_groups"], truncated["min_failures"]))
+            assert rows == expected
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_failures_equal_truncated_trivial_failures(self, seed):
+        experiment = run_fooling_experiment(9, 3, seed=seed)
+        for budget in range(7):
+            assert experiment.failures(budget) == truncated_trivial_failures(
+                9, 3, budget_bits=budget, seed=seed
+            )
+
+    def test_failures_rejects_a_negative_budget(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_fooling_experiment(8, 3).failures(-1)
 
 
 class TestAverageBound:

@@ -1,5 +1,8 @@
 """Tests of the sequential MST algorithms and verifiers."""
 
+import random
+from typing import Dict, List, Tuple
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +12,9 @@ from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.mst.boruvka import boruvka_mst
 from repro.mst.kruskal import kruskal_mst
 from repro.mst.prim import prim_mst
+from repro.mst.union_find import UnionFind
 from repro.mst.verify import (
+    _non_tree_cycles,
     is_minimum_spanning_tree,
     is_spanning_tree,
     unique_mst_edge_ids,
@@ -147,3 +152,115 @@ class TestPropertyBased:
             for _, _, d in nx.minimum_spanning_tree(g.to_networkx()).edges(data=True)
         )
         assert abs(ours - theirs) < 1e-9
+
+
+# ------------------------------------------------------------------ #
+# the verifiers rooted the tree once per non-tree edge before; that
+# per-edge DFS version is kept here as the reference they must match
+# ------------------------------------------------------------------ #
+
+
+def _dfs_tree_path_edges(graph, tree_ids, a, b) -> List[int]:
+    adjacency: Dict[int, List[Tuple[int, int]]] = {u: [] for u in range(graph.n)}
+    for eid in tree_ids:
+        u, v = int(graph.edge_u[eid]), int(graph.edge_v[eid])
+        adjacency[u].append((v, eid))
+        adjacency[v].append((u, eid))
+    prev: Dict[int, Tuple[int, int]] = {a: (-1, -1)}
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        if x == b:
+            break
+        for y, eid in adjacency[x]:
+            if y not in prev:
+                prev[y] = (x, eid)
+                stack.append(y)
+    path = []
+    cur = b
+    while prev[cur][0] != -1:
+        path.append(prev[cur][1])
+        cur = prev[cur][0]
+    return path
+
+
+def _reference_cycle_property(graph, edge_ids) -> bool:
+    ids = set(int(e) for e in edge_ids)
+    if not is_spanning_tree(graph, ids):
+        return False
+    for eid in range(graph.m):
+        if eid in ids:
+            continue
+        u, v, w = int(graph.edge_u[eid]), int(graph.edge_v[eid]), float(graph.edge_w[eid])
+        for path_edge in _dfs_tree_path_edges(graph, ids, u, v):
+            if float(graph.edge_w[path_edge]) > w + 1e-12:
+                return False
+    return True
+
+
+def _reference_unique_mst_edge_ids(graph) -> Tuple[bool, List[int]]:
+    tree = kruskal_mst(graph)
+    id_set = set(tree)
+    for eid in range(graph.m):
+        if eid in id_set:
+            continue
+        u, v, w = int(graph.edge_u[eid]), int(graph.edge_v[eid]), float(graph.edge_w[eid])
+        for path_edge in _dfs_tree_path_edges(graph, tree, u, v):
+            if abs(float(graph.edge_w[path_edge]) - w) <= 1e-12:
+                return False, sorted(tree)
+    return True, sorted(tree)
+
+
+def _tied_graph(rng: random.Random) -> PortNumberedGraph:
+    """A small graph with integer weights in 1..3 (many ties), maybe disconnected."""
+    n = rng.randint(2, 9)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    rng.shuffle(pairs)
+    chosen = pairs[: rng.randint(0, len(pairs))]
+    return PortNumberedGraph(n, [(a, b, float(rng.randint(1, 3))) for a, b in chosen])
+
+
+def _random_spanning_forest(graph, rng: random.Random) -> List[int]:
+    order = list(range(graph.m))
+    rng.shuffle(order)
+    uf = UnionFind(graph.n)
+    return [eid for eid in order if uf.union(int(graph.edge_u[eid]), int(graph.edge_v[eid]))]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestTreeRootedOnce:
+    SEEDS = range(300)
+
+    def test_unique_mst_matches_per_edge_dfs(self):
+        kinds = set()
+        for seed in self.SEEDS:
+            g = _tied_graph(random.Random(seed))
+            expected = _outcome(_reference_unique_mst_edge_ids, g)
+            assert _outcome(unique_mst_edge_ids, g) == expected, seed
+            kinds.add(expected[0])
+        # disconnected (rejected), unique and tied MSTs were all exercised
+        assert kinds == {"ValueError", True, False}
+
+    def test_cycle_property_and_paths_match_per_edge_dfs(self):
+        verdicts = set()
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            g = _tied_graph(rng)
+            forests = [_random_spanning_forest(g, rng) for _ in range(3)]
+            if g.is_connected():
+                forests.append(kruskal_mst(g))
+            for forest in forests:
+                expected = _reference_cycle_property(g, forest)
+                assert verify_cycle_property(g, forest) == expected, seed
+                verdicts.add((g.is_connected(), expected))
+                # the shared helper climbs forests too: same path edges
+                for eid, path in _non_tree_cycles(g, forest):
+                    u, v = int(g.edge_u[eid]), int(g.edge_v[eid])
+                    assert sorted(path) == sorted(_dfs_tree_path_edges(g, forest, u, v)), seed
+        assert verdicts == {(True, True), (True, False), (False, False)}
