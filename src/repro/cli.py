@@ -1171,7 +1171,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--poll-interval",
             type=float,
             default=0.5,
-            help="seconds an idle worker (or waiting job) sleeps between queue polls",
+            help=(
+                "longest an idle worker (or waiting job) waits for a queue wake-up "
+                "before re-checking (seconds)"
+            ),
         )
         service_parser.add_argument(
             "--max-attempts",
@@ -1303,7 +1306,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="exit after this long without leasable work (default: keep polling)",
+        help="exit after this long without leasable work (default: keep waiting)",
     )
 
     return parser

@@ -51,6 +51,7 @@ from repro.report.spec import (
 )
 from repro.runner.registry import resolve_baseline, resolve_scheme
 from repro.runner.runner import run_tasks
+from repro.runner.store import SQLiteResultStore
 from repro.runner.tasks import SweepTask
 from repro.simulator.adversary import FaultSpec
 
@@ -276,7 +277,7 @@ def generate_report(
     spec: ReportSpec,
     out_dir: Union[str, Path],
     jobs: int = 1,
-    cache_dir: Optional[str] = None,
+    cache_dir: Optional[Union[str, Path, SQLiteResultStore]] = None,
     backend: Optional[str] = None,
     resume: bool = False,
     progress: bool = False,
@@ -286,7 +287,8 @@ def generate_report(
 
     Artifacts land in ``out_dir`` (created if missing): per experiment a
     ``<name>.md`` and one or more ``<name>*.csv``, plus a top-level
-    ``index.md``.  ``jobs``/``cache_dir`` are forwarded to the runner;
+    ``index.md``.  ``jobs``/``cache_dir`` (a store directory, or an
+    open store the caller closes) are forwarded to the runner;
     ``backend`` overrides the spec's default execution backend — none of
     them can change a single artifact byte.  ``resume=True`` checkpoints a run manifest next to
     the cache (a killed report re-executes zero finished tasks when

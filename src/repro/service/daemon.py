@@ -34,6 +34,7 @@ directory picks every parked job back up.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -51,6 +52,8 @@ from repro.report.pipeline import compile_tasks, generate_report
 from repro.report.spec import ReportSpec, parse_spec_text
 from repro.runner.manifest import run_id_for
 from repro.runner.progress import ProgressReporter
+from repro.runner.store import SQLiteResultStore
+from repro.service import bells
 from repro.service import metrics as service_metrics
 from repro.service.queue import (
     PRIORITIES,
@@ -72,7 +75,9 @@ class SweepService:
     """Job bookkeeping shared by the HTTP handlers and the job threads.
 
     Owns one :class:`LeaseQueue` (thread-safe: connections are
-    per-thread) and at most one live thread per running job.  The result
+    per-thread, and each job thread and request thread closes its own
+    when it ends) and at most one live thread per running job; a
+    finished job thread removes itself.  The result
     store, manifests and artifacts all live inside the queue directory,
     so the directory is the whole service state — durable across daemon
     restarts and inspectable with plain sqlite3/ls.
@@ -185,19 +190,23 @@ class SweepService:
                 source=source,
                 where=f"job {job_id[:8]} spec",
             )
-            generate_report(
-                spec,
-                self.artifacts_dir(job_id),
-                cache_dir=str(self.directory),
-                resume=True,
-                executor=QueueExecutor(
-                    self.queue,
-                    job_id,
-                    poll_interval=self.poll_interval,
-                    stop_event=self.stop_event,
-                    priority=priority,
-                ),
-            )
+            # one result store per job, closed with it: the runner's
+            # lookups and the executor's row reads share its connections
+            with contextlib.closing(SQLiteResultStore(self.directory)) as store:
+                generate_report(
+                    spec,
+                    self.artifacts_dir(job_id),
+                    cache_dir=store,
+                    resume=True,
+                    executor=QueueExecutor(
+                        self.queue,
+                        job_id,
+                        poll_interval=self.poll_interval,
+                        stop_event=self.stop_event,
+                        store=store,
+                        priority=priority,
+                    ),
+                )
         except DrainRequested:
             # parked, not failed: the manifest has everything committed
             # so far and resume_running_jobs() picks it up next start
@@ -210,6 +219,11 @@ class SweepService:
             )
         else:
             self.queue.set_job_state(job_id, LeaseQueue.JOB_DONE)
+        finally:
+            self.queue.close()
+            with self._lock:
+                if self._threads.get(job_id) is threading.current_thread():
+                    del self._threads[job_id]
 
     # ------------------------------------------------------------------
     # status
@@ -233,9 +247,14 @@ class SweepService:
             )
         return status
 
+    def request_stop(self) -> None:
+        """Set the stop event and wake the job threads and progress streams."""
+        self.stop_event.set()
+        bells.ring(self.queue.bells_dir, bells.JOB_BELLS)
+
     def drain(self, timeout: float = 30.0) -> None:
         """Stop event + bounded join of the job threads."""
-        self.stop_event.set()
+        self.request_stop()
         with self._lock:
             threads = list(self._threads.values())
         outstanding = sum(1 for thread in threads if thread.is_alive())
@@ -253,6 +272,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         print(f"serve: {self.address_string()} {format % args}", file=sys.stderr)
+
+    def finish(self) -> None:
+        # every request runs on a fresh server thread: close the queue
+        # connection it opened instead of leaving it to the cyclic GC
+        try:
+            super().finish()
+        finally:
+            self.service.queue.close()
 
     def _send_json(self, status: int, payload: Any) -> None:
         body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
@@ -348,6 +375,8 @@ class _Handler(BaseHTTPRequestHandler):
             stream=writer,
             min_interval=0.0,
         )
+        # bound before the first check, like every queue waiter
+        bell = bells.Bell(self.service.queue.bells_dir, bells.JOB_BELLS)
         try:
             while True:
                 counts = self.service.queue.job_progress(job_id)
@@ -365,10 +394,11 @@ class _Handler(BaseHTTPRequestHandler):
                         writer.write(f"error: {record['error']}\n")
                     writer.flush()
                     break
-                time.sleep(0.5)
+                bell.wait(0.5)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing to clean up
         finally:
+            bell.close()
             writer.detach()  # leave self.wfile to the handler machinery
 
     def _send_artifact(self, job_id: str, name: str) -> None:
@@ -476,7 +506,7 @@ def serve(
     stop.wait()
     print("repro serve: draining (signal received)", file=sys.stderr, flush=True)
     server.shutdown()
-    service.stop_event.set()
+    service.request_stop()
     for proc in worker_procs:
         proc.terminate()
     for proc in worker_procs:

@@ -54,6 +54,7 @@ directory.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -68,6 +69,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro.runner.plan import TaskGroup
 from repro.runner.store import DEFAULT_BUSY_TIMEOUT_MS, SQLiteResultStore
 from repro.runner.tasks import task_to_wire
+from repro.service import bells
 from repro.service import metrics as service_metrics
 from repro.service.events import EventLog
 
@@ -251,11 +253,20 @@ class LeaseQueue:
         self.busy_timeout_ms = int(busy_timeout_ms)
         self.clock = clock
         self.events = EventLog(self.directory / "events.jsonl", clock=clock)
+        #: where waiters bind their wake-up bells (:mod:`repro.service.bells`)
+        self.bells_dir = self.directory / "bells"
         self._local = threading.local()
-        # create the schema eagerly so concurrent first-touch is settled
-        # by SQLite's own locking rather than racing CREATEs later
-        with self._txn():
-            pass
+        # create the schema once, eagerly, so concurrent first-touch is
+        # settled by SQLite's own locking rather than racing CREATEs later;
+        # every other connection (one per thread) only connects
+        conn = self._conn()
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.executescript(QUEUE_SCHEMA)
+        for table, column, ddl in _MIGRATIONS:
+            try:
+                conn.execute(f"ALTER TABLE {table} ADD COLUMN {column} {ddl}")
+            except sqlite3.OperationalError:
+                pass  # column already present (new schema or prior migration)
 
     # ------------------------------------------------------------------
     # connection plumbing
@@ -271,19 +282,19 @@ class LeaseQueue:
             isolation_level=None,  # explicit BEGIN IMMEDIATE below
         )
         conn.execute(f"PRAGMA busy_timeout={self.busy_timeout_ms}")
-        conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
-        conn.executescript(QUEUE_SCHEMA)
-        for table, column, ddl in _MIGRATIONS:
-            try:
-                conn.execute(f"ALTER TABLE {table} ADD COLUMN {column} {ddl}")
-            except sqlite3.OperationalError:
-                pass  # column already present (new schema or prior migration)
         self._local.conn = conn
         self._local.pid = os.getpid()
         return conn
 
     def close(self) -> None:
+        """Close the calling thread's connection (the next call reopens one).
+
+        A thread that used the queue closes its connection before it
+        ends: an unclosed ``sqlite3.Connection`` sits in a reference
+        cycle with its statement cache, so only the cyclic GC would free
+        it (and its file descriptors).
+        """
         conn = getattr(self._local, "conn", None)
         if conn is not None:
             conn.close()
@@ -383,6 +394,7 @@ class LeaseQueue:
             elif state == self.JOB_FAILED:
                 service_metrics.bump(conn, "repro_jobs_failed_total")
         self.events.append("job-state", job=job_id, state=state, error=error)
+        bells.ring(self.bells_dir, bells.JOB_BELLS)
 
     def job_progress(self, job_id: str) -> Dict[str, int]:
         """Item-state counts for one job — the progress endpoint's source."""
@@ -454,6 +466,8 @@ class LeaseQueue:
                 )
         for dedup_key in new_keys:
             self.events.append("enqueue", key=dedup_key, job=job_id, priority=priority)
+        if new_keys:
+            bells.ring(self.bells_dir, bells.WORKER_BELLS)
         return new
 
     def lease(self, owner: str, ttl: float, max_attempts: int) -> Optional[LeasedItem]:
@@ -541,7 +555,9 @@ class LeaseQueue:
                 self.events.append(kind, **fields)
             if events and events[-1][0] == "lease":
                 return leased
-            # quarantined a crash-looping candidate: next candidate, new txn
+            # quarantined a crash-looping candidate: tell its jobs, then
+            # try the next candidate in a new txn
+            bells.ring(self.bells_dir, bells.JOB_BELLS)
 
     def heartbeat(self, dedup_key: str, owner: str, ttl: float) -> bool:
         """Extend a live lease; ``False`` means the lease was lost."""
@@ -587,6 +603,7 @@ class LeaseQueue:
                 owner=owner,
                 seconds=round(duration, 6) if duration is not None else None,
             )
+            bells.ring(self.bells_dir, bells.JOB_BELLS)
         return done
 
     def fail(
@@ -652,6 +669,8 @@ class LeaseQueue:
                     new_state = self.ITEM_PENDING
         for kind, fields in events:
             self.events.append(kind, **fields)
+        if new_state is not None:
+            bells.ring(self.bells_dir, bells.JOB_BELLS)
         return new_state
 
     def _quarantine(
@@ -747,6 +766,8 @@ class LeaseQueue:
                 conn.execute("DELETE FROM quarantine WHERE dedup_key = ?", (dedup_key,))
         for dedup_key in requeued_keys:
             self.events.append("quarantine-requeue", key=dedup_key)
+        if requeued_keys:
+            bells.ring(self.bells_dir, bells.WORKER_BELLS)
         return len(requeued_keys)
 
     def stats(self) -> Dict[str, Any]:
@@ -870,11 +891,13 @@ class QueueExecutor:
 
     Drop-in for :class:`repro.runner.runner.LocalExecutor`:
     ``run_units`` serialises each :class:`TaskGroup`,
-    enqueues it under its content key, then polls the queue and the
-    shared result store, committing each group's rows the moment its
-    item completes.  Commit order is completion order — the rows
-    themselves are deterministic and the report layer sorts, so
-    artifacts stay byte-identical to serial execution.
+    enqueues it under its content key, then waits on a job bell
+    (:mod:`repro.service.bells`) and re-reads the item states each time
+    an item finishes — or after ``poll_interval`` seconds without a
+    ring — committing each group's rows from the shared result store
+    the moment its item completes.  Commit order is completion order —
+    the rows themselves are deterministic and the report layer sorts,
+    so artifacts stay byte-identical to serial execution.
 
     Quarantined items do not block the rest of the job: the executor
     keeps draining until only quarantined work remains, then raises
@@ -896,14 +919,10 @@ class QueueExecutor:
         self.poll_interval = poll_interval
         self.stop_event = stop_event
         self.priority = priority
-        #: opened lazily so the executor can be built on one thread and
-        #: run on another (sqlite connections are thread-affine)
+        #: without one, ``run_units`` opens (and closes) its own, so the
+        #: executor can be built on one thread and run on another
+        #: (sqlite connections are thread-affine)
         self._store = store
-
-    def _result_store(self) -> SQLiteResultStore:
-        if self._store is None:
-            self._store = SQLiteResultStore(self.queue.directory)
-        return self._store
 
     def run_units(
         self,
@@ -930,32 +949,42 @@ class QueueExecutor:
             dedup_key = group_dedup_key(hashes)
             entries.append((dedup_key, group_payload(unit, hashes)))
             pending.setdefault(dedup_key, []).append((unit.indices, hashes))
-        self.queue.enqueue(self.job_id, entries, priority=self.priority)
 
-        store = self._result_store()
         quarantined_errors: Dict[str, str] = {}
-        while pending:
-            if self.stop_event is not None and self.stop_event.is_set():
-                raise DrainRequested(
-                    f"service draining with {len(pending)} task group(s) outstanding; "
-                    f"job {self.job_id} resumes on restart"
+        with contextlib.ExitStack() as resources:
+            # the bell exists before the first state check, so a completion
+            # rung between a check and the wait is buffered, not missed
+            bell = resources.enter_context(
+                bells.Bell(self.queue.bells_dir, bells.JOB_BELLS)
+            )
+            store = self._store
+            if store is None:
+                store = resources.enter_context(
+                    contextlib.closing(SQLiteResultStore(self.queue.directory))
                 )
-            states = self.queue.item_states(list(pending))
-            for dedup_key, (state, error) in states.items():
-                if dedup_key not in pending:
-                    continue
-                if state == LeaseQueue.ITEM_DONE:
-                    waiters = pending.pop(dedup_key)
-                    batch: List[Tuple[int, Dict[str, Any]]] = []
-                    for indices, hashes in waiters:
-                        rows = self._rows_for(store, hashes)
-                        batch.extend(zip(indices, rows))
-                    commit(batch)
-                elif state == LeaseQueue.ITEM_QUARANTINED:
-                    pending.pop(dedup_key)
-                    quarantined_errors[dedup_key] = error or ""
-            if pending:
-                time.sleep(self.poll_interval)
+            self.queue.enqueue(self.job_id, entries, priority=self.priority)
+            while pending:
+                if self.stop_event is not None and self.stop_event.is_set():
+                    raise DrainRequested(
+                        f"service draining with {len(pending)} task group(s) outstanding; "
+                        f"job {self.job_id} resumes on restart"
+                    )
+                states = self.queue.item_states(list(pending))
+                for dedup_key, (state, error) in states.items():
+                    if dedup_key not in pending:
+                        continue
+                    if state == LeaseQueue.ITEM_DONE:
+                        waiters = pending.pop(dedup_key)
+                        batch: List[Tuple[int, Dict[str, Any]]] = []
+                        for indices, hashes in waiters:
+                            rows = self._rows_for(store, hashes)
+                            batch.extend(zip(indices, rows))
+                        commit(batch)
+                    elif state == LeaseQueue.ITEM_QUARANTINED:
+                        pending.pop(dedup_key)
+                        quarantined_errors[dedup_key] = error or ""
+                if pending:
+                    bell.wait(self.poll_interval)
         if quarantined_errors:
             raise QuarantinedTasksError(
                 sorted(quarantined_errors), quarantined_errors

@@ -1,6 +1,6 @@
 """Tests of the fault-tolerant sweep service (`repro.service`).
 
-Four layers, in rising order of violence:
+Five layers, in rising order of violence:
 
 * unit tests of the retry policy and the lease queue's state machine
   (TTL expiry, heartbeats, dedup, backoff, quarantine) — all with an
@@ -11,31 +11,41 @@ Four layers, in rising order of violence:
   (a hypothesis bounded-wait property), and queue gc must never touch
   live or leased work;
 * worker tests: poison payloads quarantine instead of wedging, hung
-  executions hit the wall-clock timeout, drained items survive;
-* the chaos test: a 12-task sweep over two real worker processes, one
-  of which is SIGKILLed mid-lease.  The job must complete, no item may
-  exceed its attempt budget, the artifacts must be byte-identical to a
-  serial ``generate_report``, and both the metrics scrape and the event
-  log replay must agree with the final queue state — the whole point of
-  the service.
+  executions hit the wall-clock timeout, drained items survive,
+  heartbeats keep their configured cadence, idle workers stay live,
+  and a warmed worker's forked children import nothing;
+* waiting tests: bells wake idle workers and waiting jobs long before
+  their poll interval, and an unbindable or stale bell degrades to
+  polling; 20 jobs through the HTTP daemon leave no connection, file
+  descriptor or job thread behind;
+* the chaos tests: a 12-task sweep over two real worker processes, one
+  of which is SIGKILLed mid-lease, and a worker SIGKILLed between its
+  child's store commit and the lease complete.  The job must complete,
+  no item may exceed its attempt budget, the artifacts must be
+  byte-identical to a serial ``generate_report``, and both the metrics
+  scrape and the event log replay must agree with the final queue
+  state — the whole point of the service.
 
 The ``--jobs N`` dead-worker regression test lives here too: it is the
 same failure mode (a worker dying mid-task) on the in-process pool path.
 """
 
+import gc
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import tempfile
 import threading
 import time
+import urllib.request
 from pathlib import Path
 
 import pytest
 
-from repro.report.pipeline import generate_report
+from repro.report.pipeline import compile_tasks, generate_report
 from repro.report.spec import parse_spec_text
 import repro.runner.runner as runner_module
 from repro.runner.plan import InstanceContext, TaskGroup, plan_groups
@@ -43,7 +53,8 @@ from repro.runner.runner import run_tasks
 from repro.runner.store import SQLiteResultStore
 from repro.runner.tasks import GraphSpec, SweepTask, task_from_wire, task_to_wire
 from repro.service import metrics as service_metrics
-from repro.service.daemon import SweepService
+from repro.service.bells import JOB_BELLS, WORKER_BELLS, Bell, ring
+from repro.service.daemon import SweepService, make_server
 from repro.service.events import follow_events, read_events, replay
 from repro.service.queue import (
     NORMAL_LANE_CREDIT,
@@ -770,7 +781,9 @@ class TestDeadPoolWorker:
 # ------------------------------------------------------------------ #
 
 
-def spawn_test_worker(queue_dir: Path, lease_ttl: float, delay: float) -> subprocess.Popen:
+def spawn_test_worker(
+    queue_dir: Path, lease_ttl: float, delay: float, poll_interval: float = 0.1
+) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     env[TEST_DELAY_ENV] = str(delay)
@@ -785,7 +798,7 @@ def spawn_test_worker(queue_dir: Path, lease_ttl: float, delay: float) -> subpro
             "--lease-ttl",
             str(lease_ttl),
             "--poll-interval",
-            "0.1",
+            str(poll_interval),
             "--max-attempts",
             "3",
             "--backoff-base",
@@ -936,4 +949,393 @@ class TestSweepServiceDrainAndResume:
         finally:
             # no worker ever drains this job: stop its polling thread so
             # it does not outlive the test (later tests fork processes)
+            service.drain(timeout=30.0)
+
+
+# ------------------------------------------------------------------ #
+# heartbeat cadence and idle liveness
+# ------------------------------------------------------------------ #
+
+
+def event_kinds(queue_dir: Path):
+    return [event["kind"] for event in read_events(Path(queue_dir) / "events.jsonl")]
+
+
+class TestWorkerCadence:
+    def test_item_shorter_than_the_heartbeat_interval_writes_no_heartbeat(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(TEST_DELAY_ENV, "1")
+        queue = LeaseQueue(tmp_path)
+        enqueue_group(queue, "job", [make_task()])
+        # lease_ttl=30 -> heartbeat every 10 s; the item takes about 1 s
+        assert run_worker(tmp_path, lease_ttl=30.0, max_items=1, poll_interval=0.05) == 1
+        kinds = event_kinds(tmp_path)
+        assert kinds.count("complete") == 1
+        assert kinds.count("heartbeat") == 0
+
+    def test_item_longer_than_the_heartbeat_interval_heartbeats(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(TEST_DELAY_ENV, "1")
+        queue = LeaseQueue(tmp_path)
+        enqueue_group(queue, "job", [make_task()])
+        run_worker(
+            tmp_path,
+            lease_ttl=30.0,
+            heartbeat_interval=0.3,
+            max_items=1,
+            poll_interval=0.05,
+        )
+        kinds = event_kinds(tmp_path)
+        assert kinds.count("complete") == 1
+        assert kinds.count("heartbeat") >= 2
+
+    def test_idle_worker_keeps_signing_life(self, tmp_path):
+        queue = LeaseQueue(tmp_path)
+        run_worker(tmp_path, poll_interval=0.1, heartbeat_interval=0.1, idle_exit=0.5)
+        [(first_seen, last_seen)] = list(
+            queue._conn().execute("SELECT first_seen, last_seen FROM workers")
+        )
+        assert last_seen - first_seen >= 0.3
+
+
+# ------------------------------------------------------------------ #
+# warm workers
+# ------------------------------------------------------------------ #
+
+
+def spawn_python(script: str, *args: str, **popen_kwargs) -> subprocess.Popen:
+    """A fresh interpreter running ``script`` with the checkout importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen([sys.executable, "-c", script, *args], env=env, **popen_kwargs)
+
+
+#: a worker whose execution children each record the modules they import
+#: (the diff of sys.modules from fork to os._exit) in one JSON file
+RECORD_CHILD_IMPORTS = """
+import json, os, sys
+from pathlib import Path
+import repro.service.worker as worker
+
+queue_dir, out_dir, items = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
+execute_child = worker._execute_payload_child
+
+def recording_child(*args):
+    before = set(sys.modules)
+    real_exit = os._exit
+
+    def exit_and_record(code):
+        new = sorted(set(sys.modules) - before)
+        (out_dir / f"{os.getpid()}.json").write_text(json.dumps({"code": code, "new": new}))
+        real_exit(code)
+
+    os._exit = exit_and_record
+    execute_child(*args)
+
+worker._execute_payload_child = recording_child
+worker.run_worker(queue_dir, max_items=items, poll_interval=0.05)
+"""
+
+
+class TestWarmWorker:
+    def test_forked_child_of_a_warmed_worker_imports_nothing(self, tmp_path):
+        random = GraphSpec("random", 0.1)
+        tasks = [
+            SweepTask("scheme", "trivial", random, n=16, seed=1),
+            SweepTask("scheme", "theorem3", random, n=16, seed=1),
+            SweepTask("baseline", "ghs", random, n=16, seed=1),
+            SweepTask("baseline", "full-info", random, n=16, seed=1),
+            SweepTask("scheme", "flag", random, n=16, seed=2, problem="leader"),
+            SweepTask("baseline", "flood", random, n=16, seed=2, problem="wakeup"),
+            *(
+                SweepTask("scheme", "theorem2", GraphSpec(family), n=16, seed=3)
+                for family in ("torus", "hypercube", "powerlaw", "geometric")
+            ),
+        ]
+        queue_dir, out_dir = tmp_path / "q", tmp_path / "imports"
+        out_dir.mkdir()
+        queue = LeaseQueue(queue_dir)
+        groups = plan_groups(tasks)
+        for group in groups:
+            enqueue_group(queue, "job", group.tasks)
+        worker = spawn_python(
+            RECORD_CHILD_IMPORTS, str(queue_dir), str(out_dir), str(len(groups))
+        )
+        assert worker.wait(timeout=120) == 0
+        records = [json.loads(path.read_text()) for path in sorted(out_dir.iterdir())]
+        assert len(records) == len(groups) == 6
+        assert [record["code"] for record in records] == [0] * len(groups)
+        assert [record["new"] for record in records] == [[]] * len(groups)
+
+    def test_failed_warm_up_raises_before_anything_is_leased(self, tmp_path, monkeypatch):
+        import repro.service.worker as worker_module
+
+        def broken() -> None:
+            raise ValueError("no scheme registry")
+
+        monkeypatch.setattr(worker_module, "warm_up", broken)
+        queue = LeaseQueue(tmp_path)
+        key = enqueue_group(queue, "job", [make_task()])
+        with pytest.raises(RuntimeError, match="warm-up execution failed: no scheme registry"):
+            run_worker(tmp_path, max_items=1, poll_interval=0.05)
+        assert queue.item_states([key])[key][0] == LeaseQueue.ITEM_PENDING
+        assert "lease" not in event_kinds(tmp_path)
+
+
+# ------------------------------------------------------------------ #
+# wake-ups instead of poll sleeps
+# ------------------------------------------------------------------ #
+
+
+def run_job_through_a_worker(queue_dir: Path, seed: int, executor_poll: float = 0.05):
+    """One single-group job: a worker subprocess executes it, this thread waits."""
+    queue = LeaseQueue(queue_dir)
+    groups = plan_groups([make_task(seed=seed), make_task(seed=seed, target="theorem3")])
+    worker = spawn_test_worker(queue_dir, lease_ttl=30.0, delay=0.0)
+    stop = threading.Event()
+    give_up = threading.Timer(120.0, stop.set)  # fail instead of hanging
+    give_up.start()
+    committed = []
+    try:
+        QueueExecutor(
+            queue, f"job-{seed}", poll_interval=executor_poll, stop_event=stop
+        ).run_units(groups, committed.extend)
+    finally:
+        give_up.cancel()
+        worker.kill()
+        worker.wait()
+    assert sorted(index for index, _ in committed) == [0, 1]
+    assert all(row["correct"] for _, row in committed)
+
+
+class TestWakeups:
+    def test_bell_buffers_rings_and_never_blocks_a_ringer(self, tmp_path):
+        bells_dir = tmp_path / "bells"
+        with Bell(bells_dir, WORKER_BELLS) as bell, Bell(bells_dir, JOB_BELLS) as job_bell:
+            # far more rings than the kernel queues: none blocks or raises
+            for _ in range(100):
+                ring(bells_dir, WORKER_BELLS)
+            started = time.monotonic()
+            assert bell.wait(30.0)  # rung before the wait: returns at once
+            assert time.monotonic() - started < 5.0
+            assert not bell.wait(0.05)  # one wait consumed every buffered ring
+            assert not job_bell.wait(0.05)  # rings reach their own kind only
+        assert os.listdir(bells_dir) == []
+
+    def test_idle_worker_and_waiting_job_wake_on_rings(self, tmp_path):
+        queue = LeaseQueue(tmp_path)
+        worker = spawn_test_worker(tmp_path, lease_ttl=30.0, delay=0.0, poll_interval=30.0)
+        try:
+            # a bound worker bell means the warm-up is done and the first
+            # lease is next; give it a moment to reach its 30 s wait
+            deadline = time.monotonic() + 60.0
+            while not list((tmp_path / "bells").glob(f"{WORKER_BELLS}*")):
+                assert time.monotonic() < deadline, "the worker never bound its bell"
+                assert worker.poll() is None
+                time.sleep(0.02)
+            time.sleep(0.3)
+            committed = []
+            started = time.monotonic()
+            QueueExecutor(queue, "job", poll_interval=30.0).run_units(
+                plan_groups([make_task(seed=4)]), committed.extend
+            )
+            elapsed = time.monotonic() - started
+        finally:
+            worker.kill()
+            worker.wait()
+        assert elapsed < 5.0
+        assert [index for index, _ in committed] == [0]
+        events = list(read_events(tmp_path / "events.jsonl"))
+        [enqueued] = [event["ts"] for event in events if event["kind"] == "enqueue"]
+        [leased] = [event["ts"] for event in events if event["kind"] == "lease"]
+        assert leased - enqueued < 5.0
+
+    def test_sigterm_cuts_an_idle_wait_short(self, tmp_path):
+        worker = spawn_test_worker(tmp_path, lease_ttl=30.0, delay=0.0, poll_interval=30.0)
+        try:
+            deadline = time.monotonic() + 60.0
+            while not list((tmp_path / "bells").glob(f"{WORKER_BELLS}*")):
+                assert time.monotonic() < deadline, "the worker never bound its bell"
+                time.sleep(0.02)
+            worker.terminate()
+            assert worker.wait(timeout=10.0) == 0  # not after its 30 s wait
+        finally:
+            worker.kill()
+            worker.wait()
+        assert os.listdir(tmp_path / "bells") == []  # the drained worker unbound
+
+    def test_bell_path_over_the_unix_socket_limit_falls_back_to_polling(self, tmp_path):
+        queue_dir = tmp_path / ("q" * 120)
+        bells_dir = queue_dir / "bells"
+        bell = Bell(bells_dir, JOB_BELLS)
+        assert bell.path is None  # could not bind: waits by sleeping
+        assert not bell.wait(0.01)
+        bell.close()
+        ring(bells_dir, JOB_BELLS)  # nothing to ring, nothing raised
+        run_job_through_a_worker(queue_dir, seed=6)
+
+    def test_stale_bell_of_a_sigkilled_waiter_is_removed_by_a_ring(self, tmp_path):
+        waiter = spawn_python(
+            "import sys, time\n"
+            "from repro.service.bells import JOB_BELLS, Bell\n"
+            "print(Bell(sys.argv[1], JOB_BELLS).path, flush=True)\n"
+            "time.sleep(600)\n",
+            str(tmp_path / "bells"),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        stale = waiter.stdout.readline().strip()
+        waiter.kill()
+        waiter.wait()
+        waiter.stdout.close()
+        assert stale and os.path.exists(stale)
+        run_job_through_a_worker(tmp_path, seed=7)
+        assert not os.path.exists(stale)
+
+
+# ------------------------------------------------------------------ #
+# fault injection: killed between store commit and lease complete
+# ------------------------------------------------------------------ #
+
+
+#: a worker that dies right after its child committed the rows: the
+#: parent SIGKILLs itself instead of marking the item complete
+DIE_BEFORE_COMPLETE = """
+import os, signal, sys
+from pathlib import Path
+from repro.service.queue import LeaseQueue
+from repro.service.worker import run_worker
+
+def die(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+LeaseQueue.complete = die
+run_worker(Path(sys.argv[1]), lease_ttl=float(sys.argv[2]), max_items=1, poll_interval=0.05)
+"""
+
+ONE_GROUP_SPEC = """
+title = "one group"
+
+[[experiment]]
+name = "curves"
+kind = "sweep"
+schemes = ["trivial", "theorem3"]
+sizes = [16]
+seeds = [{seed}]
+"""
+
+
+class TestKilledBetweenCommitAndComplete:
+    def test_expired_lease_is_re_executed_and_the_job_finishes(self, tmp_path):
+        text = ONE_GROUP_SPEC.format(seed=3)
+        spec = parse_spec_text(text, fmt="toml", source="one.toml")
+        tasks = [task for _, batch in compile_tasks(spec) for task in batch]
+        lease_ttl = 1.0
+        service = SweepService(tmp_path, lease_ttl=lease_ttl, poll_interval=0.05)
+        try:
+            job_id, _ = service.submit_text(text, "toml", name="one.toml")
+            killed = spawn_python(DIE_BEFORE_COMPLETE, str(tmp_path), str(lease_ttl))
+            assert killed.wait(timeout=120) == -signal.SIGKILL
+            [(state,)] = list(service.queue._conn().execute("SELECT state FROM items"))
+            assert state == LeaseQueue.ITEM_LEASED  # rows committed, item not done
+
+            survivor = spawn_test_worker(tmp_path, lease_ttl=lease_ttl, delay=0.0)
+            try:
+                deadline = time.monotonic() + 120.0
+                while service.queue.job_record(job_id)["state"] == LeaseQueue.JOB_RUNNING:
+                    assert time.monotonic() < deadline, "job never finished"
+                    time.sleep(0.05)
+            finally:
+                survivor.kill()
+                survivor.wait()
+            record = service.queue.job_record(job_id)
+            assert record["state"] == LeaseQueue.JOB_DONE, record["error"]
+        finally:
+            service.drain(timeout=30.0)
+
+        # the re-executed group wrote byte-identical rows
+        reference = run_tasks(tasks)
+        store = SQLiteResultStore(tmp_path)
+        stored = [store.get(task.task_hash()) for task in tasks]
+        assert [json.dumps(row) for row in stored] == [
+            json.dumps(json.loads(json.dumps(row))) for row in reference
+        ]
+        store.close()
+
+        text = service_metrics.render_metrics(service.queue)
+        assert metric_value(text, "repro_queue_lease_expired_total") == 1
+        [key] = [key for key, in service.queue._conn().execute("SELECT dedup_key FROM items")]
+        item_events = [
+            event for event in read_events(tmp_path / "events.jsonl") if event.get("key") == key
+        ]
+        leases = [event for event in item_events if event["kind"] == "lease"]
+        assert [event.get("expired") for event in leases] == [None, True]
+        assert [event["kind"] for event in item_events].count("complete") == 1
+
+
+# ------------------------------------------------------------------ #
+# connection hygiene: jobs leave nothing open behind them
+# ------------------------------------------------------------------ #
+
+
+def live_sqlite_connections() -> int:
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, sqlite3.Connection))
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def http_json(url: str, body: bytes = None):
+    request = urllib.request.Request(url, data=body, method="POST" if body else "GET")
+    with urllib.request.urlopen(request, timeout=60) as response:
+        return json.loads(response.read())
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts fds through /proc")
+class TestConnectionHygiene:
+    def test_jobs_leave_no_connections_fds_or_threads_behind(self, tmp_path):
+        service = SweepService(tmp_path / "svc", poll_interval=0.05)
+        server = make_server(service)
+        serving = threading.Thread(target=server.serve_forever, daemon=True)
+        serving.start()
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        worker = spawn_test_worker(service.directory, lease_ttl=30.0, delay=0.0)
+        quiet_threads = threading.active_count()
+
+        def settle() -> None:
+            # the job thread and the request threads have all ended
+            deadline = time.monotonic() + 30.0
+            while threading.active_count() > quiet_threads:
+                assert time.monotonic() < deadline, threading.enumerate()
+                time.sleep(0.01)
+            # and so has this thread's own connection: while it is open,
+            # SQLite keeps the descriptors of closed connections to the
+            # same file for reuse, as many as closed at once
+            service.queue.close()
+
+        gc.collect()
+        gc.disable()
+        try:
+            after_first = None
+            for seed in range(20):
+                body = ONE_GROUP_SPEC.format(seed=seed).encode("utf-8")
+                job_id = http_json(f"{url}/jobs?name=job.toml", body)["job_id"]
+                deadline = time.monotonic() + 60.0
+                while (status := http_json(f"{url}/jobs/{job_id}"))["state"] == "running":
+                    assert time.monotonic() < deadline, "job never finished"
+                    time.sleep(0.02)
+                assert status["state"] == "done", status["error"]
+                settle()
+                if after_first is None:
+                    after_first = (live_sqlite_connections(), open_fds())
+            assert live_sqlite_connections() <= after_first[0]
+            assert open_fds() <= after_first[1]
+            assert all(thread.is_alive() for thread in service._threads.values())
+        finally:
+            gc.enable()
+            worker.kill()
+            worker.wait()
+            server.shutdown()
+            server.server_close()
             service.drain(timeout=30.0)
