@@ -49,8 +49,8 @@ def _run_experiment():
     return rows
 
 
-def test_level_ablation(benchmark):
-    rows = benchmark.pedantic(_run_experiment, rounds=1, iterations=1)
+def test_level_ablation():
+    rows = _run_experiment()
     publish(
         "E7_ablation_level",
         format_table(rows, title="E7  Theorem 3 ablation: rank-coded (ours) vs level-coded (paper)"),

@@ -32,8 +32,8 @@ def _run_experiment():
     return sweep, gn
 
 
-def test_average_scheme_scaling(benchmark):
-    sweep, gn = benchmark.pedantic(_run_experiment, rounds=1, iterations=1)
+def test_average_scheme_scaling():
+    sweep, gn = _run_experiment()
     columns = [
         "n",
         "log2_n",

@@ -51,8 +51,8 @@ def _run_experiment():
     return rows
 
 
-def test_advice_vs_no_advice(benchmark):
-    rows = benchmark.pedantic(_run_experiment, rounds=1, iterations=1)
+def test_advice_vs_no_advice():
+    rows = _run_experiment()
     publish(
         "E4_baseline_comparison",
         format_table(rows, title="E4  Theorem 3 vs no-advice baselines (same instances)"),

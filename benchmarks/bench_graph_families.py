@@ -7,12 +7,7 @@ bounded-degree (torus), log-diameter regular (hypercube), hub-heavy
 power-law, the geometric "sensor network" workload, and the baseline
 random family — through the report pipeline's task grid, and asserts
 the bounds on each.
-
-``REPRO_BENCH_JOBS=N`` fans the grid over worker processes;
-``REPRO_BENCH_BACKEND=analytic`` switches the measured backend.
 """
-
-import os
 
 from conftest import publish
 
@@ -29,8 +24,6 @@ SEEDS = (0, 1)
 
 def _run_experiment():
     clear_graph_memo()
-    jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-    backend = os.environ.get("REPRO_BENCH_BACKEND", "engine")
     tasks = [
         SweepTask(
             kind="scheme",
@@ -38,13 +31,12 @@ def _run_experiment():
             graph=GraphSpec(family, 0.05),
             n=n,
             seed=seed,
-            backend=backend,
         )
         for family in FAMILIES
         for n in SIZES
         for seed in SEEDS
     ]
-    raw = run_tasks(tasks, jobs=jobs)
+    raw = run_tasks(tasks)
     scheme = resolve_scheme("theorem3")
     per_family = len(SIZES) * len(SEEDS)
     rows = []
@@ -55,8 +47,8 @@ def _run_experiment():
     return rows
 
 
-def test_theorem3_family_zoo(benchmark):
-    rows = benchmark.pedantic(_run_experiment, rounds=1, iterations=1)
+def test_theorem3_family_zoo():
+    rows = _run_experiment()
 
     publish(
         "E8_graph_families",

@@ -80,10 +80,8 @@ def _run_experiment():
     return _construction_rows(), _pigeonhole_rows(), _scaling_rows()
 
 
-def test_lower_bound_family(benchmark):
-    construction, (pigeonhole, experiment), scaling = benchmark.pedantic(
-        _run_experiment, rounds=1, iterations=1
-    )
+def test_lower_bound_family():
+    construction, (pigeonhole, experiment), scaling = _run_experiment()
 
     publish(
         "E1_lower_bound",

@@ -7,7 +7,6 @@ number of rounds stays within ``9⌈log₂ n⌉`` and per-edge messages stay
 """
 
 import math
-import os
 
 from conftest import publish
 
@@ -17,41 +16,27 @@ from repro.runner import GraphSpec
 
 SIZES = (16, 32, 64, 128, 256, 512, 1024, 2048)
 
-#: worker processes for the sweep (the workload is declarative, so it can
-#: fan out; default stays serial for stable pytest-benchmark timings)
-JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-
-#: decoder execution backend; ``analytic`` computes every point from the
-#: Borůvka trace (engine-identical metrics, much faster at large n)
-BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "engine")
-
 
 def _run_experiment():
-    # registry-name target + GraphSpec: the whole experiment routes through
-    # repro.runner and is picklable, so REPRO_BENCH_JOBS>1 parallelises it
+    # serial, on the round-by-round engine: every message of the decoder
+    # is simulated
     random_sweep = run_scheme_sweep(
-        "theorem3", SIZES, graph_factory=GraphSpec("random", 0.03), seeds=(0, 1),
-        jobs=JOBS, backend=BACKEND,
+        "theorem3", SIZES, graph_factory=GraphSpec("random", 0.03), seeds=(0, 1)
     )
     grid_sweep = run_scheme_sweep(
-        "theorem3", (64, 256, 1024), graph_factory=GraphSpec("grid"), seeds=(0,),
-        jobs=JOBS, backend=BACKEND,
+        "theorem3", (64, 256, 1024), graph_factory=GraphSpec("grid"), seeds=(0,)
     )
     cycle_sweep = run_scheme_sweep(
-        "theorem3", (64, 256, 1024), graph_factory=GraphSpec("cycle"), seeds=(0,),
-        jobs=JOBS, backend=BACKEND,
+        "theorem3", (64, 256, 1024), graph_factory=GraphSpec("cycle"), seeds=(0,)
     )
     complete_sweep = run_scheme_sweep(
-        "theorem3", (16, 64, 128), graph_factory=GraphSpec("complete"), seeds=(0,),
-        jobs=JOBS, backend=BACKEND,
+        "theorem3", (16, 64, 128), graph_factory=GraphSpec("complete"), seeds=(0,)
     )
     return random_sweep, grid_sweep, cycle_sweep, complete_sweep
 
 
-def test_main_scheme_scaling(benchmark):
-    random_sweep, grid_sweep, cycle_sweep, complete_sweep = benchmark.pedantic(
-        _run_experiment, rounds=1, iterations=1
-    )
+def test_main_scheme_scaling():
+    random_sweep, grid_sweep, cycle_sweep, complete_sweep = _run_experiment()
 
     columns = [
         "n",

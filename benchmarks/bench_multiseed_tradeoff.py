@@ -4,10 +4,8 @@ The single-instance trade-off table (E6) shows the ordering of the
 paper's schemes on *one* draw of the random instance; this workload
 re-measures every scheme over several seeds per size, so the claimed
 bounds are checked against the worst draw rather than a lucky one.
-Running it costs hundreds of simulated executions — it routes through
-``repro.runner`` (set ``REPRO_BENCH_JOBS>1`` to fan the runs over worker
-processes, ``REPRO_BENCH_BACKEND=analytic`` to compute every point from
-the Borůvka trace instead of simulating the decoder).
+Running it costs hundreds of simulated executions, all routed through
+``repro.runner`` on the round-by-round engine.
 
 On top of the classic engine-sized tier, a **large-n tier** re-measures
 every scheme at sizes the round-by-round engine would make painfully
@@ -17,7 +15,6 @@ workload the trace-driven backend was built for.
 """
 
 import math
-import os
 
 from conftest import publish
 
@@ -30,21 +27,15 @@ SIZES = (32, 64, 128, 256)
 LARGE_SIZES = (512, 1024)
 SEEDS = tuple(range(8))
 LARGE_SEEDS = tuple(range(4))
-JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "engine")
 FACTORY = GraphSpec("random", 0.04)
 
 
 def _run_experiment():
     sweeps = {
-        name: run_scheme_sweep(
-            name, SIZES, graph_factory=FACTORY, seeds=SEEDS, jobs=JOBS, backend=BACKEND
-        )
+        name: run_scheme_sweep(name, SIZES, graph_factory=FACTORY, seeds=SEEDS)
         for name in ("trivial", "theorem2", "theorem3", "theorem3-level")
     }
-    sweeps["ghs"] = run_baseline_sweep(
-        "ghs", (32, 64), graph_factory=FACTORY, seeds=SEEDS[:4], jobs=JOBS
-    )
+    sweeps["ghs"] = run_baseline_sweep("ghs", (32, 64), graph_factory=FACTORY, seeds=SEEDS[:4])
     # large-n tier: out of reach for per-message simulation at benchmark
     # time scales, cheap on the trace-driven analytic backend
     for name in ("trivial", "theorem2", "theorem3", "theorem3-level"):
@@ -53,14 +44,13 @@ def _run_experiment():
             LARGE_SIZES,
             graph_factory=FACTORY,
             seeds=LARGE_SEEDS,
-            jobs=JOBS,
             backend="analytic",
         )
     return sweeps
 
 
-def test_multiseed_tradeoff(benchmark):
-    sweeps = benchmark.pedantic(_run_experiment, rounds=1, iterations=1)
+def test_multiseed_tradeoff():
+    sweeps = _run_experiment()
 
     columns = [
         "n",

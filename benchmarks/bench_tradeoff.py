@@ -22,8 +22,8 @@ def _run_experiment(n=384, seed=3):
     return graph, measured, claimed
 
 
-def test_tradeoff_table(benchmark):
-    graph, measured, claimed = benchmark.pedantic(_run_experiment, rounds=1, iterations=1)
+def test_tradeoff_table():
+    graph, measured, claimed = _run_experiment()
 
     columns = [
         "scheme",

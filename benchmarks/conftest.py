@@ -1,11 +1,11 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one experiment of EXPERIMENTS.md (E0–E7):
-it runs the corresponding workload once inside the ``benchmark`` fixture
-(so ``pytest-benchmark`` reports how long the experiment takes), prints
-the regenerated table, writes it to ``benchmarks/results/`` so it can be
-inspected after a quiet run, and asserts the qualitative shape the paper
-predicts.
+Every benchmark regenerates one experiment of the paper (E0–E8): it
+runs the corresponding workload once, prints the regenerated table,
+writes it to ``benchmarks/results/`` so it can be inspected after a
+quiet run, and asserts the qualitative shape the paper predicts.  They
+are checks, not timings; the repository benchmark is ``perfbench/``.
+Run them by path: ``pytest -q benchmarks/bench_*.py``.
 """
 
 from __future__ import annotations

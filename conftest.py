@@ -1,8 +1,7 @@
 """Pytest bootstrap.
 
-Ensures the ``src`` layout is importable even when the package has not
-been installed (e.g. running ``pytest`` straight from a fresh checkout,
-or on machines without network access for ``pip install -e .``).
+Puts the ``src`` layout on ``sys.path``, so ``pytest`` runs straight
+from a fresh checkout; nothing is installed.
 """
 
 import sys

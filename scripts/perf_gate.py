@@ -47,7 +47,7 @@ Results = Dict[str, Dict[str, List[Dict[str, Any]]]]
 
 def load_end_to_end(root: Path) -> List[Dict[str, Any]]:
     """The end-to-end metrics (name, better, bound) that ``root`` declares."""
-    return json.loads((Path(root) / "BENCHMARK.json").read_text())["end_to_end"]
+    return json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
 
 
 def prepare(base: Path, head: Path) -> None:
@@ -90,7 +90,7 @@ def run_benchmark(checkout: Path, workload: str, seed: int) -> Dict[str, Any]:
 
 def worse_by(base: float, head: float, better: str) -> float:
     """How much worse ``head`` is than ``base``, as a fraction of ``base``."""
-    change = (head - base) / abs(base) if base else float(head != base)
+    change = (head - base) / base
     return change if better == "lower" else -change
 
 
@@ -113,11 +113,12 @@ def decide(results: Results, end_to_end: Sequence[Dict[str, Any]]) -> Tuple[List
             base = [result["metrics"][name]["value"] for result in sides["base"]]
             head = [result["metrics"][name]["value"] for result in sides["head"]]
             lost = sum(1 for b, h in zip(base, head) if worse_by(b, h, better) > 0)
-            change = worse_by(statistics.median(base), statistics.median(head), better)
+            base_median, head_median = statistics.median(base), statistics.median(head)
+            change = worse_by(base_median, head_median, better)
             regressed = change > bound and lost >= pairs - 1
             lines.append(
-                f"{workload:6} {name:12} base {statistics.median(base):10.4g}  "
-                f"head {statistics.median(head):10.4g}  worse by {change:+7.1%} "
+                f"{workload:6} {name:12} base {base_median:10.4g}  "
+                f"head {head_median:10.4g}  worse by {change:+7.1%} "
                 f"(bound {bound:.0%})  lost {lost}/{pairs}"
                 + ("  REGRESSION" if regressed else "")
             )

@@ -16,11 +16,11 @@ The CLI exposes the library's main workflows without writing any Python:
     reuses results across invocations).
 ``bench``
     Repeated runs of one scheme/baseline on one instance family, timed;
-    reports runs/second (the runner's micro-benchmark).  ``--backend
-    both`` times the engine and the analytic backend side by side,
-    ``--snapshot`` persists the summary as a ``BENCH_<rev>.json`` perf
-    snapshot at the repo root, and ``--baseline FILE`` compares against a
-    committed snapshot, warning on a >20% throughput regression.
+    reports runs/second.  ``--backend both`` times the engine and the
+    analytic backend side by side.  The repository benchmark, with its
+    end-to-end and per-layer metrics and the CI gate that compares a
+    change against its base, is ``perfbench/`` (see its README and
+    ``BENCHMARK.json``).
 ``report``
     Regenerate a full result set from a declarative TOML/JSON spec
     (``--spec specs/paper.toml --out reports/``): every experiment is
@@ -59,11 +59,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.sweep import run_scheme_sweep
 from repro.analysis.tables import format_table
@@ -74,7 +73,6 @@ from repro.core.problem import DEFAULT_PROBLEM, get_problem, problem_names, spli
 from repro.core.scheme_average import paper_average_constant
 from repro.distributed.base import run_baseline
 from repro.graphs.weighted_graph import PortNumberedGraph
-from repro.runner.plan import ExecutionStats
 from repro.runner.registry import (
     BACKENDS,
     BASELINES,
@@ -418,13 +416,11 @@ def _bench_one_backend(args: argparse.Namespace, backend: str) -> Dict[str, Any]
         for target in targets
     ]
     cache = SQLiteResultStore(args.cache_dir) if args.cache_dir else None
-    stats = ExecutionStats()
     start = time.perf_counter()
     rows = run_tasks(
         tasks,
         jobs=args.jobs,
         cache_dir=cache,
-        stats=stats,
         resume=args.resume,
         progress=args.progress,
         progress_label="bench",
@@ -437,10 +433,7 @@ def _bench_one_backend(args: argparse.Namespace, backend: str) -> Dict[str, Any]
         "n": args.n,
         "backend": backend,
         "runs": len(rows),
-        # jobs identifies the execution configuration: snapshots
-        # measured under different configurations are never comparable
         "jobs": args.jobs,
-        "tier": getattr(args, "tier", "standard"),
         "wall_seconds": round(elapsed, 4),
         "runs_per_second": round(len(rows) / elapsed, 3) if elapsed > 0 else float("inf"),
         # rows served from --cache-dir were not simulated inside the timed
@@ -451,197 +444,12 @@ def _bench_one_backend(args: argparse.Namespace, backend: str) -> Dict[str, Any]
         "total_messages": sum(row["total_messages"] for row in rows),
         "correct": all(row["correct"] for row in rows),
     }
-    if args.profile:
-        summary["instance_groups"] = stats.groups
-        summary["stage_seconds"] = stats.stages_dict()
     return summary
 
 
-def _git_query(args: List[str], fallback: str) -> str:
-    """One line of ``git <args>`` output, or ``fallback`` outside git."""
-    try:
-        out = subprocess.run(
-            ["git", *args], capture_output=True, text=True, timeout=10
-        )
-    except (OSError, subprocess.TimeoutExpired):  # pragma: no cover - no git binary
-        return fallback
-    return out.stdout.strip() if out.returncode == 0 and out.stdout.strip() else fallback
-
-
-def _git_short_rev() -> str:
-    """Short revision of the working tree, or ``"local"`` outside git."""
-    return _git_query(["rev-parse", "--short", "HEAD"], "local")
-
-
-def _repo_root() -> Path:
-    """The git toplevel directory, or the current directory outside git."""
-    return Path(_git_query(["rev-parse", "--show-toplevel"], str(Path.cwd())))
-
-
-def _bench_rows(payload: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
-    """The per-backend summaries of a bench payload (single or ``both``)."""
-    if "results" in payload:
-        yield from payload["results"]
-    else:
-        yield payload
-
-
-def _write_bench_snapshot(payload: Dict[str, Any], path_arg: Optional[str]) -> Path:
-    """Persist a ``BENCH_<rev>.json`` perf snapshot (CI's regression baseline)."""
-    rev = _git_short_rev()
-    path = Path(path_arg) if path_arg else _repo_root() / f"BENCH_{rev}.json"
-    snapshot = {"kind": "bench-snapshot", "rev": rev, "payload": payload}
-    path.write_text(json.dumps(snapshot, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
-def _check_regression(payload: Dict[str, Any], baseline_path: str) -> int:
-    """Compare against a committed snapshot.
-
-    Warns on a >20% ``runs_per_second`` loss and counts a >30% loss as a
-    hard failure (the return value; ``bench --baseline`` exits non-zero
-    on any, which is what turns CI's perf smoke from warn-only into a
-    gate).  Rows measured under a different execution configuration
-    (``jobs``) are never compared — throughput across configurations is
-    apples-to-oranges by construction.
-    """
-    try:
-        baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"warning: cannot read baseline {baseline_path}: {exc}", file=sys.stderr)
-        return 0
-    reference = {
-        (row["scheme"], row["graph"], row["n"], row.get("backend", "engine")): row
-        for row in _bench_rows(baseline.get("payload", baseline))
-        if "runs_per_second" in row
-    }
-    failures = 0
-    for row in _bench_rows(payload):
-        key = (row["scheme"], row["graph"], row["n"], row.get("backend", "engine"))
-        base_row = reference.get(key)
-        if base_row is None:
-            print(f"warning: baseline has no entry for {key}", file=sys.stderr)
-            continue
-        jobs = row.get("jobs", 1)
-        base_jobs = base_row.get("jobs", 1)
-        if jobs != base_jobs:
-            print(
-                f"warning: skipping {key}: baseline was measured with "
-                f"jobs={base_jobs}, this run used jobs={jobs}",
-                file=sys.stderr,
-            )
-            continue
-        base_rps = base_row["runs_per_second"]
-        current = row["runs_per_second"]
-        if current < 0.7 * base_rps:
-            failures += 1
-            print(
-                f"error: perf regression for {key}: {current:.3f} runs/s vs "
-                f"baseline {base_rps:.3f} runs/s ({current / base_rps:.0%})",
-                file=sys.stderr,
-            )
-        elif current < 0.8 * base_rps:
-            print(
-                f"warning: perf regression for {key}: {current:.3f} runs/s vs "
-                f"baseline {base_rps:.3f} runs/s ({current / base_rps:.0%})",
-                file=sys.stderr,
-            )
-    return failures
-
-
-#: the large benchmark tier: the biggest structured instance the
-#: generators build in O(m) — hypercube dimension 17 (the ``random``
-#: family needs O(n²) candidate-edge memory and stops being feasible
-#: around n≈10⁴) — measured through the analytic backend only
-_LARGE_TIER = {"graph": "hypercube", "n": 131072, "backend": "analytic"}
-
-
-def bench_history_entries(directory: Path) -> List[Dict[str, Any]]:
-    """Flatten every ``BENCH_*.json`` snapshot under ``directory`` to rows.
-
-    Shared by ``repro bench history`` and ``scripts/update_bench_history.py``
-    (which commits the rendered table as ``docs/bench-history.md``), so the
-    CLI view and the docs page can never disagree on a row.
-    """
-    entries: List[Dict[str, Any]] = []
-    for path in sorted(Path(directory).glob("BENCH_*.json")):
-        try:
-            snapshot = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
-            continue
-        payload = snapshot.get("payload", snapshot)
-        rev = snapshot.get("rev", path.stem.removeprefix("BENCH_"))
-        for row in _bench_rows(payload):
-            if "runs_per_second" not in row:
-                continue
-            stages = row.get("stage_seconds") or {}
-            entries.append(
-                {
-                    "rev": rev,
-                    "scheme": row.get("scheme", payload.get("scheme", "?")),
-                    "graph": row.get("graph", payload.get("graph", "?")),
-                    "n": row.get("n", payload.get("n", "?")),
-                    "backend": row.get("backend", "engine"),
-                    "tier": row.get("tier", "standard"),
-                    "runs_per_second": row["runs_per_second"],
-                    "stage_seconds": (
-                        " ".join(f"{k}={v}" for k, v in stages.items()) or "-"
-                    ),
-                }
-            )
-    return entries
-
-
-#: column order of the bench-history Markdown table
-BENCH_HISTORY_COLUMNS = (
-    "rev",
-    "scheme",
-    "graph",
-    "n",
-    "backend",
-    "tier",
-    "runs_per_second",
-    "stage_seconds",
-)
-
-
-def bench_history_markdown(entries: Sequence[Dict[str, Any]]) -> str:
-    """Render bench-history rows as a GitHub-flavoured Markdown table."""
-    columns = BENCH_HISTORY_COLUMNS
-    lines = ["| " + " | ".join(columns) + " |"]
-    lines.append("|" + "|".join(" --- " for _ in columns) + "|")
-    for entry in entries:
-        lines.append("| " + " | ".join(str(entry[column]) for column in columns) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_bench_history(args: argparse.Namespace) -> int:
-    """Collect every ``BENCH_*.json`` snapshot into one Markdown table."""
-    directory = Path(args.dir) if args.dir else _repo_root()
-    entries = bench_history_entries(directory)
-    if args.json:
-        print(json.dumps(entries, indent=2))
-        return 0
-    if not entries:
-        print(f"no BENCH_*.json snapshots under {directory}", file=sys.stderr)
-        return 1
-    print(bench_history_markdown(entries), end="")
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if getattr(args, "bench_command", None) == "history":
-        return _cmd_bench_history(args)
     if args.repeats < 1:
         raise ValueError("--repeats must be >= 1")
-    if args.tier == "large":
-        # the large tier pins the instance and backend and forces
-        # profiling on; scheme and repeats stay selectable
-        args.graph = _LARGE_TIER["graph"]
-        args.n = _LARGE_TIER["n"]
-        args.backend = _LARGE_TIER["backend"]
-        args.profile = True
     bench_qualifier, bench_bare = split_target(args.scheme)
     bench_problem = get_problem(bench_qualifier or args.problem)
     if bench_bare in bench_problem.baselines and args.backend != "engine":
@@ -666,37 +474,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             ),
         }
 
-    if args.snapshot is not None:
-        path = _write_bench_snapshot(payload, args.snapshot or None)
-        print(f"perf snapshot written to {path}", file=sys.stderr)
-    regressions = 0
-    if args.baseline:
-        regressions = _check_regression(payload, args.baseline)
-
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        profile_keys = ("instance_groups", "stage_seconds")
-        table_rows = [
-            {k: v for k, v in summary.items() if k not in profile_keys}
-            for summary in summaries
-        ]
         print(
             format_table(
-                table_rows,
+                summaries,
                 title=f"bench: {args.repeats} x {args.scheme} on {args.graph}(n={args.n})",
             )
         )
-        if args.profile:
-            for summary in summaries:
-                stages = summary.get("stage_seconds", {})
-                breakdown = "  ".join(f"{k}={v:.4f}s" for k, v in stages.items())
-                print(
-                    f"profile[{summary['backend']}]: "
-                    f"{summary.get('instance_groups', 0)} instance group(s)  "
-                    f"{breakdown}"
-                )
-    return 0 if all_correct and not regressions else 1
+    return 0 if all_correct else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -1011,62 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_parallel_arguments(bench_parser)
     _add_graph_arguments(bench_parser)
     _add_backend_argument(bench_parser, allow_both=True)
-    bench_parser.add_argument(
-        "--snapshot",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
-        help=(
-            "write a BENCH_<rev>.json perf snapshot (at the repo root by "
-            "default, or to PATH)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "compare runs/second against a committed snapshot; warn on >20%% "
-            "regression, exit non-zero on >30%% (configuration-mismatched "
-            "rows are skipped, never compared)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "emit the per-stage timing breakdown (graph build / trace / "
-            "advice / backend execution) of the grouped executor"
-        ),
-    )
-    bench_parser.add_argument(
-        "--tier",
-        default="standard",
-        choices=["standard", "large"],
-        help=(
-            "benchmark tier: 'standard' uses --graph/--n/--backend as "
-            "given; 'large' pins the hypercube(n=131072) instance on the "
-            "analytic backend with profiling on (scheme and repeats stay "
-            "selectable)"
-        ),
-    )
-    bench_sub = bench_parser.add_subparsers(
-        dest="bench_command", required=False, metavar="{history}"
-    )
-    history_parser = bench_sub.add_parser(
-        "history",
-        help="render every BENCH_*.json snapshot as one Markdown table",
-    )
-    history_parser.add_argument(
-        "--dir",
-        default=None,
-        metavar="DIR",
-        help="directory holding the snapshots (default: the repo root)",
-    )
-    history_parser.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
 
     report_parser = sub.add_parser(
         "report",

@@ -21,17 +21,16 @@ artifacts, building each of them exactly once:
 Rows are byte-identical to isolated execution (one fresh context per
 task, :func:`~repro.runner.runner.execute_task`): every shared artifact is
 a deterministic pure function of the instance, so sharing is observable
-only as speed.  :class:`ExecutionStats` aggregates per-stage wall time
-(graph / trace / advice / execute) and cache counters; ``repro bench
---profile`` surfaces it so future performance work can see where the
-time goes.
+only as speed.  :class:`ExecutionStats` counts the groups executed and
+the cache hits and misses of one run.  Where the time goes is measured
+from outside, by the repository benchmark's per-layer metrics
+(``perfbench/README.md``).
 """
 
 from __future__ import annotations
 
 import inspect
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.oracle import run_scheme
@@ -47,39 +46,18 @@ __all__ = [
     "plan_groups",
 ]
 
-#: the stages a grouped execution is broken into, in reporting order
-STAGES = ("graph", "trace", "advice", "execute")
-
-
 @dataclass
 class ExecutionStats:
     """What one :func:`~repro.runner.runner.run_tasks` call actually did.
 
-    ``stage_seconds`` decomposes the executed (non-cached) work into the
-    shared-preparation stages; a warm-cache run has every counter at
-    zero except ``cache_hits`` — group construction is skipped entirely.
+    A warm-cache run has every counter at zero except ``cache_hits``:
+    group construction is skipped entirely.
     """
 
     #: instance groups executed (0 when every task was a cache hit)
     groups: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: wall seconds per stage: graph build / trace / advice / execution
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-
-    def add_stage(self, stage: str, seconds: float) -> None:
-        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-
-    def merge_stage_dict(self, stage_seconds: Dict[str, float]) -> None:
-        """Fold a worker's stage breakdown into this one."""
-        for stage, seconds in stage_seconds.items():
-            self.add_stage(stage, seconds)
-
-    def stages_dict(self) -> Dict[str, float]:
-        """The stage breakdown in canonical order, rounded for reports."""
-        return {
-            stage: round(self.stage_seconds.get(stage, 0.0), 4) for stage in STAGES
-        }
 
 
 @dataclass(frozen=True)
@@ -167,23 +145,16 @@ class InstanceContext:
     produces — sharing is observable only as speed.
     """
 
-    def __init__(self, stats: Optional[ExecutionStats] = None) -> None:
+    def __init__(self) -> None:
         self._graph = None
-        self._stats = stats
         #: (problem, registry name, root) -> (scheme instance, computed advice)
         self._advice: Dict[Tuple[str, str, int], Tuple[Any, Any]] = {}
 
     # ------------------------------------------------------------------ #
 
-    def _timed(self, stage: str, start: float) -> None:
-        if self._stats is not None:
-            self._stats.add_stage(stage, time.perf_counter() - start)
-
     def _instance(self, task: SweepTask):
         if self._graph is None:
-            start = time.perf_counter()
             self._graph = task.build_graph()
-            self._timed("graph", start)
         return self._graph
 
     def _scheme_and_advice(self, task: SweepTask, graph) -> Tuple[Any, Any]:
@@ -200,15 +171,10 @@ class InstanceContext:
         if _wants_trace(scheme):
             from repro.mst.boruvka import boruvka_trace
 
-            start = time.perf_counter()
             trace = boruvka_trace(graph, root=root)
-            self._timed("trace", start)
-            start = time.perf_counter()
             advice = scheme.compute_advice(graph, root=root, trace=trace)
         else:
-            start = time.perf_counter()
             advice = scheme.compute_advice(graph, root=root)
-        self._timed("advice", start)
         if memo_key is not None:
             self._advice[memo_key] = (scheme, advice)
         return scheme, advice
@@ -220,7 +186,6 @@ class InstanceContext:
         graph = self._instance(task)
         if task.kind == "scheme":
             scheme, advice = self._scheme_and_advice(task, graph)
-            start = time.perf_counter()
             report = run_scheme(
                 scheme,
                 graph,
@@ -230,7 +195,6 @@ class InstanceContext:
                 fault=task.fault,
                 fault_seed=task.seed,
             )
-            self._timed("execute", start)
             return {
                 "kind": "scheme",
                 "problem": report.problem,
@@ -247,9 +211,7 @@ class InstanceContext:
                 "correct": report.correct,
             }
         baseline = resolve_baseline(task.target, problem=task.problem)
-        start = time.perf_counter()
         report = run_baseline(baseline, graph, fault=task.fault, fault_seed=task.seed)
-        self._timed("execute", start)
         return {
             "kind": "baseline",
             "problem": report.problem,

@@ -2,7 +2,9 @@
 
 :func:`run_tasks` is the single entry point everything routes through —
 ``analysis/sweep.py``, the ``repro.report`` pipeline, the CLI's ``sweep
---jobs`` / ``bench`` commands and the benchmark suite.  Guarantees:
+--jobs`` / ``bench`` commands, the paper-shape checks in ``benchmarks/``
+and the repository benchmark (``perfbench/``, declared by
+``BENCHMARK.json``).  Guarantees:
 
 * **Determinism** — results come back in task order regardless of
   ``jobs``; workers return plain measured rows and all aggregation
@@ -66,28 +68,19 @@ def execute_task(task: SweepTask) -> Dict[str, Any]:
     return InstanceContext().execute(task)
 
 
-def _execute_group(
-    group: TaskGroup, stats: Optional[ExecutionStats]
-) -> List[Tuple[int, Dict[str, Any]]]:
+def _execute_group(group: TaskGroup) -> List[Tuple[int, Dict[str, Any]]]:
     """Run one instance group against one shared context; ``(miss_index, row)`` pairs."""
-    context = InstanceContext(stats=stats)
+    context = InstanceContext()
     return [(index, context.execute(task)) for index, task in zip(group.indices, group.tasks)]
 
 
-def _execute_group_chunk(
-    chunk: Sequence[TaskGroup],
-) -> Tuple[List[Tuple[int, Dict[str, Any]]], Dict[str, float]]:
+def _execute_group_chunk(chunk: Sequence[TaskGroup]) -> List[Tuple[int, Dict[str, Any]]]:
     """Worker entry point: whole instance groups at a time.
 
-    Returns ``(miss_index, row)`` pairs plus the worker's stage-seconds
-    breakdown, so the parent can reassemble rows in task order and
-    aggregate profiling data across processes.
+    Returns ``(miss_index, row)`` pairs, so the parent can reassemble
+    rows in task order.
     """
-    stats = ExecutionStats()
-    rows: List[Tuple[int, Dict[str, Any]]] = []
-    for group in chunk:
-        rows.extend(_execute_group(group, stats))
-    return rows, stats.stage_seconds
+    return [pair for group in chunk for pair in _execute_group(group)]
 
 
 def _fork_context():
@@ -136,23 +129,15 @@ class LocalExecutor:
         self,
         units: Sequence[TaskGroup],
         commit: Callable[[List[Tuple[int, Dict[str, Any]]]], None],
-        stats: Optional[ExecutionStats] = None,
     ) -> None:
         """Execute planned groups; ``commit`` receives ``(miss_index, row)``
         batches in deterministic (plan) order."""
         if self.jobs > 1 and len(units) > 1:
             chunks = _chunked(units, max(1, math.ceil(len(units) / (self.jobs * 4))))
-
-            def _deliver(result: Tuple[List[Tuple[int, Dict[str, Any]]], Dict[str, float]]) -> None:
-                chunk_rows, stage_seconds = result
-                commit(list(chunk_rows))
-                if stats is not None:
-                    stats.merge_stage_dict(stage_seconds)
-
-            self._run_chunks(chunks, _deliver)
+            self._run_chunks(chunks, commit)
             return
         for unit in units:
-            commit(_execute_group(unit, stats))
+            commit(_execute_group(unit))
 
     def _run_chunks(
         self,
@@ -251,8 +236,8 @@ def run_tasks(
     store.  ``resume=True`` checkpoints a run manifest alongside the
     cache (and requires one); ``progress=True`` reports done/total + ETA
     on stderr.  ``stats`` may be an
-    :class:`~repro.runner.plan.ExecutionStats` to be filled with cache
-    counters and the per-stage timing breakdown.
+    :class:`~repro.runner.plan.ExecutionStats` to be filled with the
+    groups executed and the cache hits and misses.
 
     ``executor`` plugs in how planned misses actually run: by default a
     :class:`LocalExecutor` built from ``jobs``; the sweep service passes
@@ -344,7 +329,7 @@ def run_tasks(
             groups = plan_groups(misses)
             if stats is not None:
                 stats.groups += len(groups)
-            executor.run_units(groups, _commit_miss_rows, stats=stats)
+            executor.run_units(groups, _commit_miss_rows)
     finally:
         if reporter is not None:
             reporter.close()

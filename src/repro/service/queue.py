@@ -928,11 +928,7 @@ class QueueExecutor:
         self,
         units: Sequence[TaskGroup],
         commit: Callable[[List[Tuple[int, Dict[str, Any]]]], None],
-        stats: Optional[Any] = None,
     ) -> None:
-        # stats stage timing happens inside the workers and is not wired
-        # back over the queue; run_tasks already counts groups and hits
-        del stats
         # per dedup key, every planner group waiting on it — each keeps
         # its own (indices, hashes) pairing so commit targets stay
         # aligned even if two groups order the same tasks differently

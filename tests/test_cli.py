@@ -292,116 +292,34 @@ class TestBackendFlag:
         for key in ("max_rounds", "max_edge_bits", "total_messages", "correct"):
             assert engine_row[key] == analytic_row[key]
 
-    def test_bench_snapshot_and_baseline(self, tmp_path, capsys):
-        snapshot = tmp_path / "BENCH_test.json"
+    def test_bench_all_schemes_in_worker_processes(self, capsys):
+        argv = ["bench", "--scheme", "all", "--n", "16", "--repeats", "4", "--json"]
+        assert main(argv) == 0
+        serial = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--jobs", "2"]) == 0
+        parallel = json.loads(capsys.readouterr().out)
+        assert parallel["jobs"] == 2 and parallel["runs"] == 16
+        assert parallel["correct"] is True
+        for key in ("runs", "max_rounds", "max_edge_bits", "total_messages"):
+            assert parallel[key] == serial[key]
+
+    def test_bench_large_hypercube_on_the_analytic_backend(self, capsys):
+        # the nightly large run's command line, at a size a test can afford
         argv = [
-            "bench", "--scheme", "trivial", "--n", "16", "--repeats", "2", "--json",
-            "--snapshot", str(snapshot),
+            "bench", "--graph", "hypercube", "--n", "16", "--backend", "analytic",
+            "--scheme", "theorem3", "--repeats", "2", "--json",
         ]
         assert main(argv) == 0
-        captured = capsys.readouterr()
-        assert "perf snapshot written" in captured.err
-        stored = json.loads(snapshot.read_text())
-        assert stored["kind"] == "bench-snapshot"
-        assert stored["payload"]["runs_per_second"] > 0
-
-        # doctor the baseline to an absurd throughput: a >30% loss is now
-        # a hard failure (non-zero exit), not just a warning
-        stored["payload"]["runs_per_second"] = 10 ** 9
-        snapshot.write_text(json.dumps(stored))
-        assert main(argv[:-2] + ["--baseline", str(snapshot)]) == 1
-        assert "perf regression" in capsys.readouterr().err
-
-        # a baseline measured under another execution configuration is
-        # never compared (apples-to-oranges): skipped with a warning
-        stored["payload"]["jobs"] = 64
-        snapshot.write_text(json.dumps(stored))
-        assert main(argv[:-2] + ["--baseline", str(snapshot)]) == 0
-        assert "skipping" in capsys.readouterr().err
-
-    def test_bench_baseline_missing_file_warns_not_fails(self, tmp_path, capsys):
-        argv = [
-            "bench", "--scheme", "trivial", "--n", "16", "--repeats", "1", "--json",
-            "--baseline", str(tmp_path / "nope.json"),
-        ]
-        assert main(argv) == 0
-        assert "cannot read baseline" in capsys.readouterr().err
-
-
-class TestBenchCli:
-    def test_bench_profile_json(self, capsys):
-        code = main(
-            [
-                "bench", "--scheme", "all", "--n", "16", "--repeats", "4",
-                "--profile", "--json",
-            ]
-        )
-        assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["tier"] == "standard"
-        assert payload["correct"] is True
-        assert payload["instance_groups"] == 4
-        assert set(payload["stage_seconds"]) == {"graph", "trace", "advice", "execute"}
+        assert payload["graph"] == "hypercube" and payload["n"] == 16
+        assert payload["backend"] == "analytic" and payload["correct"] is True
 
-    def test_bench_profile_merges_worker_stages(self, capsys):
-        code = main(
-            [
-                "bench", "--scheme", "all", "--n", "16", "--repeats", "4",
-                "--jobs", "2", "--profile", "--json",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["jobs"] == 2
-        assert payload["correct"] is True
-        assert payload["instance_groups"] == 4
-        # the stages ran in the worker processes and were merged back
-        assert all(seconds > 0.0 for seconds in payload["stage_seconds"].values())
-
-    def test_bench_large_tier_pins_instance_and_profiles(self, capsys, monkeypatch):
-        # the real large tier is hypercube(131072); shrink it so the test
-        # exercises the pinning logic, not the wall clock
-        import repro.cli as cli
-
-        monkeypatch.setattr(
-            cli, "_LARGE_TIER", {"graph": "hypercube", "n": 16, "backend": "analytic"}
-        )
-        code = main(
-            [
-                "bench", "--tier", "large", "--scheme", "theorem3",
-                "--repeats", "2", "--json",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["tier"] == "large"
-        assert payload["graph"] == "hypercube"
-        assert payload["n"] == 16
-        assert payload["backend"] == "analytic"
-        assert "stage_seconds" in payload  # the tier forces --profile
-
-    def test_bench_history_renders_snapshots(self, tmp_path, capsys):
-        snapshot = {
-            "kind": "bench-snapshot",
-            "rev": "abc1234",
-            "payload": {
-                "scheme": "all", "graph": "random", "n": 1024,
-                "backend": "analytic", "tier": "standard",
-                "runs_per_second": 72.5,
-                "stage_seconds": {"graph": 0.2, "trace": 0.3},
-            },
-        }
-        (tmp_path / "BENCH_abc1234.json").write_text(json.dumps(snapshot))
-        code = main(["bench", "history", "--dir", str(tmp_path)])
-        assert code == 0
+    def test_bench_help_lists_no_snapshot_options(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
         out = capsys.readouterr().out
-        assert "abc1234" in out and "72.5" in out and "trace=0.3" in out
-
-    def test_bench_history_json_and_empty_dir(self, tmp_path, capsys):
-        assert main(["bench", "history", "--dir", str(tmp_path), "--json"]) == 0
-        assert json.loads(capsys.readouterr().out) == []
-        assert main(["bench", "history", "--dir", str(tmp_path)]) == 1
-        assert "no BENCH_" in capsys.readouterr().err
+        for gone in ("--snapshot", "--baseline", "--profile", "--tier", "history"):
+            assert gone not in out
 
 
 class TestStoreCommand:
@@ -514,44 +432,3 @@ class TestServeCli:
         ]
         assert main(argv) == 1
         assert "cannot reach" in capsys.readouterr().err
-
-
-class TestBenchHistoryHelpers:
-    def test_markdown_renders_one_row_per_entry(self, tmp_path):
-        from repro.cli import bench_history_entries, bench_history_markdown
-
-        snapshot = {
-            "kind": "bench-snapshot",
-            "rev": "abc1234",
-            "payload": {
-                "results": [
-                    {
-                        "scheme": "theorem3", "graph": "random", "n": 256,
-                        "backend": "analytic",
-                        "tier": "standard", "runs_per_second": 123.456,
-                    }
-                ]
-            },
-        }
-        (tmp_path / "BENCH_abc1234.json").write_text(
-            json.dumps(snapshot), encoding="utf-8"
-        )
-        entries = bench_history_entries(tmp_path)
-        assert len(entries) == 1
-        page = bench_history_markdown(entries)
-        assert "abc1234" in page and "theorem3" in page
-        assert page.count("\n| ") >= 1 or page.startswith("| ")
-
-    def test_committed_history_page_is_fresh(self):
-        """The CI freshness gate, exercised in-process."""
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parent.parent
-        result = subprocess.run(
-            [sys.executable, str(repo / "scripts" / "update_bench_history.py"), "--check"],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr

@@ -212,9 +212,6 @@ class TestGroupedExecution:
         run_tasks(tasks, stats=stats)
         assert stats.groups == 4
         assert stats.cache_misses == len(tasks) and stats.cache_hits == 0
-        stages = stats.stages_dict()
-        assert set(stages) == {"graph", "trace", "advice", "execute"}
-        assert stages["execute"] > 0.0
 
     def test_stats_count_one_group_per_seed(self):
         clear_graph_memo()
@@ -223,19 +220,14 @@ class TestGroupedExecution:
         run_tasks(tasks, stats=stats)
         assert stats.groups == 4
         assert stats.cache_misses == len(tasks) and stats.cache_hits == 0
-        stages = stats.stages_dict()
-        # the trace-driven theorem schemes make every stage do real work
-        assert all(stages[stage] > 0.0 for stage in ("graph", "trace", "advice", "execute"))
 
     def test_parallel_stats_merge_worker_stages(self):
         tasks = _point_tasks("random", 4)
         stats = ExecutionStats()
         run_tasks(tasks, jobs=2, stats=stats)
+        # the groups ran in the workers and are counted here
         assert stats.groups == 4
         assert stats.cache_misses == len(tasks)
-        # the stage seconds were measured in the workers and merged here
-        assert set(stats.stage_seconds) == {"graph", "trace", "advice", "execute"}
-        assert stats.stages_dict()["execute"] > 0.0
 
     def test_warm_cache_skips_group_construction_entirely(self, tmp_path):
         tasks = [
@@ -252,7 +244,6 @@ class TestGroupedExecution:
         second = run_tasks(tasks, cache_dir=cache, stats=warm)
         assert cache.hits == len(tasks)
         assert warm.groups == 0  # no group was ever constructed
-        assert warm.stage_seconds == {}
         assert json.dumps(first) == json.dumps(second)
 
     def test_advice_shared_across_backends_of_one_scheme(self):
