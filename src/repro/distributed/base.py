@@ -104,31 +104,63 @@ def run_baseline(
     max_rounds: Optional[int] = None,
     fault: Optional[FaultSpec] = None,
     fault_seed: int = 0,
+    backend: str = "engine",
 ) -> BaselineReport:
     """Run a no-advice baseline end to end and verify its output.
 
+    ``backend`` selects how the program is executed, as for
+    :func:`~repro.core.oracle.run_scheme`: ``"engine"`` simulates it
+    round by round; ``"analytic"`` computes the same metrics and outputs
+    from the plain Borůvka phases (see
+    :func:`~repro.simulator.analytic.run_baseline_analytic`).  Baselines
+    without an analytic model, and runs that would exceed
+    ``max_rounds``, fall back to the engine.
+
     ``fault`` selects the adversarial engine (seeded delays and
-    crash/recovery; ``fault_seed`` pins the schedule).  ``max_rounds``
-    keeps bounding *logical* rounds under the adversary, so a baseline
-    with a fixed round schedule never spuriously times out merely
-    because delays stretched physical time.
+    crash/recovery; ``fault_seed`` pins the schedule); it requires the
+    engine backend.  ``max_rounds`` keeps bounding *logical* rounds
+    under the adversary, so a baseline with a fixed round schedule never
+    spuriously times out merely because delays stretched physical time.
+
+    >>> from repro.distributed.boruvka_sync import SynchronizedBoruvkaMST
+    >>> from repro.graphs.generators import random_connected_graph
+    >>> graph = random_connected_graph(32, 0.1, seed=1)
+    >>> engine = run_baseline(SynchronizedBoruvkaMST(), graph)
+    >>> analytic = run_baseline(SynchronizedBoruvkaMST(), graph, backend="analytic")
+    >>> analytic.as_row() == engine.as_row() and analytic.correct
+    True
     """
+    from repro.simulator.backends import BACKENDS
+
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}")
     if fault is not None and fault.is_null:
         fault = None
     problem = getattr(baseline, "problem", DEFAULT_PROBLEM)
-    if fault is not None and fault.churn and problem != "mst":
-        raise ValueError("edge-weight churn is only defined for the MST problem")
+    if fault is not None:
+        if backend != "engine":
+            raise ValueError("adversarial execution requires the engine backend")
+        if fault.churn and problem != "mst":
+            raise ValueError("edge-weight churn is only defined for the MST problem")
     bound = baseline.round_bound(graph)
     if max_rounds is None and bound is not None:
         max_rounds = int(bound) + 50
-    if fault is None:
+    result = None
+    if backend == "analytic":
+        from repro.simulator.analytic import AnalyticUnsupported, run_baseline_analytic
+
+        try:
+            result = run_baseline_analytic(baseline, graph, max_rounds=max_rounds)
+        except AnalyticUnsupported:
+            pass  # fall back to the engine
+    if result is None and fault is None:
         result = run_sync(
             graph,
             baseline.program_factory(graph),
             advice=None,
             max_rounds=max_rounds,
         )
-    else:
+    elif result is None:
         result = run_adversary(
             graph,
             baseline.program_factory(graph),

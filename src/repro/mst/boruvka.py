@@ -27,14 +27,15 @@ Two entry points are provided:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.mst.fragments import FragmentPartition, FragmentTree
-from repro.mst.rooted_tree import RootedSpanningTree, build_rooted_tree
+from repro.mst.rooted_tree import RootedSpanningTree, build_rooted_tree, graph_of
 from repro.mst.union_find import UnionFind
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "BoruvkaTrace",
     "boruvka_mst",
     "boruvka_trace",
+    "plain_boruvka_phases",
 ]
 
 
@@ -211,10 +213,17 @@ def _selection_arrays(
 class BoruvkaTrace:
     """The complete run of the paper's Borůvka variant on one instance."""
 
-    graph: PortNumberedGraph
+    #: weak reference to the instance, which memoises the trace
+    #: (see :func:`~repro.mst.rooted_tree.graph_of`)
+    graph_ref: "weakref.ReferenceType[PortNumberedGraph]"
     root: int
     tree: RootedSpanningTree
     phases: List[BoruvkaPhase]
+
+    @property
+    def graph(self) -> PortNumberedGraph:
+        """The instance the trace was run on."""
+        return graph_of(self.graph_ref)
 
     @property
     def num_phases(self) -> int:
@@ -312,33 +321,66 @@ def _minimum_outgoing_edges(
 # ---------------------------------------------------------------------- #
 
 
-def boruvka_mst(graph: PortNumberedGraph) -> List[int]:
-    """Edge ids of the reference MST computed by classic Borůvka.
+def plain_boruvka_phases(
+    graph: PortNumberedGraph,
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The phases of classic Borůvka, one ``(edge_ids, choosing_nodes)`` each.
 
-    All fragments (no active/passive distinction) select their minimum
-    outgoing edge under the canonical ``(weight, edge_id)`` order each
-    phase.  Because the order is a single global total order, the union
-    of the selections never contains a cycle and the result equals the
-    reference MST ``T*`` of Kruskal and Prim.
+    Every fragment (no active/passive distinction) selects its minimum
+    outgoing edge under the canonical ``(weight, edge_id)`` order: entry
+    ``k`` is one fragment's selected edge and its endpoint inside the
+    fragment.  The fragments merge along the selections before the next
+    phase is computed; the loop ends when no fragment has an outgoing
+    edge (one fragment per connected component).  This is the reference
+    MST of :func:`boruvka_mst` and the phase structure of the GHS-style
+    baseline's analytic model.
     """
-    if not graph.is_connected():
-        raise ValueError("MST is undefined on a disconnected graph")
-    uf = UnionFind(graph.n)
-    tree: Set[int] = set()
     order = np.lexsort((np.arange(graph.m), graph.edge_w))
     sorted_u = graph.edge_u[order]
     sorted_v = graph.edge_v[order]
-    while uf.component_count > 1:
-        _, edge_ids, _ = _minimum_outgoing_edges(
-            graph.n, graph.edge_u, graph.edge_v, uf.roots_array(), sorted_u, sorted_v, order
+    labels = np.arange(graph.n, dtype=np.int64)  # a representative per node
+    fragments = graph.n
+    while fragments > 1:
+        frags, edge_ids, nodes = _minimum_outgoing_edges(
+            graph.n, graph.edge_u, graph.edge_v, labels, sorted_u, sorted_v, order
         )
-        if edge_ids.size == 0:  # pragma: no cover - cannot happen on a connected graph
-            break
-        for eid in sorted(set(edge_ids.tolist())):
-            # the same edge can be the minimum of both of its fragments; the
-            # second union is then a no-op and the edge is already in the tree
-            if uf.union(int(graph.edge_u[eid]), int(graph.edge_v[eid])):
-                tree.add(eid)
+        if edge_ids.size == 0:
+            return
+        yield edge_ids, nodes
+        # merge in one hook-and-jump: every fragment hooks onto the one
+        # across its selected edge.  Under one global total order the
+        # selections form a forest plus, per merged fragment, one edge
+        # selected from both sides; the smaller representative of that
+        # mutual pair becomes the root.
+        across = np.where(
+            graph.edge_u[edge_ids] == nodes, graph.edge_v[edge_ids], graph.edge_u[edge_ids]
+        )
+        parent = np.arange(graph.n, dtype=np.int64)
+        parent[frags] = labels[across]
+        roots = frags[(parent[parent[frags]] == frags) & (frags < parent[frags])]
+        parent[roots] = roots
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        labels = parent[labels]
+        fragments -= edge_ids.size - roots.size  # one merge per distinct edge
+
+
+def boruvka_mst(graph: PortNumberedGraph) -> List[int]:
+    """Edge ids of the reference MST computed by classic Borůvka.
+
+    Because the canonical order is a single global total order, the union
+    of the selections of :func:`plain_boruvka_phases` never contains a
+    cycle and the result equals the reference MST ``T*`` of Kruskal and
+    Prim.
+    """
+    if not graph.is_connected():
+        raise ValueError("MST is undefined on a disconnected graph")
+    tree: Set[int] = set()
+    for edge_ids, _ in plain_boruvka_phases(graph):
+        tree.update(edge_ids.tolist())
     return sorted(tree)
 
 
@@ -437,7 +479,7 @@ def boruvka_trace(
     tree = build_rooted_tree(graph, mst_edges, root=root)
 
     phases = _annotate_phases(graph, tree, raw_phases, max_phases)
-    trace = BoruvkaTrace(graph=graph, root=root, tree=tree, phases=phases)
+    trace = BoruvkaTrace(graph_ref=weakref.ref(graph), root=root, tree=tree, phases=phases)
     if max_phases is None:
         graph._trace_cache[root] = trace
     return trace

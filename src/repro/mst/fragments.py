@@ -52,6 +52,7 @@ class FragmentPartition:
         "_fragment_of_t",
         "_members_t",
         "_cache",
+        "__weakref__",
     )
 
     def __init__(
@@ -354,22 +355,27 @@ class FragmentPartition:
         depth_by_pos = np.cumsum(diff[:-1])
         depth = depth_by_pos[pre[frag_roots]]
         ftree = FragmentTree(
-            partition=self,
+            fragment_array=frag,
             root_fragment=int(frag[tree.root]),
             parent_fragment=tuple(parent_fragment.tolist()),
             connecting_edge=tuple(connecting_edge.tolist()),
             depth=tuple(depth.tolist()),
         )
         self._cache["fragment_tree"] = ftree
-        self._cache["ftree_depth_array"] = depth
         return ftree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FragmentTree:
-    """The contracted, rooted "tree of fragments" ``T_i`` with its levels."""
+    """The contracted, rooted "tree of fragments" ``T_i`` with its levels.
 
-    partition: FragmentPartition
+    It holds its partition's fragment array rather than the partition,
+    which caches it: a back-reference would make every partition a
+    reference cycle that only the cyclic garbage collector can free.
+    """
+
+    #: fragment index of every node (the partition's array)
+    fragment_array: np.ndarray
     root_fragment: int
     #: parent fragment of every fragment (``-1`` for the root fragment)
     parent_fragment: Tuple[int, ...]
@@ -377,6 +383,19 @@ class FragmentTree:
     connecting_edge: Tuple[int, ...]
     #: depth of every fragment in the contracted tree
     depth: Tuple[int, ...]
+
+    def _key(self) -> Tuple:
+        return (self.root_fragment, self.parent_fragment, self.connecting_edge, self.depth)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FragmentTree):
+            return NotImplemented
+        return self._key() == other._key() and np.array_equal(
+            self.fragment_array, other.fragment_array
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def num_fragments(self) -> int:
@@ -389,14 +408,14 @@ class FragmentTree:
 
     def level_of_node(self, u: int) -> int:
         """Level of the fragment containing node ``u``."""
-        return self.level(self.partition.fragment_of_node(u))
+        return self.level(int(self.fragment_array[u]))
 
     def depth_array(self) -> "np.ndarray":
         """Contracted depth per fragment as a NumPy array (cached)."""
-        cached = self.partition._cache.get("ftree_depth_array")
+        cached = getattr(self, "_depth_array", None)
         if cached is None:
             cached = np.asarray(self.depth, dtype=np.int64)
-            self.partition._cache["ftree_depth_array"] = cached
+            object.__setattr__(self, "_depth_array", cached)
         return cached
 
     def children_fragments(self, f: int) -> List[int]:

@@ -16,6 +16,7 @@ path from ``v`` to the root, and *down at v* otherwise.  This is exactly
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -24,17 +25,34 @@ import numpy as np
 
 from repro.graphs.weighted_graph import PortNumberedGraph
 
-__all__ = ["ROOT_OUTPUT", "RootedSpanningTree", "build_rooted_tree"]
+__all__ = ["ROOT_OUTPUT", "RootedSpanningTree", "build_rooted_tree", "graph_of"]
 
 #: Sentinel output value produced by the root node ("I am the root").
 ROOT_OUTPUT = -1
+
+
+def graph_of(ref: "weakref.ReferenceType[PortNumberedGraph]") -> PortNumberedGraph:
+    """The graph behind a derived structure's weak back-reference.
+
+    Trees and traces are memoised *on* their graph, so they refer back to
+    it weakly: a strong back-reference would make every instance a
+    reference cycle that only the cyclic garbage collector can free.
+    """
+    graph = ref()
+    if graph is None:
+        raise ReferenceError(
+            "the graph this structure was derived from no longer exists; "
+            "keep a reference to the graph while using its trees and traces"
+        )
+    return graph
 
 
 @dataclass(frozen=True)
 class RootedSpanningTree:
     """A spanning tree of a port-numbered graph, rooted at ``root``."""
 
-    graph: PortNumberedGraph
+    #: weak reference to the graph (see :func:`graph_of`)
+    graph_ref: "weakref.ReferenceType[PortNumberedGraph]"
     root: int
     #: parent node index per node (``-1`` for the root)
     parent: Tuple[int, ...]
@@ -52,9 +70,14 @@ class RootedSpanningTree:
     # ------------------------------------------------------------------ #
 
     @property
+    def graph(self) -> PortNumberedGraph:
+        """The graph this tree spans."""
+        return graph_of(self.graph_ref)
+
+    @property
     def n(self) -> int:
         """Number of nodes."""
-        return self.graph.n
+        return len(self.parent)
 
     def is_root(self, u: int) -> bool:
         """``True`` iff ``u`` is the root."""
@@ -282,7 +305,7 @@ def build_rooted_tree(
         raise ValueError("the given edge set does not span the graph")
 
     tree = RootedSpanningTree(
-        graph=graph,
+        graph_ref=weakref.ref(graph),
         root=root,
         parent=tuple(parent),
         parent_edge=tuple(parent_edge),

@@ -13,9 +13,10 @@ Determinism contract (enforced by the golden-report test):
 * artifacts are pure functions of the spec — same spec, same bytes;
 * ``jobs`` never changes an artifact (the runner returns rows in task
   order and all aggregation happens here, in the parent);
-* the execution backend never changes an artifact (scheme rows are
+* the execution backend never changes an artifact (rows are
   value-identical across backends — the analytic-equivalence suite's
-  guarantee — and baselines always run on the engine).
+  guarantee; baselines follow the backend like schemes, and those
+  without an analytic model run on the engine either way).
 """
 
 from __future__ import annotations
@@ -76,8 +77,7 @@ class ReportResult:
 def _experiment_tasks(experiment: Experiment, backend: str) -> List[SweepTask]:
     """The task grid of one experiment, in renderer-expected order.
 
-    Scheme targets run on the requested backend; baselines have no
-    analytic model and are pinned to the engine — their rows are
+    Every target runs on the requested backend; rows are
     backend-independent either way, which is what keeps report artifacts
     byte-identical across backends.
     """
@@ -141,7 +141,7 @@ def _experiment_tasks(experiment: Experiment, backend: str) -> List[SweepTask]:
             n=n,
             seed=seed,
             root=experiment.root,
-            backend=backend if kind == "scheme" else "engine",
+            backend=backend,
             problem=experiment.problem,
         )
         for kind, target, n, seed in grid

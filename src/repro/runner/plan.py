@@ -211,7 +211,9 @@ class InstanceContext:
                 "correct": report.correct,
             }
         baseline = resolve_baseline(task.target, problem=task.problem)
-        report = run_baseline(baseline, graph, fault=task.fault, fault_seed=task.seed)
+        report = run_baseline(
+            baseline, graph, fault=task.fault, fault_seed=task.seed, backend=task.backend
+        )
         return {
             "kind": "baseline",
             "problem": report.problem,

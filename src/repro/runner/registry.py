@@ -53,8 +53,10 @@ __all__ = [
     "build_graph",
 ]
 
-#: execution backends a scheme task may request (see
-#: :func:`repro.core.oracle.run_scheme`); baselines always use the engine
+#: execution backends a task may request (see
+#: :func:`repro.core.oracle.run_scheme` and
+#: :func:`repro.distributed.base.run_baseline`); targets without an
+#: analytic model run on the engine either way
 from repro.simulator.backends import BACKENDS  # noqa: E402  (re-export)
 
 #: bare scheme name -> factory, for the default (MST) problem — the

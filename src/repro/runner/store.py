@@ -101,6 +101,39 @@ def _lock_backoff_delay(token: str, attempt: int) -> float:
     return base * (0.5 + jitter)
 
 
+def _is_current_generation(task: Any) -> bool:
+    """Whether stored task content could still hash to a key the runner asks for."""
+    from repro.runner.tasks import TASK_FORMAT_VERSION, _library_version, backend_version
+    from repro.simulator.adversary import ADVERSARY_VERSION
+
+    if not (
+        isinstance(task, dict)
+        and task.get("lib") == _library_version()
+        and task.get("format") == TASK_FORMAT_VERSION
+    ):
+        return False
+    try:
+        if task.get("backend_version") != backend_version(task.get("backend")):
+            return False
+    except ValueError:  # an unknown backend
+        return False
+    fault = task.get("fault")
+    return fault is None or (
+        isinstance(fault, dict) and fault.get("adversary_version") == ADVERSARY_VERSION
+    )
+
+
+def _process_exists(pid: int) -> bool:
+    """Whether process ``pid`` exists (signal 0 only probes)."""
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:
+        return True  # alive, owned by another user
+    return True
+
+
 class SQLiteResultStore:
     """N SQLite shard files behind one ``get`` / ``put`` / ``put_many`` cache."""
 
@@ -445,14 +478,15 @@ class SQLiteResultStore:
     def gc(self, vacuum: bool = True) -> Dict[str, int]:
         """Drop rows no current task hash can ever reference again.
 
-        Task hashes mix in the library version and the backend's semantic
+        Task hashes mix in the library version, the task format, the
+        backend's semantic version and, for faulty tasks, the adversary's
         version, so rows whose stored task content names another
-        generation are dead weight: they can never be served, only grow
-        the files.  Unparseable task content counts as dead too.
+        generation of any of them are dead weight: they can never be
+        served, only grow the files.  Unparseable task content counts as
+        dead too.  Checkpoint temp files left by a killed writer go as
+        well (:meth:`_remove_stray_temp_files`).
         """
-        from repro.runner.tasks import TASK_FORMAT_VERSION, _library_version
-
-        current_lib = _library_version()
+        self._remove_stray_temp_files()
         removed = 0
         kept = 0
         for index in range(self.shards):
@@ -465,12 +499,7 @@ class SQLiteResultStore:
             dead: List[Tuple[str]] = []
             for key, task_text in stored:
                 try:
-                    task = json.loads(task_text)
-                    live = (
-                        isinstance(task, dict)
-                        and task.get("lib") == current_lib
-                        and task.get("format") == TASK_FORMAT_VERSION
-                    )
+                    live = _is_current_generation(json.loads(task_text))
                 except ValueError:
                     live = False
                 if live:
@@ -492,3 +521,23 @@ class SQLiteResultStore:
                     # it on untouched shards would be pure wasted I/O
                     conn.execute("VACUUM")
         return {"removed": removed, "kept": kept}
+
+    def _remove_stray_temp_files(self) -> None:
+        """Delete checkpoint temp files whose writer process is gone.
+
+        Run manifests (:func:`~repro.runner.manifest.atomic_write_json`)
+        and the layout claim write ``<name>.<pid>.tmp`` first and rename
+        or link it into place after; a writer killed in between leaves
+        the temp file behind for good.  A file whose writer is still
+        alive may be mid-write and stays.
+        """
+        candidates = list(self.directory.glob(".layout.*.tmp"))
+        candidates += (self.directory / "manifests").glob("*.tmp")
+        for path in candidates:
+            pid = path.name.rsplit(".", 2)[-2]
+            if not pid.isdigit() or int(pid) == 0 or _process_exists(int(pid)):
+                continue
+            try:
+                path.unlink()
+            except OSError:
+                pass  # another gc got there first

@@ -189,10 +189,13 @@ class SweepTask:
     Traceback (most recent call last):
         ...
     ValueError: target 'leader/flag' contradicts problem 'wakeup'
-    >>> SweepTask("baseline", "ghs", GraphSpec(), 16, 0, backend="analytic")
+    >>> SweepTask("baseline", "ghs", GraphSpec(), 16, 0, backend="analytic").backend
+    'analytic'
+    >>> SweepTask("baseline", "ghs", GraphSpec(), 16, 0, backend="analytic",
+    ...           fault=FaultSpec(delta=2))
     Traceback (most recent call last):
         ...
-    ValueError: baselines have no analytic model; use backend='engine'
+    ValueError: adversarial execution requires backend='engine'
     """
 
     #: ``"scheme"`` or ``"baseline"``
@@ -205,8 +208,9 @@ class SweepTask:
     n: int
     seed: int
     root: int = 0
-    #: execution backend: ``"engine"`` simulates the decoder round by
-    #: round, ``"analytic"`` computes the metrics from the Borůvka trace
+    #: execution backend: ``"engine"`` simulates the program round by
+    #: round, ``"analytic"`` computes the same metrics from the Borůvka
+    #: phases (targets without an analytic model fall back to the engine)
     backend: str = "engine"
     #: the problem the target solves; bare string targets resolve against
     #: it, instance targets override it with their own declaration
@@ -237,8 +241,6 @@ class SweepTask:
             raise ValueError(
                 f"backend must be one of {', '.join(BACKENDS)}, got {self.backend!r}"
             )
-        if self.kind == "baseline" and self.backend != "engine":
-            raise ValueError("baselines have no analytic model; use backend='engine'")
         if self.fault is not None and self.fault.is_null:
             object.__setattr__(self, "fault", None)
         if self.fault is not None:

@@ -22,11 +22,15 @@ per-node outputs, for
   :class:`~repro.core.scheme_level.LevelAdviceScheme` — the full phase
   window schedule: per-fragment convergecasts (heights), broadcasts
   (depths and unconsumed-bit prefix sums over the DFS preorder),
-  attachments, and the final collection wave.
+  attachments, and the final collection wave;
+* the no-advice baseline
+  :class:`~repro.distributed.boruvka_sync.SynchronizedBoruvkaMST` — its
+  fixed ``⌈log₂ n⌉``-phase schedule over the plain Borůvka phases
+  (:func:`run_baseline_analytic`).
 
 Equivalence with the engine is not assumed — it is enforced
 round-for-round by ``tests/test_analytic_backend.py`` on every scheme
-and graph family.  The backend refuses unknown scheme classes (raising
+and graph family.  The backend refuses unknown scheme and baseline classes (raising
 :class:`AnalyticUnsupported`) instead of guessing, and it never models
 truncated runs: if a declared ``max_rounds`` budget would be exceeded
 the caller must fall back to the engine.
@@ -38,18 +42,24 @@ pinned against ``estimate_bits`` itself in the test-suite.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import math
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graphs.weighted_graph import PortNumberedGraph
-from repro.mst.boruvka import boruvka_trace
+from repro.mst.boruvka import boruvka_trace, plain_boruvka_phases
 from repro.mst.kruskal import kruskal_mst
 from repro.mst.rooted_tree import ROOT_OUTPUT, build_rooted_tree
 from repro.simulator.engine import RunResult
 from repro.simulator.metrics import RunMetrics
 
-__all__ = ["ANALYTIC_VERSION", "AnalyticUnsupported", "run_scheme_analytic"]
+__all__ = [
+    "ANALYTIC_VERSION",
+    "AnalyticUnsupported",
+    "run_baseline_analytic",
+    "run_scheme_analytic",
+]
 
 #: bumped whenever the analytic model changes; mixed into runner cache
 #: keys so rows computed by an older model are never served as fresh
@@ -57,7 +67,7 @@ ANALYTIC_VERSION = 1
 
 
 class AnalyticUnsupported(ValueError):
-    """Raised when a scheme (or run budget) has no analytic model."""
+    """Raised when a scheme or baseline (or run budget) has no analytic model."""
 
 
 # --------------------------------------------------------------------- #
@@ -114,6 +124,20 @@ def _reply_bits(stream_len: int) -> int:
     return _int_elem(6) + 2 + stream_len
 
 
+# the GHS-style baseline's payloads (tags 21-26 of distributed/boruvka_sync.py)
+
+
+def _ghs_signal_bits(tag: int, phase: int) -> int:
+    """``(tag, phase)``: WINNER (24) and ADOPT (26); FRAG (21), NEIGH (22)
+    and MERGE (25) append one node identifier (one :func:`_int_elem`)."""
+    return _int_elem(tag) + _int_elem(phase)
+
+
+def _ghs_convmin_bits(phase: int, has_weight: bool) -> int:
+    """``(23, phase, best)``: ``best`` is a float weight (32 bits) or ``None``."""
+    return _ghs_signal_bits(23, phase) + 2 + (32 if has_weight else 0)
+
+
 # --------------------------------------------------------------------- #
 # the per-round message ledger
 # --------------------------------------------------------------------- #
@@ -124,6 +148,8 @@ class _Ledger:
 
     def __init__(self) -> None:
         self.per_round: Dict[int, int] = {}
+        #: the round arrays of :meth:`deliver_bulk`, histogrammed once
+        self.bulk_rounds: List[np.ndarray] = []
         self.total_messages = 0
         self.total_bits = 0
         self.max_bits = 0
@@ -144,14 +170,23 @@ class _Ledger:
         top = int(bits.max())
         if top > self.max_bits:
             self.max_bits = top
-        counts = np.bincount(rounds)
-        per_round = self.per_round
-        for r in np.flatnonzero(counts).tolist():
-            per_round[r] = per_round.get(r, 0) + int(counts[r])
+        self.bulk_rounds.append(rounds)
 
-    def metrics(self, n: int, rounds: int) -> RunMetrics:
+    def _histogram(self, rounds: int) -> List[int]:
+        """Messages per round, rounds ``1..rounds`` (most are silent)."""
+        counts = np.zeros(rounds + 1, dtype=np.int64)
+        if self.bulk_rounds:
+            bulk = np.bincount(np.concatenate(self.bulk_rounds))
+            if bulk.size > rounds + 1:  # pragma: no cover
+                raise RuntimeError("analytic model delivered a message after the last round")
+            counts[: bulk.size] += bulk
         if self.per_round and max(self.per_round) > rounds:  # pragma: no cover
             raise RuntimeError("analytic model delivered a message after the last round")
+        for r, count in self.per_round.items():
+            counts[r] += count
+        return counts[1:].tolist()
+
+    def metrics(self, n: int, rounds: int) -> RunMetrics:
         return RunMetrics(
             n=n,
             rounds=rounds,
@@ -159,7 +194,7 @@ class _Ledger:
             total_message_bits=self.total_bits,
             max_message_bits=self.max_bits,
             max_edge_bits_per_round=self.max_bits,
-            messages_per_round=[self.per_round.get(r, 0) for r in range(1, rounds + 1)],
+            messages_per_round=self._histogram(rounds),
             undelivered_messages=0,
         )
 
@@ -504,6 +539,213 @@ def _analytic_main(scheme, graph: PortNumberedGraph, root: int, is_level: bool, 
             last_halt = max(last_halt, int(root_halts.max()))
 
     return advice, _result(outputs, ledger.metrics(n, last_halt))
+
+
+# --------------------------------------------------------------------- #
+# the GHS-style no-advice baseline
+# --------------------------------------------------------------------- #
+
+
+def _rooted_forest(
+    n: int, roots: Sequence[int], adjacency: List[List[Tuple[int, int]]]
+) -> Tuple[List[int], List[int], List[int], List[int], List[int]]:
+    """Breadth-first forest of the fragment trees, one tree per root.
+
+    ``adjacency[u]`` lists ``(v, port at v)`` over the MST edges merged so
+    far.  Returns ``(order, depth, parent, root_of, parent_port)``: the
+    visit order (parents before children) and per node its depth below
+    its fragment's root, its parent (``-1`` at a root), that root, and
+    the port of its parent edge at the node itself.
+    """
+    depth = [-1] * n
+    parent = [-1] * n
+    root_of = list(range(n))
+    parent_port = [-1] * n
+    order = list(roots)
+    for r in order:
+        depth[r] = 0
+    for u in order:  # grows while it is walked: a breadth-first queue
+        below = depth[u] + 1
+        root = root_of[u]
+        for v, port in adjacency[u]:
+            if depth[v] < 0:
+                depth[v] = below
+                parent[v] = u
+                root_of[v] = root
+                parent_port[v] = port
+                order.append(v)
+    return order, depth, parent, root_of, parent_port
+
+
+def _fragment_shape(
+    forest, edge_u: np.ndarray, edge_v: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(depth, root_of, height, reach)`` arrays of one rooted forest.
+
+    ``height`` is a node's height in its fragment tree, ``reach`` whether
+    any node of its subtree has an edge leaving the fragment (whether the
+    convergecast it sends carries a weight).
+    """
+    order, depth, parent, root_of, _ = forest
+    roots = np.asarray(root_of, dtype=np.int64)
+    outgoing = np.zeros(len(order), dtype=bool)
+    crossing = roots[edge_u] != roots[edge_v]
+    outgoing[edge_u[crossing]] = True
+    outgoing[edge_v[crossing]] = True
+    height = [0] * len(order)
+    reach = outgoing.tolist()
+    for u in reversed(order):
+        p = parent[u]
+        if p >= 0:
+            if height[u] >= height[p]:
+                height[p] = height[u] + 1
+            if reach[u]:
+                reach[p] = True
+    return (
+        np.asarray(depth, dtype=np.int64),
+        roots,
+        np.asarray(height, dtype=np.int64),
+        np.asarray(reach, dtype=bool),
+    )
+
+
+def _analytic_ghs(graph: PortNumberedGraph) -> RunResult:
+    """The synchronised Borůvka baseline's run, phase window by window.
+
+    Phase ``p`` (0-based) occupies rounds ``p*W + 1 .. (p+1)*W`` with
+    ``W = 4B + 8`` and ``B = n + 2``.  Its fragments are those of plain
+    Borůvka (every fragment is active), each rooted at ``r_F``: every
+    node in phase 0, afterwards the larger-identifier endpoint of the
+    previous phase's core edge (the edge both of its fragments chose).
+    With ``o = p*W``, depths ``d`` and heights ``h`` in the fragment
+    trees rooted at ``r_F``, the deliveries are:
+
+    * FRAG at ``o + 1 + d`` on every non-root;
+    * NEIGH on every port in round ``o + B + 2``;
+    * CONVMIN from every non-root at ``o + B + 3 + h``;
+    * WINNER, hop ``k`` from ``r_F`` towards the choosing node ``w``, at
+      ``o + B + 2 + h(r_F) + k``, then MERGE across the selected edge at
+      ``o + B + 3 + h(r_F) + d(w)``;
+    * ADOPT from the core endpoint over the merged tree, at
+      ``o + 3B + 5 + d'`` with ``d'`` the depth below the new root.
+
+    Every node halts in the last round of the last window, outputting
+    its parent port in the final tree.
+    """
+    n = graph.n
+    if n == 1:
+        # the lone degree-0 node halts during init: no rounds at all
+        return _result({0: ROOT_OUTPUT}, _Ledger().metrics(n, 0))
+    budget = n + 2
+    window = 4 * budget + 8
+    num_phases = max(1, math.ceil(math.log2(n)))
+    ids = graph.node_ids
+    if ids.min() > -(1 << 53) and ids.max() < 1 << 53:
+        id_elem = _int_elems(ids)  # exact in this range
+    else:
+        id_elem = np.array([_int_elem(x) for x in ids.tolist()], dtype=np.int64)
+    degrees = graph._degrees
+    edge_u, edge_v = graph.edge_u, graph.edge_v
+    port_u, port_v = graph.edge_port_u.tolist(), graph.edge_port_v.tolist()
+    selections = list(plain_boruvka_phases(graph))
+
+    ledger = _Ledger()
+    adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    forest = _rooted_forest(n, range(n), adjacency)
+    depth, root_of, height, reach = _fragment_shape(forest, edge_u, edge_v)
+    for p in range(num_phases):
+        offset = p * window
+        below = np.flatnonzero(depth > 0)
+        # (21, p, id(r_F)) down the fragment trees
+        ledger.deliver_bulk(
+            offset + 1 + depth[below], _ghs_signal_bits(21, p) + id_elem[root_of[below]]
+        )
+        # (22, p, id(r_F(u))) from every node on every port
+        ledger.deliver_bulk(
+            np.full(2 * graph.m, offset + budget + 2, dtype=np.int64),
+            np.repeat(_ghs_signal_bits(22, p) + id_elem[root_of], degrees),
+        )
+        # (23, p, best) up the fragment trees
+        ledger.deliver_bulk(
+            offset + budget + 3 + height[below],
+            np.where(reach[below], _ghs_convmin_bits(p, True), _ghs_convmin_bits(p, False)),
+        )
+        if p >= len(selections):
+            continue  # one fragment left: no outgoing edge, nothing merges
+        edge_ids, choosing = selections[p]
+        # (24, p) hop by hop from r_F to the choosing node w, then
+        # (25, p, id(w)) across the selected edge
+        start = offset + budget + 2 + height[root_of[choosing]]
+        hops = depth[choosing]
+        firsts = np.cumsum(hops) - hops
+        k = np.arange(int(hops.sum()), dtype=np.int64) - np.repeat(firsts, hops) + 1
+        ledger.deliver_bulk(
+            np.repeat(start, hops) + k, np.full(k.size, _ghs_signal_bits(24, p))
+        )
+        ledger.deliver_bulk(start + hops + 1, _ghs_signal_bits(25, p) + id_elem[choosing])
+        # merge, and re-root every merged fragment at its core endpoint
+        unique, counts = np.unique(edge_ids, return_counts=True)
+        for eid in unique.tolist():
+            a, b = int(edge_u[eid]), int(edge_v[eid])
+            adjacency[a].append((b, port_v[eid]))
+            adjacency[b].append((a, port_u[eid]))
+        core = unique[counts == 2]
+        cu, cv = edge_u[core], edge_v[core]
+        forest = _rooted_forest(n, np.where(ids[cu] > ids[cv], cu, cv).tolist(), adjacency)
+        depth, root_of, height, reach = _fragment_shape(forest, edge_u, edge_v)
+        # (26, p) down the merged trees from the new roots
+        adopted = depth[depth > 0]
+        ledger.deliver_bulk(
+            offset + 3 * budget + 5 + adopted, np.full(adopted.size, _ghs_signal_bits(26, p))
+        )
+
+    outputs = {
+        u: ROOT_OUTPUT if port < 0 else port for u, port in enumerate(forest[4])
+    }
+    return _result(outputs, ledger.metrics(n, num_phases * window))
+
+
+def run_baseline_analytic(
+    baseline, graph: PortNumberedGraph, max_rounds: Optional[int] = None
+) -> RunResult:
+    """Compute a no-advice baseline's run result without the engine.
+
+    Supports exactly
+    :class:`~repro.distributed.boruvka_sync.SynchronizedBoruvkaMST` on a
+    connected graph; any other baseline class (the full-information
+    LOCAL baseline, the other problems' baselines, subclasses) and any
+    disconnected instance raise :class:`AnalyticUnsupported`, as does a
+    run that would exceed ``max_rounds`` — run those on the engine.
+    Tied weights or identifiers raise the engine's own ``ValueError``.
+
+    >>> from repro.distributed.boruvka_sync import SynchronizedBoruvkaMST
+    >>> from repro.graphs.generators import random_connected_graph
+    >>> from repro.simulator.engine import run_sync
+    >>> graph = random_connected_graph(24, 0.1, seed=2)
+    >>> ghs = SynchronizedBoruvkaMST()
+    >>> result = run_baseline_analytic(ghs, graph)
+    >>> engine = run_sync(graph, ghs.program_factory(graph), max_rounds=10_000)
+    >>> result.metrics == engine.metrics and result.outputs == engine.outputs
+    True
+    """
+    from repro.distributed.boruvka_sync import SynchronizedBoruvkaMST
+
+    cls = type(baseline)
+    if cls is not SynchronizedBoruvkaMST:
+        raise AnalyticUnsupported(
+            f"no analytic model for baseline class {cls.__name__}; "
+            'run it with backend="engine"'
+        )
+    baseline.program_factory(graph)  # the engine's instance checks
+    if not graph.is_connected():
+        raise AnalyticUnsupported("the GHS model covers connected graphs only")
+    rounds = 0 if graph.n == 1 else int(baseline.round_bound(graph))
+    if max_rounds is not None and rounds > max_rounds:
+        raise AnalyticUnsupported(
+            f"the run needs {rounds} rounds but max_rounds={max_rounds}; "
+            "truncated runs must use the engine"
+        )
+    return _analytic_ghs(graph)
 
 
 # --------------------------------------------------------------------- #

@@ -4,16 +4,21 @@ The analytic backend (``repro/simulator/analytic.py``) claims to produce
 *exactly* the metrics the :class:`~repro.simulator.engine.SyncEngine`
 measures — same rounds, same per-round message counts, same bit totals,
 same halting behaviour — without simulating a single message.  This
-suite is the enforcement: every scheme on every graph family is run on
-both backends and every observable compared.
+suite is the enforcement: every scheme, and the GHS-style baseline, on
+every graph family is run on both backends and every observable
+compared.
 """
 
 import json
+import random
 
 import pytest
 
 from repro.core.oracle import run_scheme
 from repro.core.scheme_main import ShortAdviceScheme
+from repro.distributed.base import run_baseline
+from repro.distributed.boruvka_sync import SynchronizedBoruvkaMST
+from repro.distributed.full_info import FullInformationMST
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -23,7 +28,8 @@ from repro.graphs.generators import (
 )
 from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.runner import GraphSpec, SQLiteResultStore, SweepTask, run_tasks
-from repro.runner.registry import SCHEMES
+from repro.runner.registry import GRAPH_FAMILIES, SCHEMES, build_graph
+from repro.simulator.adversary import FaultSpec
 from repro.simulator.analytic import (
     AnalyticUnsupported,
     _attach_bits,
@@ -31,11 +37,15 @@ from repro.simulator.analytic import (
     _collect_bits,
     _conv_bits,
     _gamma_len,
+    _ghs_convmin_bits,
+    _ghs_signal_bits,
     _int_elem,
     _level_bits,
     _reply_bits,
+    run_baseline_analytic,
     run_scheme_analytic,
 )
+from repro.simulator.engine import run_sync
 from repro.simulator.message import estimate_bits
 
 SCHEME_NAMES = ("trivial", "theorem2", "theorem3", "theorem3-level")
@@ -227,8 +237,16 @@ def test_run_scheme_rejects_unknown_backend():
 def test_task_backend_is_validated():
     with pytest.raises(ValueError, match="backend"):
         SweepTask("scheme", "trivial", GraphSpec(), 8, 0, backend="quantum")
-    with pytest.raises(ValueError, match="analytic"):
-        SweepTask("baseline", "ghs", GraphSpec(), 8, 0, backend="analytic")
+    with pytest.raises(ValueError, match="backend"):
+        SweepTask("baseline", "ghs", GraphSpec(), 8, 0, backend="quantum")
+    # baselines follow the backend like schemes, except under faults
+    assert SweepTask("baseline", "ghs", GraphSpec(), 8, 0, backend="analytic").backend == (
+        "analytic"
+    )
+    with pytest.raises(ValueError, match="engine"):
+        SweepTask(
+            "baseline", "ghs", GraphSpec(), 8, 0, backend="analytic", fault=FaultSpec(delta=2)
+        )
 
 
 def test_backend_changes_the_cache_key():
@@ -270,3 +288,162 @@ def test_scheme_sweep_rows_identical_across_backends():
     engine = run_scheme_sweep("theorem3", (16, 32), seeds=(0, 1), backend="engine")
     analytic = run_scheme_sweep("theorem3", (16, 32), seeds=(0, 1), backend="analytic")
     assert engine.rows == analytic.rows
+
+
+# --------------------------------------------------------------------- #
+# the GHS-style baseline: model against engine
+# --------------------------------------------------------------------- #
+
+
+def _relabelled(graph, seed):
+    """The same instance under shuffled, large node identifiers and shuffled ports."""
+    rng = random.Random(seed)
+    degrees = [graph.degree(u) for u in range(graph.n)]
+    return PortNumberedGraph(
+        graph.n,
+        graph.edge_list(),
+        node_ids=rng.sample(range(1 << 40), graph.n),
+        port_permutations={u: rng.sample(range(d), d) for u, d in enumerate(degrees)},
+    )
+
+
+def _ghs_graphs():
+    graphs = {
+        name: graph for name, (graph, _) in GRAPHS.items() if graph.has_distinct_weights()
+    }
+    for family in GRAPH_FAMILIES:
+        for n in (16, 64):
+            graphs[f"{family}-{n}"] = build_graph(family, n, seed=1, density=0.1)
+    graphs["random-256"] = build_graph("random", 256, seed=0, density=0.04)
+    graphs["path3"] = PortNumberedGraph(3, [(0, 1, 0.5), (1, 2, 0.25)])
+    for name in ("random-64", "path40", "hypercube-64"):
+        graphs[f"{name}-relabelled"] = _relabelled(graphs[name], seed=len(name))
+    return graphs
+
+
+GHS_GRAPHS = _ghs_graphs()
+
+
+@pytest.mark.parametrize("graph_name", sorted(GHS_GRAPHS))
+def test_ghs_model_matches_engine_exactly(graph_name):
+    graph = GHS_GRAPHS[graph_name]
+    ghs = SynchronizedBoruvkaMST()
+    engine = run_sync(
+        graph, ghs.program_factory(graph), max_rounds=int(ghs.round_bound(graph)) + 50
+    )
+    model = run_baseline_analytic(ghs, graph)
+    # the whole RunMetrics, messages_per_round included, and every output
+    assert model.metrics == engine.metrics
+    assert model.outputs == engine.outputs
+    assert (model.completed, model.stop_reason, model.missing_outputs) == (
+        engine.completed,
+        engine.stop_reason,
+        engine.missing_outputs,
+    )
+
+
+def test_ghs_rows_match_across_seeds():
+    for seed in range(4):
+        graph = random_connected_graph(48, 0.1, seed=seed)
+        engine = run_baseline(SynchronizedBoruvkaMST(), graph)
+        analytic = run_baseline(SynchronizedBoruvkaMST(), graph, backend="analytic")
+        assert analytic.metrics == engine.metrics, seed
+        assert analytic.as_row() == engine.as_row() and analytic.correct
+
+
+def test_ghs_payload_formulas_match_estimate_bits():
+    from repro.distributed import boruvka_sync as program
+
+    # the model hard-codes the program's message tags
+    assert (
+        program._MSG_FRAG,
+        program._MSG_NEIGH,
+        program._MSG_CONVMIN,
+        program._MSG_WINNER,
+        program._MSG_MERGE,
+        program._MSG_ADOPT,
+    ) == (21, 22, 23, 24, 25, 26)
+    for phase in (0, 1, 7, 12):
+        for tag in (24, 26):
+            assert _ghs_signal_bits(tag, phase) == estimate_bits((tag, phase))
+        for tag in (21, 22, 25):
+            for node_id in (0, 1, 5, 1023, (1 << 40) + 3):
+                assert _ghs_signal_bits(tag, phase) + _int_elem(node_id) == estimate_bits(
+                    (tag, phase, node_id)
+                )
+        assert _ghs_convmin_bits(phase, True) == estimate_bits((23, phase, 0.375))
+        assert _ghs_convmin_bits(phase, False) == estimate_bits((23, phase, None))
+
+
+@pytest.mark.parametrize(
+    "graph, match",
+    [
+        (PortNumberedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]), "distinct weights"),
+        (
+            PortNumberedGraph(3, [(0, 1, 1.0), (1, 2, 2.0)], node_ids=[4, 7, 4]),
+            "distinct node identifiers",
+        ),
+    ],
+)
+def test_ghs_ties_raise_the_same_error_on_both_backends(graph, match):
+    errors = []
+    for backend in ("engine", "analytic"):
+        with pytest.raises(ValueError, match=match) as info:
+            run_baseline(SynchronizedBoruvkaMST(), graph, backend=backend)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1] and errors[0][0] is ValueError
+
+
+def test_ghs_truncated_budget_falls_back_to_the_engine():
+    graph = GHS_GRAPHS["random-16"]
+    ghs = SynchronizedBoruvkaMST()
+    budget = int(ghs.round_bound(graph)) - 1
+    with pytest.raises(AnalyticUnsupported):
+        run_baseline_analytic(ghs, graph, max_rounds=budget)
+    engine = run_baseline(ghs, graph, max_rounds=budget)
+    analytic = run_baseline(ghs, graph, max_rounds=budget, backend="analytic")
+    assert not analytic.correct and "terminate" in analytic.check.reason
+    assert analytic.metrics == engine.metrics
+
+
+def test_baselines_without_a_model_fall_back_to_the_engine():
+    class Custom(SynchronizedBoruvkaMST):
+        pass
+
+    graph = GHS_GRAPHS["random-16"]
+    disconnected = PortNumberedGraph(4, [(0, 1, 1.0), (2, 3, 2.0)])
+    for baseline, instance in (
+        (FullInformationMST(), graph),
+        (Custom(), graph),
+        (SynchronizedBoruvkaMST(), disconnected),
+    ):
+        with pytest.raises(AnalyticUnsupported):
+            run_baseline_analytic(baseline, instance)
+        engine = run_baseline(baseline, instance)
+        analytic = run_baseline(baseline, instance, backend="analytic")
+        assert analytic.metrics == engine.metrics
+        assert analytic.as_row() == engine.as_row()
+
+
+def test_baseline_faults_still_require_the_engine():
+    graph = GHS_GRAPHS["random-16"]
+    with pytest.raises(ValueError, match="engine backend"):
+        run_baseline(
+            SynchronizedBoruvkaMST(), graph, fault=FaultSpec(delta=2), backend="analytic"
+        )
+    with pytest.raises(ValueError, match="unknown backend"):
+        run_baseline(SynchronizedBoruvkaMST(), graph, backend="quantum")
+
+
+def test_baseline_task_rows_identical_across_backends():
+    def rows(backend):
+        return run_tasks(
+            [
+                SweepTask("baseline", name, GraphSpec("random", 0.1), n, seed, backend=backend)
+                for name in ("ghs", "full-info")
+                for n in (16, 32)
+                for seed in (0, 1)
+            ]
+        )
+
+    assert rows("analytic") == rows("engine")

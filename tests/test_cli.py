@@ -267,9 +267,19 @@ class TestBackendFlag:
         # identical measured rows: the backends are interchangeable
         assert engine_row == analytic_row
 
-    def test_run_baseline_rejects_analytic(self, capsys):
-        assert main(["run", "--scheme", "ghs", "--n", "16", "--backend", "analytic"]) == 2
-        assert "analytic" in capsys.readouterr().err
+    def test_run_baseline_rows_equal_across_backends(self, capsys):
+        for baseline in ("ghs", "full-info"):
+            argv = ["run", "--scheme", baseline, "--n", "32", "--json"]
+            assert main(argv + ["--backend", "engine"]) == 0
+            engine_row = json.loads(capsys.readouterr().out)
+            assert main(argv + ["--backend", "analytic"]) == 0
+            assert json.loads(capsys.readouterr().out) == engine_row
+            assert engine_row["correct"] is True
+
+    def test_run_baseline_faults_require_the_engine(self, capsys):
+        argv = ["run", "--scheme", "ghs", "--n", "16", "--delta", "2", "--backend", "analytic"]
+        assert main(argv) == 2
+        assert "--backend engine" in capsys.readouterr().err
 
     def test_sweep_backends_byte_identical(self, capsys):
         argv = ["sweep", "--scheme", "theorem3", "--sizes", "16,32", "--repeats", "2", "--json"]

@@ -7,7 +7,9 @@ output, and the equivalence tests regenerate them serial, parallel and
 on the analytic backend — every variant must be byte-identical.
 """
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,11 @@ from repro.report import (
     load_spec,
     spec_from_dict,
 )
-from repro.runner.tasks import GraphSpec
+from repro.mst.boruvka import BoruvkaTrace
+from repro.mst.fragments import FragmentPartition
+from repro.mst.rooted_tree import RootedSpanningTree
+from repro.runner import tasks as runner_tasks
+from repro.runner.tasks import GraphSpec, clear_graph_memo
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE_SPEC = REPO / "specs" / "smoke.toml"
@@ -218,11 +224,12 @@ class TestCompile:
         assert compiled[1][1][0].n == 9
         assert compiled[2][1] == []  # lower bound is pure computation
 
-    def test_backend_override_pins_schemes_not_baselines(self):
-        compiled = compile_tasks(self._spec(), backend="analytic")
-        sweep_tasks = compiled[0][1]
-        assert all(t.backend == "analytic" for t in sweep_tasks if t.kind == "scheme")
-        assert all(t.backend == "engine" for t in sweep_tasks if t.kind == "baseline")
+    def test_baselines_follow_the_backend(self):
+        for backend in ("analytic", "engine"):
+            compiled = compile_tasks(self._spec(), backend=backend)
+            sweep_tasks = compiled[0][1]
+            assert {t.kind for t in sweep_tasks} == {"scheme", "baseline"}
+            assert all(t.backend == backend for t in sweep_tasks)
 
     def test_every_task_is_cacheable(self):
         for _, tasks in compile_tasks(self._spec()):
@@ -484,3 +491,59 @@ class TestReportCommand:
         code = main(["report", "--spec", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestInstanceLifetime:
+    """Instances die by reference counting once the graph memo lets go.
+
+    Graphs memoise their traces, rooted trees and partitions, which refer
+    back to them only weakly; with the cyclic collector off, nothing a
+    report derived from an instance may keep it alive.
+    """
+
+    @pytest.mark.parametrize("backend", ["engine", "analytic"])
+    def test_report_instances_die_without_the_cyclic_gc(self, tmp_path, monkeypatch, backend):
+        graphs = []  # every instance built through build_graph
+        derived = []  # (kind, ref) of every trace, tree and partition of one
+
+        build = runner_tasks.build_graph
+
+        def tracked_build(*args, **kwargs):
+            graph = build(*args, **kwargs)
+            graphs.append(weakref.ref(graph))
+            return graph
+
+        monkeypatch.setattr(runner_tasks, "build_graph", tracked_build)
+
+        def track(cls, graph_of):
+            init = cls.__init__
+
+            def tracked_init(self, *args, **kwargs):
+                init(self, *args, **kwargs)
+                if any(ref() is graph_of(self) for ref in graphs):
+                    derived.append((cls.__name__, weakref.ref(self)))
+
+            monkeypatch.setattr(cls, "__init__", tracked_init)
+
+        track(BoruvkaTrace, lambda trace: trace.graph)
+        track(RootedSpanningTree, lambda tree: tree.graph)
+        track(FragmentPartition, lambda partition: partition.tree.graph)
+
+        clear_graph_memo()
+        gc.collect()
+        gc.disable()
+        try:
+            result = generate_report(load_spec(SMOKE_SPEC), tmp_path, backend=backend)
+            clear_graph_memo()
+            alive = [kind for kind, ref in derived if ref() is not None]
+            alive += ["graph" for ref in graphs if ref() is not None]
+        finally:
+            gc.enable()
+        assert result.all_correct
+        assert graphs
+        assert {kind for kind, _ in derived} == {
+            "BoruvkaTrace",
+            "RootedSpanningTree",
+            "FragmentPartition",
+        }
+        assert alive == []

@@ -10,7 +10,9 @@ shape of several ``--jobs`` sweeps sharing a cache directory.
 
 import json
 import multiprocessing
+import os
 import sqlite3
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.runner import (
 )
 from repro.runner.manifest import run_id_for
 from repro.runner.store import DEFAULT_SHARDS, STORE_SCHEMA_VERSION
+from repro.simulator.adversary import FaultSpec
 
 TASKS = [
     SweepTask("scheme", "trivial", GraphSpec("random", 0.1), n, seed)
@@ -212,19 +215,57 @@ class TestCorruptShardRecovery:
         assert SQLiteResultStore(tmp_path).stats()["rows"] == len(TASKS)
 
 
+def _die_between_write_and_rename(directory, keys):
+    """Checkpoint a run manifest, killed after its temp write."""
+    os.replace = lambda *args: os._exit(3)  # this forked child only
+    RunManifest.open(directory, keys).mark_done(keys)
+
+
 class TestMaintenance:
     def test_gc_drops_foreign_generations(self, tmp_path):
         store = SQLiteResultStore(tmp_path)
         run_tasks(TASKS, cache_dir=store)
         live = store.stats()["rows"]
+        current = TASKS[0].key_dict()
+        faulty = replace(TASKS[0], fault=FaultSpec(delta=2)).key_dict()
         store.put("ab" * 32, {"format": 2, "lib": "0.0.0"}, _row(0))  # stale lib
         store.put("cd" * 32, {}, _row(1))  # no provenance at all
-        assert store.gc() == {"removed": 2, "kept": live}
-        assert store.stats()["rows"] == live
+        # another backend generation, another adversary generation
+        stale_backend = dict(current, backend_version=current["backend_version"] + 1)
+        store.put("ef" * 32, stale_backend, _row(2))
+        stale_fault = dict(faulty, fault=dict(faulty["fault"], adversary_version=0))
+        store.put("0a" * 32, stale_fault, _row(3))
+        store.put("0b" * 32, faulty, _row(4))  # a current faulty row stays
+        assert store.gc() == {"removed": 4, "kept": live + 1}
+        assert store.stats()["rows"] == live + 1
         # gc'd store still serves the live rows byte-identically
         warm = SQLiteResultStore(tmp_path)
         run_tasks(TASKS, cache_dir=warm)
         assert warm.hits == len(TASKS)
+
+    def test_gc_removes_temp_files_of_dead_writers_only(self, tmp_path):
+        store = SQLiteResultStore(tmp_path)
+        keys = [task.task_hash() for task in TASKS]
+        child = multiprocessing.get_context("fork").Process(
+            target=_die_between_write_and_rename, args=(str(tmp_path), keys)
+        )
+        child.start()
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 3
+        manifests = tmp_path / "manifests"
+        (stray,) = manifests.glob("*.tmp")
+        assert stray.name == f"run-{run_id_for(keys)}.json.{child.pid}.tmp"
+        dead_layout = tmp_path / f".layout.{child.pid}.tmp"
+        own = [
+            manifests / f"run-{'0' * 32}.json.{os.getpid()}.tmp",
+            tmp_path / f".layout.{os.getpid()}.tmp",
+        ]
+        for path in [dead_layout, *own]:
+            path.write_text("{}")
+        store.gc()
+        assert not stray.exists() and not dead_layout.exists()
+        # a live writer may be mid-write: its temp files stay
+        assert all(path.exists() for path in own)
 
 
 def _stress_writer(args):
