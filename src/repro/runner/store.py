@@ -42,7 +42,7 @@ import sqlite3
 import time
 import zlib
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
     "DEFAULT_BUSY_TIMEOUT_MS",
@@ -101,26 +101,33 @@ def _lock_backoff_delay(token: str, attempt: int) -> float:
     return base * (0.5 + jitter)
 
 
-def _is_current_generation(task: Any) -> bool:
-    """Whether stored task content could still hash to a key the runner asks for."""
+def _current_generation() -> Callable[[Any], bool]:
+    """A predicate: could stored task content still hash to a key the runner asks for?"""
     from repro.runner.tasks import TASK_FORMAT_VERSION, _library_version, backend_version
     from repro.simulator.adversary import ADVERSARY_VERSION
+    from repro.simulator.backends import BACKENDS
 
-    if not (
-        isinstance(task, dict)
-        and task.get("lib") == _library_version()
-        and task.get("format") == TASK_FORMAT_VERSION
-    ):
-        return False
-    try:
-        if task.get("backend_version") != backend_version(task.get("backend")):
+    lib = _library_version()
+    versions = {backend: backend_version(backend) for backend in BACKENDS}
+
+    def live(task: Any) -> bool:
+        if not isinstance(task, dict):
             return False
-    except ValueError:  # an unknown backend
-        return False
-    fault = task.get("fault")
-    return fault is None or (
-        isinstance(fault, dict) and fault.get("adversary_version") == ADVERSARY_VERSION
-    )
+        backend = task.get("backend")
+        fault = task.get("fault")
+        return (
+            task.get("lib") == lib
+            and task.get("format") == TASK_FORMAT_VERSION
+            and isinstance(backend, str)
+            and backend in versions
+            and task.get("backend_version") == versions[backend]
+            and (
+                fault is None
+                or (isinstance(fault, dict) and fault.get("adversary_version") == ADVERSARY_VERSION)
+            )
+        )
+
+    return live
 
 
 def _process_exists(pid: int) -> bool:
@@ -487,6 +494,7 @@ class SQLiteResultStore:
         well (:meth:`_remove_stray_temp_files`).
         """
         self._remove_stray_temp_files()
+        is_live = _current_generation()
         removed = 0
         kept = 0
         for index in range(self.shards):
@@ -499,7 +507,7 @@ class SQLiteResultStore:
             dead: List[Tuple[str]] = []
             for key, task_text in stored:
                 try:
-                    live = _is_current_generation(json.loads(task_text))
+                    live = is_live(json.loads(task_text))
                 except ValueError:
                     live = False
                 if live:
