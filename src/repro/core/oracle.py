@@ -27,7 +27,7 @@ from typing import Any, Dict, Optional
 from repro.core.advice import AdviceAssignment, AdviceStats
 from repro.core.problem import DEFAULT_PROBLEM, OutputCheck, get_problem
 from repro.graphs.weighted_graph import PortNumberedGraph
-from repro.simulator.adversary import FaultSpec, apply_churn, run_adversary
+from repro.simulator.adversary import FaultSpec, apply_churn, effective_fault, run_adversary
 from repro.simulator.algorithm import ProgramFactory
 from repro.simulator.engine import run_sync
 from repro.simulator.metrics import RunMetrics
@@ -167,13 +167,8 @@ def run_scheme(
 
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}")
-    if fault is not None and fault.is_null:
-        fault = None  # the null fault *is* the synchronous model
+    fault = effective_fault(fault, backend, getattr(scheme, "problem", DEFAULT_PROBLEM))
     if fault is not None:
-        if backend != "engine":
-            raise ValueError("adversarial execution requires the engine backend")
-        if fault.churn and getattr(scheme, "problem", DEFAULT_PROBLEM) != "mst":
-            raise ValueError("edge-weight churn is only defined for the MST problem")
         if advice is None:
             advice = scheme.compute_advice(graph, root=root)
         result = run_adversary(

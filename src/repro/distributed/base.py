@@ -20,7 +20,7 @@ from typing import Any, Dict, Optional
 
 from repro.core.problem import DEFAULT_PROBLEM, OutputCheck, get_problem
 from repro.graphs.weighted_graph import PortNumberedGraph
-from repro.simulator.adversary import FaultSpec, apply_churn, run_adversary
+from repro.simulator.adversary import FaultSpec, apply_churn, effective_fault, run_adversary
 from repro.simulator.algorithm import ProgramFactory
 from repro.simulator.engine import run_sync
 from repro.simulator.metrics import RunMetrics
@@ -134,14 +134,8 @@ def run_baseline(
 
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}")
-    if fault is not None and fault.is_null:
-        fault = None
     problem = getattr(baseline, "problem", DEFAULT_PROBLEM)
-    if fault is not None:
-        if backend != "engine":
-            raise ValueError("adversarial execution requires the engine backend")
-        if fault.churn and problem != "mst":
-            raise ValueError("edge-weight churn is only defined for the MST problem")
+    fault = effective_fault(fault, backend, problem)
     bound = baseline.round_bound(graph)
     if max_rounds is None and bound is not None:
         max_rounds = int(bound) + 50

@@ -548,9 +548,9 @@ class PortNumberedGraph:
         """Per-node ``(neighbour, reverse_port)`` pairs, indexed by port.
 
         One bulk conversion of the adjacency arrays — the simulator's
-        :class:`~repro.simulator.network.Network` resolves every message
-        through this table, so building it must not cost one numpy
-        round-trip per port.
+        engines (:class:`~repro.simulator.engine.SyncEngine` and its
+        subclasses) resolve every message through this table, so building
+        it must not cost one numpy round-trip per port.
         """
         neigh = self._adj_neighbor.tolist()
         rev = self._adj_rev_port.tolist()
@@ -650,30 +650,27 @@ class PortNumberedGraph:
 
         The topology, node identifiers and port wiring are preserved,
         which is exactly the kind of instance perturbation used in the
-        proof of Theorem 1.
+        proof of Theorem 1 (and by edge-weight churn): the port
+        assignment is reconstructed into the constructor's flat per-slot
+        table, so per-node port numbers keep their meaning.
         """
         if len(new_weights) != self.m:
             raise ValueError("new_weights must have one entry per edge")
-        edges = [
-            (int(self.edge_u[e]), int(self.edge_v[e]), float(new_weights[e]))
-            for e in range(self.m)
-        ]
-        port_perms = {
-            u: self._port_permutation_of(u) for u in range(self.n)
-        }
+        endpoints = np.empty(2 * self.m, dtype=np.int64)
+        endpoints[0::2] = self.edge_u
+        endpoints[1::2] = self.edge_v
+        order = np.argsort(endpoints, kind="stable")
+        ranks = np.empty(2 * self.m, dtype=np.int64)
+        ranks[order] = np.arange(2 * self.m) - self._offsets[endpoints[order]]
+        table = np.empty(2 * self.m, dtype=np.int64)
+        table[self._offsets[self.edge_u] + ranks[0::2]] = self.edge_port_u
+        table[self._offsets[self.edge_v] + ranks[1::2]] = self.edge_port_v
         return PortNumberedGraph(
-            self.n, edges, node_ids=self.node_ids, port_permutations=port_perms
+            self.n,
+            (self.edge_u, self.edge_v, np.asarray(new_weights, dtype=np.float64)),
+            node_ids=self.node_ids,
+            port_permutations=table,
         )
-
-    def _port_permutation_of(self, u: int) -> List[int]:
-        """Recover the port permutation of ``u`` w.r.t. input edge order."""
-        perm = []
-        for eid in range(self.m):
-            if self.edge_u[eid] == u:
-                perm.append(int(self.edge_port_u[eid]))
-            elif self.edge_v[eid] == u:
-                perm.append(int(self.edge_port_v[eid]))
-        return perm
 
     def to_networkx(self):  # pragma: no cover - convenience for interactive use
         """Convert to a ``networkx.Graph`` (requires networkx)."""

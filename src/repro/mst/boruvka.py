@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -100,8 +100,7 @@ class BoruvkaPhase:
         fragment_tree: FragmentTree,
         active: Tuple[int, ...],
         selected_edge_ids: Tuple[int, ...],
-        arrays: Optional[Dict[str, np.ndarray]] = None,
-        selections: Optional[Tuple[FragmentSelection, ...]] = None,
+        arrays: Dict[str, np.ndarray],
     ):
         self.index = index
         self.partition = partition
@@ -111,10 +110,8 @@ class BoruvkaPhase:
         self.selected_edge_ids = selected_edge_ids
         #: per-selection columns, ordered by fragment index (see
         #: :data:`SELECTION_COLUMNS`)
-        if arrays is None:
-            arrays = _selection_arrays(selections or ())
         self.arrays = arrays
-        self._selections = selections
+        self._selections = None
 
     @property
     def selections(self) -> Tuple[FragmentSelection, ...]:
@@ -159,54 +156,6 @@ class BoruvkaPhase:
                 for f, size, node, eid, p, w, rank, x, y, up, tgt, tf, lf, lt, dfs in fields
             )
         return self._selections
-
-    def selection_for_fragment(self, f: int) -> Optional[FragmentSelection]:
-        """The selection made by fragment ``f`` at this phase, if any."""
-        for sel in self.selections:
-            if sel.fragment == f:
-                return sel
-        return None
-
-
-def _selection_arrays(
-    selections: Sequence[FragmentSelection],
-) -> Dict[str, np.ndarray]:
-    """Column view of explicit selection records (slow path, small inputs)."""
-    return {
-        "fragment": np.asarray([s.fragment for s in selections], dtype=np.int64),
-        "fragment_size": np.asarray(
-            [s.fragment_size for s in selections], dtype=np.int64
-        ),
-        "choosing_node": np.asarray(
-            [s.choosing_node for s in selections], dtype=np.int64
-        ),
-        "selected_edge": np.asarray(
-            [s.selected_edge for s in selections], dtype=np.int64
-        ),
-        "port_at_choosing": np.asarray(
-            [s.port_at_choosing for s in selections], dtype=np.int64
-        ),
-        "weight": np.asarray([s.weight for s in selections], dtype=np.float64),
-        "rank_at_choosing": np.asarray(
-            [s.rank_at_choosing for s in selections], dtype=np.int64
-        ),
-        "index_x": np.asarray([s.index_pair[0] for s in selections], dtype=np.int64),
-        "index_y": np.asarray([s.index_pair[1] for s in selections], dtype=np.int64),
-        "is_up": np.asarray([s.is_up for s in selections], dtype=bool),
-        "target_node": np.asarray([s.target_node for s in selections], dtype=np.int64),
-        "target_fragment": np.asarray(
-            [s.target_fragment for s in selections], dtype=np.int64
-        ),
-        "level_of_fragment": np.asarray(
-            [s.level_of_fragment for s in selections], dtype=np.int64
-        ),
-        "level_of_target_fragment": np.asarray(
-            [s.level_of_target_fragment for s in selections], dtype=np.int64
-        ),
-        "choosing_dfs_index": np.asarray(
-            [s.choosing_dfs_index for s in selections], dtype=np.int64
-        ),
-    }
 
 
 @dataclass
@@ -457,6 +406,7 @@ def boruvka_trace(
         raw_phases.append(
             {
                 "index": phase_index,
+                "reps": reps,
                 "sel_eids": sel_eids,
                 "sel_nodes": sel_nodes,
                 "new_edges": new_edges,
@@ -493,21 +443,19 @@ def _annotate_phases(
 ) -> List[BoruvkaPhase]:
     """Turn raw per-phase selections into fully annotated :class:`BoruvkaPhase`\\ s.
 
-    Partitions are rebuilt incrementally: one union-find accumulates the
-    selected edges phase by phase, and each phase's partition is one bulk
-    roots_array pass instead of a fresh union-find over all earlier edges;
-    every per-selection field (ports, ranks, index pairs, orientations,
-    levels, DFS indices) is gathered with one vectorised pass per phase.
+    Each phase's partition is one bulk pass over the representatives the
+    raw loop recorded at the start of that phase; every per-selection
+    field (ports, ranks, index pairs, orientations, levels, DFS indices)
+    is gathered with one vectorised pass per phase.
     """
     phases: List[BoruvkaPhase] = []
     limit = len(raw_phases) if max_phases is None else min(max_phases, len(raw_phases))
-    annotate_uf = UnionFind(graph.n)
     parent_edge_arr = np.asarray(tree.parent_edge, dtype=np.int64)
     slot_rank, slot_x, slot_y = graph._slot_orders()
     offsets = graph._offsets
     for raw in raw_phases[:limit]:
         i = raw["index"]
-        partition = FragmentPartition.from_roots(tree, annotate_uf.roots_array())
+        partition = FragmentPartition.from_roots(tree, raw["reps"])
         ftree = partition.fragment_tree()
         active = tuple(partition.active_fragments(i))
         eids = raw["sel_eids"]
@@ -548,10 +496,4 @@ def _annotate_phases(
                 arrays=arrays,
             )
         )
-        new_edges = raw["new_edges"]
-        union = annotate_uf.union
-        for a, b in zip(
-            graph.edge_u[new_edges].tolist(), graph.edge_v[new_edges].tolist()
-        ):
-            union(a, b)
     return phases

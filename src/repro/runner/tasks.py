@@ -30,7 +30,7 @@ from repro.core.problem import DEFAULT_PROBLEM, split_target
 from repro.distributed.base import DistributedMSTBaseline
 from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.runner.registry import build_graph
-from repro.simulator.adversary import FaultSpec
+from repro.simulator.adversary import FaultSpec, effective_fault
 from repro.simulator.backends import BACKENDS
 
 __all__ = [
@@ -195,7 +195,7 @@ class SweepTask:
     ...           fault=FaultSpec(delta=2))
     Traceback (most recent call last):
         ...
-    ValueError: adversarial execution requires backend='engine'
+    ValueError: adversarial execution requires the engine backend
     """
 
     #: ``"scheme"`` or ``"baseline"``
@@ -241,13 +241,9 @@ class SweepTask:
             raise ValueError(
                 f"backend must be one of {', '.join(BACKENDS)}, got {self.backend!r}"
             )
-        if self.fault is not None and self.fault.is_null:
-            object.__setattr__(self, "fault", None)
-        if self.fault is not None:
-            if self.backend != "engine":
-                raise ValueError("adversarial execution requires backend='engine'")
-            if self.fault.churn and self.problem != "mst":
-                raise ValueError("edge-weight churn is only defined for the MST problem")
+        object.__setattr__(
+            self, "fault", effective_fault(self.fault, self.backend, self.problem)
+        )
 
     @property
     def cacheable(self) -> bool:

@@ -27,7 +27,6 @@ from repro.simulator.message import Message, estimate_bits
 from repro.simulator.node import NodeContext
 from repro.simulator.algorithm import NodeProgram, FunctionalProgram
 from repro.simulator.metrics import RunMetrics
-from repro.simulator.network import Network
 from repro.simulator.trace import MessageEvent, RoundRecord, Tracer
 from repro.simulator.engine import AlgorithmError, RunResult, SyncEngine, run_sync
 from repro.simulator.analytic import (
@@ -46,7 +45,6 @@ __all__ = [
     "NodeProgram",
     "FunctionalProgram",
     "RunMetrics",
-    "Network",
     "MessageEvent",
     "RoundRecord",
     "Tracer",

@@ -36,11 +36,17 @@ fault model, not a mixture of price and failure.
 rounds), so a faulty run never spuriously reports ``max_rounds`` just
 because delays stretched physical time.
 
-The invariant everything hangs on: with ``delta = 0`` and an empty
-fault schedule the engine executes the synchronous loop step for step —
-same metrics calls in the same order, same outputs, same stop reason.
-``tests/test_adversary.py`` pins this byte-identity over every
-(problem, scheme/baseline) registry pair.
+Structure: :class:`AdversaryEngine` runs the synchronous engine's own
+round loop (:meth:`SyncEngine.run` — round 0 init, final flush,
+``max_rounds`` truncation, idle fast-forward) and replaces only its
+delivery step, :meth:`SyncEngine._deliver`, with one that may charge
+several physical rounds per logical round.  The physical clock is
+``RunMetrics.rounds`` itself.  With ``delta = 0`` and an empty fault
+schedule that delivery charges exactly one round with the same
+accounting, so the two engines are byte-identical: same outputs, same
+metrics, same stop reason.  ``tests/test_adversary.py`` pins this over
+every (problem, scheme/baseline) registry pair, and
+``tests/test_engine_golden.py`` pins the faulty runs.
 
 >>> from repro.graphs.generators import random_connected_graph
 >>> from repro.core.scheme_trivial import TrivialRankScheme
@@ -66,7 +72,7 @@ import numpy as np
 
 from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.simulator.algorithm import ProgramFactory
-from repro.simulator.engine import AlgorithmError, RunResult, SyncEngine
+from repro.simulator.engine import RunResult, SyncEngine
 from repro.simulator.message import estimate_bits
 from repro.simulator.metrics import RunMetrics
 
@@ -76,6 +82,7 @@ __all__ = [
     "FaultSpec",
     "apply_churn",
     "derive_fault_seed",
+    "effective_fault",
     "run_adversary",
 ]
 
@@ -154,6 +161,31 @@ class FaultSpec:
         }
 
 
+def effective_fault(
+    fault: Optional[FaultSpec], backend: str, problem: str
+) -> Optional[FaultSpec]:
+    """The fault a run of ``problem`` on ``backend`` executes, or raise.
+
+    The null fault *is* the synchronous model, so it maps to ``None``.
+    Any other fault needs the engine backend, and churn needs the MST
+    problem; both violations raise ``ValueError``.
+
+    >>> effective_fault(FaultSpec(), "analytic", "leader") is None
+    True
+    >>> effective_fault(FaultSpec(delta=1), "analytic", "mst")
+    Traceback (most recent call last):
+        ...
+    ValueError: adversarial execution requires the engine backend
+    """
+    if fault is None or fault.is_null:
+        return None
+    if backend != "engine":
+        raise ValueError("adversarial execution requires the engine backend")
+    if fault.churn and problem != "mst":
+        raise ValueError("edge-weight churn is only defined for the MST problem")
+    return fault
+
+
 def derive_fault_seed(seed: int, fault: FaultSpec, tag: str = "engine") -> int:
     """A deterministic RNG seed from the task seed and the fault content.
 
@@ -173,11 +205,15 @@ def derive_fault_seed(seed: int, fault: FaultSpec, tag: str = "engine") -> int:
 class AdversaryEngine(SyncEngine):
     """Drives node programs under seeded delays and crash/recovery.
 
-    A drop-in sibling of :class:`~repro.simulator.engine.SyncEngine`
-    (same constructor contract minus the tracer, same
-    :class:`~repro.simulator.engine.RunResult`): the node programs, the
-    advice, and the verifier are all unaware they ran under an
-    adversary.  See the module docstring for the execution model.
+    A :class:`~repro.simulator.engine.SyncEngine` whose delivery step
+    runs under the adversary (same constructor contract minus the
+    tracer, same :class:`~repro.simulator.engine.RunResult`): the node
+    programs, the advice, and the verifier are all unaware they ran
+    under an adversary.  The inherited idle fast-forward charges one
+    physical round per skipped logical round; crash windows inside a
+    skip touch neither messages nor invocations, and a node still down
+    at its wake round is held back by the delivery barrier.  See the
+    module docstring for the execution model.
     """
 
     def __init__(
@@ -212,179 +248,99 @@ class AdversaryEngine(SyncEngine):
             return start + self.fault.recovery - 1
         return 0
 
-    def run(self) -> RunResult:
-        """Execute to completion under the fault schedule.
+    def _deliver(
+        self,
+        round_number: int,
+        pending: Dict[int, Dict[int, Any]],
+        active: List[int],
+        wake: List[int],
+    ) -> Dict[int, Dict[int, Any]]:
+        """Deliver logical round ``round_number`` under the fault schedule.
 
-        The loop mirrors :meth:`SyncEngine.run` exactly — round 0 init,
-        per-round charging, final flush, ``max_rounds`` truncation, idle
-        fast-forward — with one generalisation: a logical round's
-        delivery phase may span several charged physical rounds.  With
-        ``delta = 0`` and no crashes the span is always exactly one
-        round and the two engines are byte-identical.
+        The physical clock is ``metrics.rounds``: every charged round is
+        one ``record_round``.  Each message draws its delay up front, in
+        sender/port order; physical rounds are then ticked until every
+        message has landed, and a barrier waits, in charged empty
+        rounds, until every node due to act this logical round is back
+        up.  With ``delta = 0`` and no crashes this is exactly the one
+        charged round of :meth:`SyncEngine._deliver`.  The final flush
+        (no node left to act) is the base delivery: nobody reads those
+        messages, so delays cannot reorder anything.
         """
-        contexts = self.contexts
-        programs = self.programs
+        if not active:
+            return super()._deliver(round_number, pending, active, wake)
         metrics = self.metrics
-        n = self.graph.n
         delta = self.fault.delta
         rng = self._rng
         crash_at = self._crash_at
 
-        # round 0: initialisation, no communication (identical to sync)
-        for u in range(n):
-            ctx = contexts[u]
-            ctx._advance_round(0)
-            self._invoke(u, 0, programs[u].init, ctx)
+        # ---- flatten this logical round's traffic, drawing one
+        #      delivery delay per message in sender/port order ----
+        now = metrics.rounds
+        in_flight: List[List[Any]] = []
+        size_cache: Dict[int, int] = {}
+        for sender, ports in pending.items():
+            wiring_row = self.wiring[sender]
+            for port, payload in ports.items():
+                receiver, receiver_port = wiring_row[port]
+                payload_id = id(payload)
+                bits = size_cache.get(payload_id)
+                if bits is None:
+                    bits = estimate_bits(payload)
+                    size_cache[payload_id] = bits
+                d = rng.randint(0, delta) if delta else 0
+                in_flight.append([now + 1 + d, sender, receiver, receiver_port, payload, bits])
 
-        active = [u for u in range(n) if not contexts[u].halted]
-        on_round = [program.on_round for program in programs]
-        wake = [ctx._wake_round for ctx in contexts]
-        wiring = self.network.wiring
-        pending = self._collect_outboxes(range(n))
-        logical = 0  # the synchronous round being emulated (ctx.round)
-        physical = 0  # charged rounds; invariant: physical == metrics.rounds
-        stop_reason = "completed"
-        while active or pending:
-            # the round budget bounds *logical* computation rounds, so a
-            # faulty run can never hit it merely because delays stretched
-            # physical time; the final flush still runs at the boundary
-            if active and logical >= self.max_rounds:
-                stop_reason = "max_rounds"
-                break
-            logical += 1
-
-            # ---- flatten this logical round's traffic, drawing one
-            #      delivery delay per message in sender/port order ----
-            in_flight: List[List[Any]] = []
-            size_cache: Dict[int, int] = {}
-            for sender, ports in pending.items():
-                wiring_row = wiring[sender]
-                for port, payload in ports.items():
-                    receiver, receiver_port = wiring_row[port]
-                    payload_id = id(payload)
-                    bits = size_cache.get(payload_id)
-                    if bits is None:
-                        bits = estimate_bits(payload)
-                        size_cache[payload_id] = bits
-                    d = rng.randint(0, delta) if delta else 0
-                    in_flight.append(
-                        [physical + 1 + d, sender, receiver, receiver_port, payload, bits]
-                    )
-
-            if not active:
-                # final flush: every node already halted; the in-flight
-                # bits are charged to the wire in one accounting round
-                # (delays cannot reorder anything nobody will read)
-                physical += 1
-                metrics.record_round()
-                if in_flight:
-                    metrics.record_round_batch(
-                        len(in_flight),
-                        sum(msg[5] for msg in in_flight),
-                        max(msg[5] for msg in in_flight),
-                    )
-                metrics.record_undelivered(len(in_flight))
-                pending = {}
-                continue
-
-            # ---- physical delivery: tick charged rounds until every
-            #      message of this logical round has landed ----
-            inboxes: Dict[int, Dict[int, Any]] = {}
-            first_tick = True
-            while in_flight or first_tick:
-                first_tick = False
-                physical += 1
-                metrics.record_round()
-                count = 0
-                bits_sum = 0
-                bits_max = 0
-                survivors: List[List[Any]] = []
-                for msg in in_flight:
-                    if msg[0] != physical:
-                        survivors.append(msg)
-                        continue
-                    # the attempt travels — and is charged — whether or
-                    # not a crash drops it: CONGEST charges the wire
-                    bits = msg[5]
-                    count += 1
-                    bits_sum += bits
-                    if bits > bits_max:
-                        bits_max = bits
-                    blocked = 0
-                    if crash_at:
-                        blocked = max(
-                            self._down_end(msg[2], physical),
-                            self._down_end(msg[1], physical),
-                        )
-                    if blocked:
-                        # dropped by the crash; the transport layer
-                        # retransmits after the downtime with a fresh delay
-                        msg[0] = blocked + 1 + (rng.randint(0, delta) if delta else 0)
-                        survivors.append(msg)
-                    else:
-                        inboxes.setdefault(msg[2], {})[msg[3]] = msg[4]
-                in_flight = survivors
-                if count:
-                    metrics.record_round_batch(count, bits_sum, bits_max)
-
-            # ---- barrier: wait (in charged empty rounds) until every
-            #      node due to act this logical round is back up ----
-            if crash_at:
-                while any(
-                    (wake[u] <= logical or u in inboxes)
-                    and self._down_end(u, physical)
-                    for u in active
-                ):
-                    physical += 1
-                    metrics.record_round()
-
-            # ---- invoke the logical round; crashed nodes restarted from
-            #      their persisted state (program objects live on) ----
-            any_halted = False
-            for u in active:
-                if wake[u] > logical and u not in inboxes:
+        # ---- physical delivery: tick charged rounds until every
+        #      message of this logical round has landed ----
+        inboxes: Dict[int, Dict[int, Any]] = {}
+        while True:
+            metrics.record_round()
+            physical = metrics.rounds
+            count = 0
+            bits_sum = 0
+            bits_max = 0
+            survivors: List[List[Any]] = []
+            for msg in in_flight:
+                if msg[0] != physical:
+                    survivors.append(msg)
                     continue
-                ctx = contexts[u]
-                ctx._advance_round(logical)
-                ctx._wake_round = 0
-                try:
-                    on_round[u](ctx, inboxes.get(u, {}))
-                except AlgorithmError:
-                    raise
-                except Exception as exc:
-                    raise AlgorithmError(u, logical, exc) from exc
-                wake[u] = ctx._wake_round
-                if ctx.halted:
-                    any_halted = True
+                # the attempt travels — and is charged — whether or not a
+                # crash drops it: CONGEST charges the wire
+                bits = msg[5]
+                count += 1
+                bits_sum += bits
+                if bits > bits_max:
+                    bits_max = bits
+                blocked = 0
+                if crash_at:
+                    blocked = max(
+                        self._down_end(msg[2], physical),
+                        self._down_end(msg[1], physical),
+                    )
+                if blocked:
+                    # dropped by the crash; the transport layer
+                    # retransmits after the downtime with a fresh delay
+                    msg[0] = blocked + 1 + (rng.randint(0, delta) if delta else 0)
+                    survivors.append(msg)
+                else:
+                    inboxes.setdefault(msg[2], {})[msg[3]] = msg[4]
+            in_flight = survivors
+            if count:
+                metrics.record_round_batch(count, bits_sum, bits_max)
+            if not in_flight:
+                break
 
-            # drain before filtering: a node may send and then halt
-            pending = self._collect_outboxes(active)
-            if any_halted:
-                active = [u for u in active if not contexts[u].halted]
-
-            # idle fast-forward: message-free logical rounds cost exactly
-            # one physical round each, so the skip advances both clocks
-            # (crash windows inside the skip touch neither messages nor
-            # invocations; a node still down at its wake round is caught
-            # by the pre-invocation barrier above)
-            if active and not pending:
-                next_wake = min(wake[u] for u in active)
-                target = min(next_wake - 1, self.max_rounds)
-                if target > logical:
-                    metrics.record_idle_rounds(target - logical)
-                    physical += target - logical
-                    logical = target
-
-        outputs = {u: contexts[u].output for u in range(n)}
-        missing = sum(1 for ctx in contexts if not ctx.has_output)
-        completed = all(ctx.halted for ctx in contexts)
-        return RunResult(
-            outputs=outputs,
-            metrics=self.metrics,
-            completed=completed,
-            missing_outputs=missing,
-            stop_reason=stop_reason,
-        )
+        # ---- barrier: wait (in charged empty rounds) until every node
+        #      due to act this logical round is back up ----
+        if crash_at:
+            while any(
+                (wake[u] <= round_number or u in inboxes)
+                and self._down_end(u, metrics.rounds)
+                for u in active
+            ):
+                metrics.record_round()
+        return inboxes
 
 
 def run_adversary(
@@ -404,33 +360,6 @@ def run_adversary(
 # --------------------------------------------------------------------------- #
 # edge-weight churn: perturb, incrementally repair, re-verify
 # --------------------------------------------------------------------------- #
-
-
-def _churned_instance(graph: PortNumberedGraph, weights: np.ndarray) -> PortNumberedGraph:
-    """Rebuild ``graph`` with new edge weights and *identical* ports.
-
-    The port assignment is reconstructed into the constructor's flat
-    per-slot table, so per-node port numbers — and therefore the
-    decoder's parent-port outputs — keep their meaning on the churned
-    instance.
-    """
-    m = graph.m
-    offsets = graph._offsets
-    endpoints = np.empty(2 * m, dtype=np.int64)
-    endpoints[0::2] = graph.edge_u
-    endpoints[1::2] = graph.edge_v
-    order = np.argsort(endpoints, kind="stable")
-    ranks = np.empty(2 * m, dtype=np.int64)
-    ranks[order] = np.arange(2 * m) - offsets[endpoints[order]]
-    table = np.empty(2 * m, dtype=np.int64)
-    table[offsets[graph.edge_u] + ranks[0::2]] = graph.edge_port_u
-    table[offsets[graph.edge_v] + ranks[1::2]] = graph.edge_port_v
-    return PortNumberedGraph(
-        graph.n,
-        (graph.edge_u, graph.edge_v, weights),
-        node_ids=graph.node_ids,
-        port_permutations=table,
-    )
 
 
 def apply_churn(
@@ -532,7 +461,7 @@ def apply_churn(
                 tree = build_rooted_tree(graph, sorted(tree_edges), root=root)
         # else: benign event — the MST is provably unchanged
 
-    churned = _churned_instance(graph, weights)
+    churned = graph.reweight(weights)
     final_tree = build_rooted_tree(churned, sorted(tree_edges), root=root)
     outputs = final_tree.expected_outputs()
     new_check = get_problem("mst").check_outputs(churned, outputs, expected_root=root)

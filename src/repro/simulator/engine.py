@@ -30,11 +30,21 @@ Determinism: nodes are processed in index order and delivery is a pure
 function of the outboxes, so a run is a deterministic function of
 (graph, programs, advice).
 
+One loop, two engines: :meth:`SyncEngine.run` is the only round loop.
+How one round's messages reach the inboxes — and what that costs — is
+:meth:`SyncEngine._deliver`, which charges exactly one round.
+:class:`~repro.simulator.adversary.AdversaryEngine` overrides only that
+method: its delivery may charge several rounds, so there the loop's
+round number is the *logical* round the programs see while
+``RunMetrics.rounds`` counts charged rounds; everything else above
+holds for it unchanged.
+
 Performance: the run loop only schedules non-halted nodes (the active
 list shrinks as nodes halt instead of being re-filtered over all ``n``
-every round), tracer checks are hoisted out of the per-message delivery
-loop, and :func:`~repro.simulator.message.estimate_bits` memoizes the
-common payload shapes.
+every round), delivery resolves ports through one wiring table built
+once per run and sizes a payload broadcast to many ports once, and
+:func:`~repro.simulator.message.estimate_bits` memoizes the common
+payload shapes.
 """
 
 from __future__ import annotations
@@ -46,7 +56,6 @@ from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.simulator.algorithm import NodeProgram, ProgramFactory
 from repro.simulator.message import estimate_bits
 from repro.simulator.metrics import RunMetrics
-from repro.simulator.network import Network
 from repro.simulator.node import NodeContext
 from repro.simulator.trace import Tracer
 
@@ -98,7 +107,7 @@ class RunResult:
 
 
 class SyncEngine:
-    """Drives a set of node programs over a :class:`Network` synchronously.
+    """Drives a set of node programs over a port-numbered graph synchronously.
 
     The accounting semantics (round 0 = init, per-round charging, the
     final flush, ``max_rounds`` truncation) are specified in
@@ -124,8 +133,10 @@ class SyncEngine:
         max_rounds: Optional[int] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.network = Network(graph)
         self.graph = graph
+        # (node, port) -> (neighbour, neighbour port), indexed directly by
+        # the delivery loop
+        self.wiring = graph.wiring_table()
         self.advice = advice or {}
         self.max_rounds = max_rounds if max_rounds is not None else 20 * graph.n + 100
         self.tracer = tracer
@@ -159,7 +170,6 @@ class SyncEngine:
         """
         contexts = self.contexts
         programs = self.programs
-        network = self.network
         metrics = self.metrics
         tracer = self.tracer
         n = self.graph.n
@@ -185,7 +195,6 @@ class SyncEngine:
         # per-node wake-up round of the idle-scheduling hint (0 = every
         # round), seeded from hints set during init
         wake = [ctx._wake_round for ctx in contexts]
-        wiring = network.wiring
         pending = self._collect_outboxes(range(n))
         round_number = 0
         stop_reason = "completed"
@@ -200,52 +209,12 @@ class SyncEngine:
                 break
 
             round_number += 1
-            metrics.record_round()
-            if tracer is not None:
-                tracer.begin_round(round_number)
-
-            inboxes: Dict[int, Dict[int, Any]] = {}
-            if tracer is None:
-                # hot path: endpoint table indexed directly, per-round
-                # metric counters kept in locals and flushed once; a
-                # payload broadcast to many ports is sized once per round
-                # (keyed by object identity — the senders' outboxes keep
-                # every payload alive for the duration of the loop)
-                count = 0
-                bits_sum = 0
-                bits_max = 0
-                size_cache: Dict[int, int] = {}
-                for sender, ports in pending.items():
-                    wiring_row = wiring[sender]
-                    for port, payload in ports.items():
-                        receiver, receiver_port = wiring_row[port]
-                        inboxes.setdefault(receiver, {})[receiver_port] = payload
-                        payload_id = id(payload)
-                        bits = size_cache.get(payload_id)
-                        if bits is None:
-                            bits = estimate_bits(payload)
-                            size_cache[payload_id] = bits
-                        count += 1
-                        bits_sum += bits
-                        if bits > bits_max:
-                            bits_max = bits
-                if count:
-                    metrics.record_round_batch(count, bits_sum, bits_max)
-            else:
-                for sender, ports in pending.items():
-                    for port, payload in ports.items():
-                        receiver, receiver_port = network.endpoint(sender, port)
-                        inboxes.setdefault(receiver, {})[receiver_port] = payload
-                        bits = estimate_bits(payload)
-                        metrics.record_message(bits)
-                        tracer.record_message(
-                            round_number, sender, port, receiver, receiver_port, bits, payload
-                        )
+            inboxes = self._deliver(round_number, pending, active, wake)
 
             if not active:
                 # final flush: every node already halted, the in-flight
-                # messages above were charged to the wire but there is no
-                # one left to receive them
+                # messages were charged to the wire but there is no one
+                # left to receive them
                 metrics.record_undelivered(sum(len(ports) for ports in pending.values()))
                 pending = {}
                 continue
@@ -284,7 +253,8 @@ class SyncEngine:
             # idle fast-forward: with nothing in flight and every running
             # node idling, the skipped rounds are provably message-free —
             # charge them in one batch and jump to the earliest wake-up
-            # (the round budget still truncates exactly as before)
+            # (the round budget still truncates exactly as before); a
+            # traced run steps every round, since the tracer records them
             if active and not pending and tracer is None:
                 next_wake = min(wake[u] for u in active)
                 target = min(next_wake - 1, self.max_rounds)
@@ -304,6 +274,57 @@ class SyncEngine:
         )
 
     # ------------------------------------------------------------------ #
+
+    def _deliver(
+        self,
+        round_number: int,
+        pending: Dict[int, Dict[int, Any]],
+        active: List[int],
+        wake: List[int],
+    ) -> Dict[int, Dict[int, Any]]:
+        """Deliver one round's messages; returns the per-receiver inboxes.
+
+        ``pending[u][p]`` is the payload node ``u`` sent on its port
+        ``p`` in the previous round.  Charges exactly one round: every
+        message is counted and sized (a payload broadcast to many ports
+        is sized once per round — keyed by object identity, the senders'
+        outboxes keep every payload alive meanwhile) and, under a
+        tracer, recorded.  ``active`` and ``wake`` (the running nodes and
+        their wake-up rounds) are unused here; an engine whose delivery
+        depends on who is due to act overrides this method.
+        """
+        metrics = self.metrics
+        tracer = self.tracer
+        wiring = self.wiring
+        metrics.record_round()
+        if tracer is not None:
+            tracer.begin_round(round_number)
+        inboxes: Dict[int, Dict[int, Any]] = {}
+        count = 0
+        bits_sum = 0
+        bits_max = 0
+        size_cache: Dict[int, int] = {}
+        for sender, ports in pending.items():
+            wiring_row = wiring[sender]
+            for port, payload in ports.items():
+                receiver, receiver_port = wiring_row[port]
+                inboxes.setdefault(receiver, {})[receiver_port] = payload
+                payload_id = id(payload)
+                bits = size_cache.get(payload_id)
+                if bits is None:
+                    bits = estimate_bits(payload)
+                    size_cache[payload_id] = bits
+                count += 1
+                bits_sum += bits
+                if bits > bits_max:
+                    bits_max = bits
+                if tracer is not None:
+                    tracer.record_message(
+                        round_number, sender, port, receiver, receiver_port, bits, payload
+                    )
+        if count:
+            metrics.record_round_batch(count, bits_sum, bits_max)
+        return inboxes
 
     def _invoke(self, node: int, round_number: int, fn: Callable[..., Any], *args: Any) -> None:
         """Run one node-program callback, wrapping failures with their context.

@@ -8,7 +8,6 @@ from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.simulator.algorithm import FunctionalProgram, NodeProgram
 from repro.simulator.engine import SyncEngine, run_sync
 from repro.simulator.message import estimate_bits
-from repro.simulator.network import Network
 from repro.simulator.node import NodeContext
 
 
@@ -96,16 +95,20 @@ class TestEstimateBits:
             estimate_bits(object())
 
 
-class TestNetwork:
-    def test_wiring_and_delivery(self):
-        g = path_graph(3, seed=0)
-        net = Network(g)
-        # node 1 is in the middle: its two ports reach nodes 0 and 2
-        endpoints = {net.endpoint(1, p)[0] for p in range(net.degree(1))}
-        assert endpoints == {0, 2}
-        inboxes = net.deliver({0: {0: "x"}})
-        ((receiver, ports),) = inboxes.items()
-        assert receiver == 1 and list(ports.values()) == ["x"]
+class TestWiringTable:
+    @pytest.mark.parametrize(
+        "graph",
+        [path_graph(3, seed=0), star_graph(6, seed=1), cycle_graph(7, seed=2)],
+        ids=["path3", "star6", "cycle7"],
+    )
+    def test_every_port_resolves_to_its_reverse(self, graph):
+        wiring = graph.wiring_table()
+        assert [len(row) for row in wiring] == [graph.degree(u) for u in range(graph.n)]
+        for u, row in enumerate(wiring):
+            for p, (v, q) in enumerate(row):
+                assert (v, q) == (graph.neighbor(u, p), graph.reverse_port(u, p))
+                # the reverse of the reverse is the port itself
+                assert wiring[v][q] == (u, p)
 
 
 class TestNodeContext:
