@@ -47,23 +47,14 @@ class RunMetrics:
         self.rounds += 1
         self.messages_per_round.append(0)
 
-    def record_message(self, bits: int) -> None:
-        """Account one delivered message of the given estimated size."""
-        self.total_messages += 1
-        self.total_message_bits += bits
-        self.max_message_bits = max(self.max_message_bits, bits)
-        self.max_edge_bits_per_round = max(self.max_edge_bits_per_round, bits)
-        if self.messages_per_round:
-            self.messages_per_round[-1] += 1
-
     def record_round_batch(self, count: int, bits_sum: int, bits_max: int) -> None:
-        """Account a whole round of deliveries at once (engine fast path).
+        """Account a whole round of deliveries at once.
 
-        Equivalent to ``count`` calls to :meth:`record_message` whose
-        sizes sum to ``bits_sum`` with maximum ``bits_max`` — one method
-        call per round instead of one per message.  (``bits_max`` also
-        bounds the per-edge load because the model sends at most one
-        message per edge per direction per round.)
+        ``count`` messages whose sizes sum to ``bits_sum`` with maximum
+        ``bits_max`` — one method call per round instead of one per
+        message.  (``bits_max`` also bounds the per-edge load because the
+        model sends at most one message per edge per direction per
+        round.)
         """
         self.total_messages += count
         self.total_message_bits += bits_sum

@@ -63,8 +63,11 @@ def _pairs():
     return pairs
 
 
-def _run(graph, problem, kind, target, mode, budget=None):
-    """One engine run of a registry pair; returns ``(result, tracer)``."""
+def _run(graph, problem, kind, target, mode, budget):
+    """One engine run of a registry pair; returns ``(result, tracer)``.
+
+    ``budget`` overrides the round limit when it is not ``None``.
+    """
     if kind == "scheme":
         scheme = resolve_scheme(target, problem=problem)
         factory = scheme.program_factory()
@@ -119,38 +122,15 @@ def fingerprint(result, tracer):
     return (m.rounds, m.total_messages, digest)
 
 
-def _cases():
-    return [
-        (instance, problem, kind, target, mode)
-        for instance in INSTANCES
-        for problem, kind, target in _pairs()
-        for mode in MODES
-    ]
-
-
-def _case_id(case):
-    instance, problem, kind, target, mode = case
-    return f"{instance}/{problem}/{kind}/{target}/{mode}"
-
-
-_GRAPHS = {}
-
-
-def _graph(instance):
-    if instance not in _GRAPHS:
-        n, p, seed, _budget = INSTANCES[instance]
-        _GRAPHS[instance] = random_connected_graph(n, p, seed=seed)
-    return _GRAPHS[instance]
-
-
 def compute_all():
     """Every fingerprint, keyed like :data:`GOLDEN`."""
     out = {}
-    for case in _cases():
-        instance, problem, kind, target, mode = case
-        budget = INSTANCES[instance][3]
-        run = _run(_graph(instance), problem, kind, target, mode, budget)
-        out[_case_id(case)] = fingerprint(*run)
+    for instance, (n, p, seed, budget) in INSTANCES.items():
+        graph = random_connected_graph(n, p, seed=seed)
+        for problem, kind, target in _pairs():
+            for mode in MODES:
+                run = _run(graph, problem, kind, target, mode, budget)
+                out[f"{instance}/{problem}/{kind}/{target}/{mode}"] = fingerprint(*run)
     return out
 
 
