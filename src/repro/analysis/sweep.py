@@ -106,7 +106,6 @@ def run_scheme_sweep(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "engine",
-    resume: bool = False,
     progress: bool = False,
     problem: Optional[str] = None,
 ) -> SweepResult:
@@ -119,9 +118,9 @@ def run_scheme_sweep(
 
     Schemes may be registry names or instances; ``jobs``/``cache_dir``
     fan the runs over worker processes and an on-disk cache without
-    changing a byte of the result.  ``resume=True`` checkpoints a run
-    manifest so a killed sweep restarts without recomputing finished
-    work, and ``progress=True`` reports done/total + ETA on stderr:
+    changing a byte of the result (a killed sweep rerun with the same
+    ``cache_dir`` recomputes no finished work), and ``progress=True``
+    reports done/total + ETA on stderr:
 
     >>> result = run_scheme_sweep("trivial", sizes=[8, 16], seeds=(0, 1))
     >>> [row["n"] for row in result.rows]
@@ -155,7 +154,6 @@ def run_scheme_sweep(
         tasks,
         jobs=jobs,
         cache_dir=cache_dir,
-        resume=resume,
         progress=progress,
         progress_label="sweep",
     )
@@ -228,7 +226,6 @@ def run_baseline_sweep(
     seeds: Sequence[int] = (0, 1),
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    resume: bool = False,
     progress: bool = False,
     problem: Optional[str] = None,
 ) -> SweepResult:
@@ -259,7 +256,6 @@ def run_baseline_sweep(
         tasks,
         jobs=jobs,
         cache_dir=cache_dir,
-        resume=resume,
         progress=progress,
         progress_label="sweep",
     )

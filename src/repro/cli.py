@@ -49,9 +49,10 @@ The CLI exposes the library's main workflows without writing any Python:
 
 Every command is deterministic given ``--seed``; ``sweep --jobs N``
 produces byte-identical output to the serial path, and so do runs
-served from ``--cache-dir`` and ``--resume``\\ d runs (``--resume``
-checkpoints a run manifest so a killed sweep or report restarts without
-recomputing finished work).
+served from ``--cache-dir``.  The store commits every finished task
+group, so a killed sweep, report or bench rerun with the same
+``--cache-dir`` recomputes no finished work (``--progress`` shows how
+many rows came from the store).
 """
 
 from __future__ import annotations
@@ -148,15 +149,10 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="directory of the on-disk result store (sharded, WAL-mode SQLite)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
         help=(
-            "checkpoint a run manifest per completed group (requires "
-            "--cache-dir); a killed run restarted with the same command "
-            "re-executes zero finished tasks"
+            "directory of the on-disk result store (sharded, WAL-mode SQLite); "
+            "each finished group is committed, so a killed run restarted with "
+            "the same directory re-executes zero finished tasks"
         ),
     )
     parser.add_argument(
@@ -354,8 +350,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         backend=args.backend,
-        resume=args.resume,
-        progress=args.progress or args.resume,
+        progress=args.progress,
         # a qualified --scheme names its problem directly; --problem only
         # disambiguates bare names (run and bench resolve the same way)
         problem=split_target(args.scheme)[0] or args.problem,
@@ -421,7 +416,6 @@ def _bench_one_backend(args: argparse.Namespace, backend: str) -> Dict[str, Any]
         tasks,
         jobs=args.jobs,
         cache_dir=cache,
-        resume=args.resume,
         progress=args.progress,
         progress_label="bench",
     )
@@ -492,8 +486,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         backend=args.backend,
-        resume=args.resume,
-        progress=args.progress or args.resume,
+        progress=args.progress,
     )
     for name in result.artifacts:
         print(Path(args.out) / name)
@@ -844,8 +837,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "also prune the service queue in DIR: terminal jobs past "
-            "--job-ttl (their artifacts and manifest included) and orphaned "
-            "terminal items; pending and leased work is never touched"
+            "--job-ttl (their artifacts included) and orphaned terminal "
+            "items; pending and leased work is never touched"
         ),
     )
     store_gc.add_argument(
@@ -853,7 +846,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=7 * 24 * 3600.0,
         metavar="SECONDS",
-        help="age after which a done/failed job is reclaimable (default 7 days)",
+        help=(
+            "age after which a done/failed job and its artifacts are "
+            "reclaimable (default 7 days)"
+        ),
     )
     store_gc.add_argument(
         "--keep-last",
@@ -886,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
             required=require_queue_dir,
             default=None,
             metavar="DIR",
-            help="service state directory: lease queue, result store, manifests, artifacts",
+            help="service state directory: lease queue, result store, artifacts",
         )
         service_parser.add_argument(
             "--lease-ttl",

@@ -16,7 +16,6 @@ module provides:
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 __all__ = ["BitString", "BitWriter", "BitReader"]
@@ -69,11 +68,6 @@ class BitString:
     def empty() -> "BitString":
         """The empty bit string."""
         return BitString(())
-
-    @classmethod
-    def concat(cls, parts: Iterable["BitString"]) -> "BitString":
-        """Concatenate many strings in one pass (cheaper than chained ``+``)."""
-        return cls._wrap(tuple(chain.from_iterable(part._bits for part in parts)))
 
     @staticmethod
     def from_uint(value: int, width: int) -> "BitString":

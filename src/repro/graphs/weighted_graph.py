@@ -388,11 +388,6 @@ class PortNumberedGraph:
         lo, hi = int(self._offsets[u]), int(self._offsets[u + 1])
         return self._adj_weight[lo:hi].copy()
 
-    def incident_edge_ids(self, u: int) -> np.ndarray:
-        """Array of incident edge identifiers of ``u``, indexed by port."""
-        lo, hi = int(self._offsets[u]), int(self._offsets[u + 1])
-        return self._adj_edge[lo:hi].copy()
-
     # ------------------------------------------------------------------ #
     # edge-level queries
     # ------------------------------------------------------------------ #
@@ -424,14 +419,6 @@ class PortNumberedGraph:
         if hits.size == 0:
             return None
         return self.edge(int(self._adj_edge[lo + hits[0]]))
-
-    def port_of_edge(self, edge_id: int, node: int) -> int:
-        """Port number of edge ``edge_id`` at endpoint ``node``."""
-        return self.edge(edge_id).endpoint_port(node)
-
-    def edge_key(self, edge_id: int) -> Tuple[float, int]:
-        """Canonical ``(weight, edge_id)`` total-order key of an edge."""
-        return canonical_edge_key(self.edge_w[edge_id], edge_id)
 
     def total_weight(self, edge_ids: Optional[Iterable[int]] = None) -> float:
         """Sum of weights over ``edge_ids`` (all edges by default)."""

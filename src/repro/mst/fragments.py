@@ -23,7 +23,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.mst.rooted_tree import RootedSpanningTree
 from repro.mst.union_find import UnionFind
 
@@ -180,10 +179,6 @@ class FragmentPartition:
         """Number of fragments."""
         return self._num_fragments
 
-    def fragment_of_node(self, u: int) -> int:
-        """Fragment index of node ``u``."""
-        return int(self._frag_array[u])
-
     def size(self, f: int) -> int:
         """Number of nodes of fragment ``f``."""
         return int(self.fragment_sizes_array()[f])
@@ -250,30 +245,12 @@ class FragmentPartition:
         threshold = 1 << phase
         return np.flatnonzero(self.fragment_sizes_array() < threshold).tolist()
 
-    def internal_edge_ids(self, f: int) -> List[int]:
-        """MST edges with both endpoints inside fragment ``f`` (the edges of ``T_F``)."""
-        nodes, starts = self.preorder_arrays()
-        member_set = set(nodes[starts[f] : starts[f + 1]].tolist())
-        graph = self.tree.graph
-        out = []
-        for eid in self.tree.edge_ids:
-            ref = graph.edge(eid)
-            if ref.u in member_set and ref.v in member_set:
-                out.append(eid)
-        return sorted(out)
-
     def parent_in_fragment(self, u: int) -> Optional[int]:
         """Parent of ``u`` inside its fragment subtree ``T_F`` (``None`` for ``r_F``)."""
         p = self.tree.parent[u]
         if p < 0 or self._frag_array[p] != self._frag_array[u]:
             return None
         return p
-
-    def children_in_fragment(self, u: int) -> List[int]:
-        """Children of ``u`` inside ``T_F``, ordered by edge index at ``u``."""
-        f = self._frag_array[u]
-        fragment_of = self._frag_array
-        return [v for v in self.tree.children_table()[u] if fragment_of[v] == f]
 
     def depth_in_fragment(self, u: int) -> int:
         """Depth of ``u`` within its fragment subtree ``T_F``."""
@@ -303,14 +280,6 @@ class FragmentPartition:
             cached = nodes[starts[f] : starts[f + 1]].tolist()
             preorders[f] = cached
         return list(cached)
-
-    def fragment_diameter_bound(self, f: int) -> int:
-        """Maximum depth of ``T_F`` — an upper bound used for round budgeting."""
-        nodes, starts = self.preorder_arrays()
-        seg = nodes[starts[f] : starts[f + 1]]
-        depths = np.asarray(self.tree.depth, dtype=np.int64)[seg]
-        # the first preorder node is r_F, the shallowest member
-        return int((depths - depths[0]).max())
 
     # ------------------------------------------------------------------ #
     # contraction
@@ -417,10 +386,6 @@ class FragmentTree:
             cached = np.asarray(self.depth, dtype=np.int64)
             object.__setattr__(self, "_depth_array", cached)
         return cached
-
-    def children_fragments(self, f: int) -> List[int]:
-        """Fragments whose parent is ``f``."""
-        return [g for g in range(self.num_fragments) if self.parent_fragment[g] == f]
 
     def are_adjacent(self, f: int, g: int) -> bool:
         """``True`` iff ``f`` and ``g`` are joined by an MST edge (parent/child)."""

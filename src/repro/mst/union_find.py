@@ -1,14 +1,13 @@
 """Disjoint-set forest (union by rank, path compression).
 
 Used by Kruskal, by the Borůvka phase machinery, and by several
-verifiers.  The implementation also tracks component sizes, which the
-Borůvka variant of the paper needs to decide which fragments are
-*active* at a phase (``|F| < 2^i``).
+verifiers.  Fragment sizes, which the paper's Borůvka variant needs to
+decide which fragments are *active* at a phase (``|F| < 2^i``), come
+from :meth:`UnionFind.roots_array` (``np.bincount`` over the
+representatives), not from per-union bookkeeping.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -23,13 +22,7 @@ class UnionFind:
             raise ValueError("UnionFind needs at least one element")
         self._parent = list(range(n))
         self._rank = [0] * n
-        self._size = [1] * n
         self._count = n
-
-    @property
-    def n(self) -> int:
-        """Number of elements."""
-        return len(self._parent)
 
     @property
     def component_count(self) -> int:
@@ -53,19 +46,10 @@ class UnionFind:
         if self._rank[ra] < self._rank[rb]:
             ra, rb = rb, ra
         self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
         if self._rank[ra] == self._rank[rb]:
             self._rank[ra] += 1
         self._count -= 1
         return True
-
-    def connected(self, a: int, b: int) -> bool:
-        """``True`` iff ``a`` and ``b`` are in the same set."""
-        return self.find(a) == self.find(b)
-
-    def size(self, x: int) -> int:
-        """Size of the set containing ``x``."""
-        return self._size[self.find(x)]
 
     def roots_array(self) -> np.ndarray:
         """Representative of every element, as one bulk array pass.
@@ -76,7 +60,7 @@ class UnionFind:
         full path-compression write-back.  Representatives are identical
         to per-call :meth:`find` — compression never changes roots — so
         callers that previously paid ``n`` Python-level ``find`` calls
-        per phase (the Borůvka loop, :meth:`components`) now pay a few
+        per phase (the Borůvka loop, fragment partitions) now pay a few
         NumPy passes instead.
         """
         parent = np.asarray(self._parent, dtype=np.int64)
@@ -86,29 +70,3 @@ class UnionFind:
             roots = parent[parent]
         self._parent = roots.tolist()
         return roots
-
-    def components(self) -> List[List[int]]:
-        """All sets, as sorted lists of elements, sorted by representative."""
-        groups: Dict[int, List[int]] = {}
-        for x, root in enumerate(self.roots_array().tolist()):
-            groups.setdefault(root, []).append(x)
-        # elements are appended in increasing order, so each group is sorted
-        return [members for _, members in sorted(groups.items())]
-
-    def representatives(self) -> List[int]:
-        """The representative of every element, indexed by element."""
-        return self.roots_array().tolist()
-
-    @classmethod
-    def from_groups(cls, n: int, groups: Iterable[Iterable[int]]) -> "UnionFind":
-        """Build a union-find already merged according to ``groups``."""
-        uf = cls(n)
-        for group in groups:
-            it = iter(group)
-            try:
-                first = next(it)
-            except StopIteration:
-                continue
-            for member in it:
-                uf.union(first, member)
-        return uf

@@ -279,7 +279,6 @@ def generate_report(
     jobs: int = 1,
     cache_dir: Optional[Union[str, Path, SQLiteResultStore]] = None,
     backend: Optional[str] = None,
-    resume: bool = False,
     progress: bool = False,
     executor: Optional[Any] = None,
 ) -> ReportResult:
@@ -290,12 +289,12 @@ def generate_report(
     ``index.md``.  ``jobs``/``cache_dir`` (a store directory, or an
     open store the caller closes) are forwarded to the runner;
     ``backend`` overrides the spec's default execution backend — none of
-    them can change a single artifact byte.  ``resume=True`` checkpoints a run manifest next to
-    the cache (a killed report re-executes zero finished tasks when
-    regenerated) and ``progress=True`` reports done/total + ETA on
-    stderr.  The grouped executor pays off here in particular: a spec
-    grid names the same ``(family, n, seed)`` instance once per scheme
-    and per baseline, and grouping builds it exactly once overall.
+    them can change a single artifact byte.  A killed report regenerated
+    with the same ``cache_dir`` re-executes zero finished tasks, and
+    ``progress=True`` reports done/total + ETA on stderr.  The grouped
+    executor pays off here in particular: a spec grid names the same
+    ``(family, n, seed)`` instance once per scheme and per baseline, and
+    grouping builds it exactly once overall.
     ``executor`` swaps the execution backend wholesale (the sweep
     service passes a :class:`~repro.service.queue.QueueExecutor` so
     workers do the running) — planning, caching and rendering are
@@ -310,7 +309,6 @@ def generate_report(
         flat,
         jobs=jobs,
         cache_dir=cache_dir,
-        resume=resume,
         progress=progress,
         progress_label="report",
         executor=executor,

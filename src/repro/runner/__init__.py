@@ -11,9 +11,9 @@ amortises that workload:
   n, seed)`` work unit with a stable content hash);
 * :mod:`~repro.runner.store` — the result store behind ``--cache-dir``:
   a sharded, WAL-mode SQLite store with batched transactional upserts,
-  plus ``stats`` / ``gc`` maintenance;
-* :mod:`~repro.runner.manifest` — run manifests, the per-group
-  checkpoint ledger behind ``--resume``;
+  committed per finished group, so a killed run rerun with the same
+  store executes only what never landed; plus ``stats`` / ``gc``
+  maintenance;
 * :mod:`~repro.runner.progress` — live done/total + ETA reporting on
   stderr;
 * :mod:`~repro.runner.plan` — the execution planner: cache misses are
@@ -28,10 +28,9 @@ amortises that workload:
 ``analysis/sweep.py``, the ``repro.report`` pipeline, the ``sweep
 --jobs`` / ``bench`` CLI commands and the ``benchmarks/`` suite all
 route through :func:`run_tasks`, so serial, parallel, cached and
-resumed runs produce byte-identical aggregated results.
+restarted runs produce byte-identical aggregated results.
 """
 
-from repro.runner.manifest import RunManifest
 from repro.runner.plan import ExecutionStats, InstanceContext, TaskGroup, plan_groups
 from repro.runner.progress import ProgressReporter
 from repro.runner.registry import (
@@ -61,7 +60,6 @@ __all__ = [
     "GraphSpec",
     "InstanceContext",
     "ProgressReporter",
-    "RunManifest",
     "SQLiteResultStore",
     "SweepTask",
     "TaskGroup",

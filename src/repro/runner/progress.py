@@ -1,10 +1,9 @@
 """Live progress of a running task list (stderr, throttled).
 
 One line, rewritten in place, showing done/total, how many rows came
-from the cache vs. were resumed vs. executed, and an ETA extrapolated
-from the executed-task rate::
+from the cache, and an ETA extrapolated from the executed-task rate::
 
-    sweep: 128/512 done (96 cached, 0 resumed) 12.3 tasks/s ETA 0:31
+    sweep: 128/512 done (96 cached) 12.3 tasks/s ETA 0:31
 
 The reporter writes to ``stderr`` only — artifacts and ``--json``
 output on ``stdout`` stay byte-identical whether progress is on or off.
@@ -36,7 +35,6 @@ class ProgressReporter:
         self.stream = stream if stream is not None else sys.stderr
         self.min_interval = min_interval
         self.cached = 0
-        self.resumed = 0
         self.executed = 0
         self._start = time.perf_counter()
         self._last_emit = 0.0
@@ -46,11 +44,9 @@ class ProgressReporter:
     def done(self) -> int:
         return self.cached + self.executed
 
-    def add_cached(self, count: int, resumed: int = 0) -> None:
-        """Record rows served by the cache (``resumed`` of them known
-        to an earlier run's manifest)."""
+    def add_cached(self, count: int) -> None:
+        """Record rows served by the cache."""
         self.cached += count
-        self.resumed += resumed
         self.emit()
 
     def add_executed(self, count: int) -> None:
@@ -68,8 +64,7 @@ class ProgressReporter:
         return remaining / (self.executed / elapsed)
 
     def _line(self) -> str:
-        parts = [f"{self.label}: {self.done}/{self.total} done"]
-        parts.append(f"({self.cached} cached, {self.resumed} resumed)")
+        parts = [f"{self.label}: {self.done}/{self.total} done ({self.cached} cached)"]
         elapsed = time.perf_counter() - self._start
         if self.executed and elapsed > 0:
             parts.append(f"{self.executed / elapsed:.1f} tasks/s")

@@ -24,10 +24,9 @@ and the repository benchmark (``perfbench/``, declared by
 * **Checkpointing** — results are committed to the cache *as each
   group's work completes* (batched upserts, streamed back from workers
   in deterministic chunk order), not in one flush at the end: a run
-  killed mid-sweep keeps everything that finished.  With ``resume=True``
-  a :class:`~repro.runner.manifest.RunManifest` ledger is checkpointed
-  in the same rhythm, so ``repro sweep --resume`` / ``repro report
-  --resume`` re-execute zero already-checkpointed tasks.
+  killed mid-sweep keeps everything that finished, and rerunning it with
+  the same ``cache_dir`` serves those rows as hits and executes only the
+  rest.
 * **Progress** — ``progress=True`` reports done/total, cache hits and
   an ETA on stderr while the run executes (stdout artifacts stay
   byte-identical).
@@ -47,7 +46,6 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.runner.manifest import RunManifest
 from repro.runner.plan import ExecutionStats, InstanceContext, TaskGroup, plan_groups
 from repro.runner.progress import ProgressReporter
 from repro.runner.store import SQLiteResultStore
@@ -155,8 +153,11 @@ class LocalExecutor:
         most :data:`MAX_CHUNK_REQUEUES` times); they and every chunk not
         yet submitted rerun on a fresh pool.
         Delivery order is unaffected: chunk *i* is always delivered after
-        chunk *i - 1*, so the cache / checkpoint write sequence stays
-        deterministic.
+        chunk *i - 1*, so the cache write sequence stays deterministic.
+        Every pool is shut down with ``wait=True``: its manager and queue
+        feeder threads are joined before the next pool forks (a respawn,
+        or the next ``run_tasks`` call), so no fork inherits a live
+        thread of an earlier pool.
         """
         results: Dict[int, Any] = {}
         requeues: Dict[int, int] = {}
@@ -214,7 +215,7 @@ class LocalExecutor:
                     file=sys.stderr,
                 )
             finally:
-                pool.shutdown(wait=False, cancel_futures=True)
+                pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run_tasks(
@@ -222,7 +223,6 @@ def run_tasks(
     jobs: int = 1,
     cache_dir: Optional[Union[str, Path, SQLiteResultStore]] = None,
     stats: Optional[ExecutionStats] = None,
-    resume: bool = False,
     progress: bool = False,
     progress_label: str = "tasks",
     executor: Optional[Any] = None,
@@ -233,9 +233,9 @@ def run_tasks(
     instances are fine); ``jobs>1`` distributes cache misses over a
     process pool.  ``cache_dir`` may be a directory path (opened as a
     :class:`~repro.runner.store.SQLiteResultStore`) or an already-open
-    store.  ``resume=True`` checkpoints a run manifest alongside the
-    cache (and requires one); ``progress=True`` reports done/total + ETA
-    on stderr.  ``stats`` may be an
+    store; a killed call rerun with the same store executes only the
+    tasks whose rows never landed.  ``progress=True`` reports done/total
+    + ETA on stderr.  ``stats`` may be an
     :class:`~repro.runner.plan.ExecutionStats` to be filled with the
     groups executed and the cache hits and misses.
 
@@ -257,28 +257,19 @@ def run_tasks(
             cache = SQLiteResultStore(cache_dir)
         else:
             cache = cache_dir
-    if resume and cache is None:
-        raise ValueError("resume requires a result cache (pass cache_dir)")
 
     results: List[Optional[Dict[str, Any]]] = [None] * len(task_list)
-    # one hash per task, reused for the lookup below, the store after,
-    # and the resume manifest's run identity
+    # one hash per task, reused for the lookup below and the store after
     keys: List[Optional[str]] = (
         [task.task_hash() for task in task_list] if cache is not None else []
     )
-    manifest: Optional[RunManifest] = None
-    if resume and cache is not None:
-        manifest = RunManifest.open(cache.directory, keys)
 
     miss_indices: List[int] = []
-    resumed_hits = 0
     if cache is not None:
         for index, key in enumerate(keys):
             row = cache.get(key) if key is not None else None
             if row is not None:
                 results[index] = row
-                if manifest is not None and manifest.is_done(key):
-                    resumed_hits += 1
             else:
                 miss_indices.append(index)
     else:
@@ -291,19 +282,13 @@ def run_tasks(
         ProgressReporter(len(task_list), label=progress_label) if progress else None
     )
     if reporter is not None:
-        reporter.add_cached(len(task_list) - len(miss_indices), resumed=resumed_hits)
-    if manifest is not None:
-        # cache hits are persisted by definition: fold them into the
-        # ledger so it converges even when the cache outlives the run
-        manifest.mark_done(
-            [keys[index] for index in range(len(task_list)) if results[index] is not None]
-        )
+        reporter.add_cached(len(task_list) - len(miss_indices))
 
     def _commit(batch: List[Tuple[int, Dict[str, Any]]]) -> None:
-        """Land one completed batch: rows, cache upsert, checkpoint, progress.
+        """Land one completed batch: rows, cache upsert, progress.
 
         Called in deterministic batch order (groups in plan order, chunks
-        in submission order), so the cache/manifest write sequence — and
+        in submission order), so the cache write sequence — and
         therefore what a killed run keeps — is reproducible.
         """
         stored: List[Tuple[str, Dict[str, Any], Dict[str, Any]]] = []
@@ -313,8 +298,6 @@ def run_tasks(
                 stored.append((keys[index], task_list[index].key_dict() or {}, row))
         if stored and cache is not None:
             cache.put_many(stored)
-            if manifest is not None:
-                manifest.mark_done([key for key, _, _ in stored])
         if reporter is not None:
             reporter.add_executed(len(batch))
 

@@ -365,8 +365,8 @@ class SQLiteResultStore:
         """Upsert a batch of rows, one transaction per touched shard.
 
         The batch is the runner's checkpoint unit: a killed run loses at
-        most the groups whose transaction had not committed yet, and a
-        resumed run serves everything committed before the kill.
+        most the groups whose transaction had not committed yet, and its
+        rerun serves everything committed before the kill.
         """
         by_shard: Dict[int, List[Tuple[str, str, str]]] = {}
         for key, task_content, result in items:
@@ -490,7 +490,7 @@ class SQLiteResultStore:
         version, so rows whose stored task content names another
         generation of any of them are dead weight: they can never be
         served, only grow the files.  Unparseable task content counts as
-        dead too.  Checkpoint temp files left by a killed writer go as
+        dead too.  Layout-claim temp files left by a killed opener go as
         well (:meth:`_remove_stray_temp_files`).
         """
         self._remove_stray_temp_files()
@@ -531,17 +531,14 @@ class SQLiteResultStore:
         return {"removed": removed, "kept": kept}
 
     def _remove_stray_temp_files(self) -> None:
-        """Delete checkpoint temp files whose writer process is gone.
+        """Delete layout-claim temp files whose writer process is gone.
 
-        Run manifests (:func:`~repro.runner.manifest.atomic_write_json`)
-        and the layout claim write ``<name>.<pid>.tmp`` first and rename
-        or link it into place after; a writer killed in between leaves
-        the temp file behind for good.  A file whose writer is still
-        alive may be mid-write and stays.
+        The layout claim writes ``.layout.<pid>.tmp`` first and links it
+        into place after; a writer killed in between leaves the temp file
+        behind for good.  A file whose writer is still alive may be
+        mid-write and stays.
         """
-        candidates = list(self.directory.glob(".layout.*.tmp"))
-        candidates += (self.directory / "manifests").glob("*.tmp")
-        for path in candidates:
+        for path in self.directory.glob(".layout.*.tmp"):
             pid = path.name.rsplit(".", 2)[-2]
             if not pid.isdigit() or int(pid) == 0 or _process_exists(int(pid)):
                 continue

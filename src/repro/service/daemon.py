@@ -2,13 +2,14 @@
 
 One process owns the HTTP surface and the per-job report threads; any
 number of ``repro worker`` processes (spawned by the daemon and/or
-attached by hand) execute the queued task groups.  There is no job
-ledger beside the runner's own: a job id **is** the run-manifest id
-(:func:`~repro.runner.manifest.run_id_for` over the sweep's ordered task
-hashes), each job thread is just ``generate_report(..., resume=True,
-executor=QueueExecutor(...))``, and the manifest checkpointed per group
-by ``run_tasks`` is the job's completion record.  Identical submissions
-therefore collapse onto one job — and one execution — for free.
+attached by hand) execute the queued task groups.  A job id is
+content-addressed (:func:`~repro.service.queue.run_id_for` over the
+sweep's ordered task hashes), each job thread is just
+``generate_report(..., executor=QueueExecutor(...))``, and the result
+store ``run_tasks`` commits to per group is the job's completion record:
+a restarted job thread serves every committed row as a cache hit.
+Identical submissions therefore collapse onto one job — and one
+execution — for free.
 
 HTTP surface (JSON in/out unless noted)::
 
@@ -26,10 +27,10 @@ HTTP surface (JSON in/out unless noted)::
                                     repro.service.metrics)
 
 Shutdown is a drain, not an abort: SIGTERM stops the HTTP server, sets
-the service stop event (job threads park their jobs in ``running`` with
-the manifest checkpointed), SIGTERMs the workers so each finishes its
-in-flight item, and exits 0.  ``repro serve`` on the same queue
-directory picks every parked job back up.
+the service stop event (job threads park their jobs in ``running``,
+their finished groups already in the store), SIGTERMs the workers so
+each finishes its in-flight item, and exits 0.  ``repro serve`` on the
+same queue directory picks every parked job back up.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.report.pipeline import compile_tasks, generate_report
 from repro.report.spec import ReportSpec, parse_spec_text
-from repro.runner.manifest import run_id_for
 from repro.runner.progress import ProgressReporter
 from repro.runner.store import SQLiteResultStore
 from repro.service import bells
@@ -62,6 +62,7 @@ from repro.service.queue import (
     LeaseQueue,
     QuarantinedTasksError,
     QueueExecutor,
+    run_id_for,
 )
 from repro.service.retry import RetryPolicy
 
@@ -78,7 +79,7 @@ class SweepService:
     per-thread, and each job thread and request thread closes its own
     when it ends) and at most one live thread per running job; a
     finished job thread removes itself.  The result
-    store, manifests and artifacts all live inside the queue directory,
+    store and artifacts live inside the queue directory,
     so the directory is the whole service state — durable across daemon
     restarts and inspectable with plain sqlite3/ls.
     """
@@ -197,7 +198,6 @@ class SweepService:
                     spec,
                     self.artifacts_dir(job_id),
                     cache_dir=store,
-                    resume=True,
                     executor=QueueExecutor(
                         self.queue,
                         job_id,
@@ -208,7 +208,7 @@ class SweepService:
                     ),
                 )
         except DrainRequested:
-            # parked, not failed: the manifest has everything committed
+            # parked, not failed: the store has everything committed
             # so far and resume_running_jobs() picks it up next start
             return
         except QuarantinedTasksError as exc:
@@ -482,7 +482,7 @@ def serve(
     service = SweepService(
         queue_dir, policy=policy, lease_ttl=lease_ttl, poll_interval=poll_interval
     )
-    resumed = service.resume_running_jobs()
+    parked = service.resume_running_jobs()
     server = make_server(service, host=host, port=port)
     actual_port = server.server_address[1]
     server_thread = threading.Thread(
@@ -499,7 +499,7 @@ def serve(
     print(
         f"repro serve: http://{host}:{actual_port} queue={service.directory} "
         f"workers={len(worker_procs)}"
-        + (f" resumed={len(resumed)} job(s)" if resumed else ""),
+        + (f" resumed={len(parked)} job(s)" if parked else ""),
         file=sys.stderr,
         flush=True,
     )

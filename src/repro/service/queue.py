@@ -5,8 +5,8 @@ store's shards) holds everything the service needs to survive crashes:
 
 ``jobs``
     one row per submitted sweep, keyed by the content-addressed job id
-    (:func:`repro.runner.manifest.run_id_for` over the sweep's ordered
-    task hashes — identical submissions collapse onto one row);
+    (:func:`run_id_for` over the sweep's ordered task hashes — identical
+    submissions collapse onto one row);
 ``items``
     one row per *task group* (the planner's shared-instance unit),
     keyed by a dedup hash of the group's sorted task hashes — two jobs
@@ -86,6 +86,7 @@ __all__ = [
     "WIRE_VERSION",
     "group_dedup_key",
     "group_payload",
+    "run_id_for",
 ]
 
 #: version stamp inside item payloads, bumped with the wire format
@@ -170,9 +171,9 @@ class QuarantinedTasksError(RuntimeError):
 
     Raised by :meth:`QueueExecutor.run_units` only after every item that
     *can* complete has completed and been committed — one poison group
-    fails the job without discarding the rest of its work (the store and
-    manifest keep it; a resubmission after ``requeue_quarantined`` picks
-    up where it left off).
+    fails the job without discarding the rest of its work (the store
+    keeps it; a resubmission after ``requeue_quarantined`` picks up where
+    it left off).
     """
 
     def __init__(self, keys: Sequence[str], errors: Dict[str, str]) -> None:
@@ -200,6 +201,17 @@ class LeasedItem:
     payload: Dict[str, Any]
     #: execution attempts consumed *including* this lease (1-based)
     attempts: int
+
+
+def run_id_for(keys: Iterable[Optional[str]]) -> str:
+    """The stable identity of a run: sha256 over its ordered task hashes.
+
+    This is the service's job id.  Uncacheable tasks (hash ``None``)
+    participate as placeholders so two runs differing only in
+    uncacheable work still get distinct ids.
+    """
+    blob = json.dumps(list(keys), separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
 
 
 def group_dedup_key(hashes: Sequence[str]) -> str:
@@ -803,7 +815,7 @@ class LeaseQueue:
         removed only when it is itself terminal (``done`` or
         ``quarantined``) *and* no surviving job still references it —
         pending and leased items are untouchable by construction.  A
-        pruned job's artifacts directory and run manifest go with it.
+        pruned job's artifacts directory goes with it.
 
         Returns ``{"jobs": [...], "items": [...], "quarantine": N}``.
         """
@@ -867,11 +879,6 @@ class LeaseQueue:
                 )
         for job_id in removed_jobs:
             shutil.rmtree(self.directory / "artifacts" / job_id, ignore_errors=True)
-            manifest = self.directory / "manifests" / f"run-{job_id}.json"
-            try:
-                manifest.unlink()
-            except FileNotFoundError:
-                pass
         if removed_jobs or removed_items or removed_quarantine:
             self.events.append(
                 "gc",

@@ -288,8 +288,8 @@ class TestFaultCaching:
         assert serial == parallel
 
     def test_fresh_vs_resumed_rows_identical(self, tmp_path):
-        fresh = run_tasks(self.FAULTY_TASKS, cache_dir=tmp_path, resume=True)
-        resumed = run_tasks(self.FAULTY_TASKS, cache_dir=tmp_path, resume=True)
+        fresh = run_tasks(self.FAULTY_TASKS, cache_dir=tmp_path)
+        resumed = run_tasks(self.FAULTY_TASKS, cache_dir=tmp_path)
         assert fresh == resumed
 
     def test_faulty_rows_actually_degrade(self):

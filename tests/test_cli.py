@@ -194,23 +194,17 @@ class TestCommands:
         bare = capsys.readouterr().out
         assert main(argv + ["--cache-dir", str(tmp_path / "s")]) == 0
         assert capsys.readouterr().out == bare
-        # fresh vs resumed runs: same bytes on stdout, progress on stderr
-        resumed = argv + ["--cache-dir", str(tmp_path / "r"), "--resume"]
-        assert main(resumed) == 0
+        # fresh vs restarted runs: same bytes on stdout, progress on stderr
+        restarted = argv + ["--cache-dir", str(tmp_path / "r"), "--progress"]
+        assert main(restarted) == 0
         cold = capsys.readouterr()
         assert cold.out == bare
-        assert "done" in cold.err  # --resume implies progress reporting
-        assert main(resumed) == 0
+        assert "2/2 done (0 cached)" in cold.err
+        assert main(restarted) == 0
         warm = capsys.readouterr()
         assert warm.out == bare
-        assert "2 cached, 2 resumed" in warm.err  # zero tasks re-executed
-        manifests = list((tmp_path / "r" / "manifests").glob("run-*.json"))
-        assert len(manifests) == 1
-        assert json.loads(manifests[0].read_text())["finished"] is True
-
-    def test_sweep_resume_requires_cache_dir(self, capsys):
-        assert main(["sweep", "--scheme", "trivial", "--sizes", "8", "--resume"]) == 2
-        assert "resume requires" in capsys.readouterr().err
+        assert "2/2 done (2 cached)" in warm.err  # zero tasks re-executed
+        assert "tasks/s" not in warm.err
 
     def test_bench(self, capsys):
         code = main(["bench", "--scheme", "trivial", "--n", "16", "--repeats", "3", "--json"])

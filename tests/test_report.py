@@ -9,6 +9,7 @@ on the analytic backend — every variant must be byte-identical.
 
 import gc
 import json
+import re
 import weakref
 from pathlib import Path
 
@@ -295,26 +296,21 @@ class TestGoldenReport:
     def test_resumed_report_matches_golden_and_reexecutes_nothing(
         self, smoke_spec, tmp_path, capsys
     ):
-        """A killed-and-resumed report: same bytes, zero recomputation."""
+        """A report regenerated on its store: same bytes, zero recomputation."""
         cache = tmp_path / "cache"
-        first = generate_report(
-            smoke_spec, tmp_path / "first", cache_dir=str(cache), resume=True
-        )
+        first = generate_report(smoke_spec, tmp_path / "first", cache_dir=str(cache))
         resumed = generate_report(
-            smoke_spec, tmp_path / "resumed", cache_dir=str(cache), resume=True,
-            progress=True,
+            smoke_spec, tmp_path / "resumed", cache_dir=str(cache), progress=True
         )
         assert first.all_correct and resumed.all_correct
         golden = _artifact_map(GOLDEN)
         assert _artifact_map(tmp_path / "first") == golden
         assert _artifact_map(tmp_path / "resumed") == golden
-        # every simulator task of the resumed run came from the checkpoint
+        # every simulator task of the second run came from the store
         err = capsys.readouterr().err
         total = resumed.tasks_run
-        assert f"{total}/{total} done ({total} cached, {total} resumed)" in err
-        manifests = list((cache / "manifests").glob("run-*.json"))
-        assert len(manifests) == 1
-        assert json.loads(manifests[0].read_text())["finished"] is True
+        assert f"{total}/{total} done ({total} cached)" in err
+        assert "tasks/s" not in err
 
 
 # ------------------------------------------------------------------ #
@@ -484,6 +480,18 @@ class TestReportCommand:
         listed = [Path(line).name for line in captured.out.splitlines() if line]
         assert "index.md" in listed and "curves.md" in listed
         assert (out / "index.md").exists()
+
+    def test_warm_rerun_reports_every_task_cached(self, tmp_path, capsys):
+        """``--progress`` on a warm rerun ends in ``N/N done (N cached)``,
+        the line CI greps for, and executes nothing."""
+        argv = ["report", "--spec", str(SMOKE_SPEC), "--cache-dir", str(tmp_path / "store")]
+        assert main(argv + ["--out", str(tmp_path / "cold"), "--progress"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "warm"), "--progress"]) == 0
+        err = capsys.readouterr().err
+        assert re.search(r" ([0-9]+)/\1 done \(\1 cached\)$", err, re.MULTILINE)
+        assert "tasks/s" not in err
+        assert _artifact_map(tmp_path / "warm") == _artifact_map(GOLDEN)
 
     def test_report_command_rejects_bad_spec(self, tmp_path, capsys):
         bad = tmp_path / "bad.toml"

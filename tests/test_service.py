@@ -65,6 +65,7 @@ from repro.service.queue import (
     QueueExecutor,
     group_dedup_key,
     group_payload,
+    run_id_for,
 )
 from repro.service.retry import RetryPolicy
 from repro.service.worker import TEST_DELAY_ENV, run_worker
@@ -245,6 +246,13 @@ class TestLeaseQueue:
         assert queue.job_record("job-1")["state"] == LeaseQueue.JOB_DONE
         assert queue.job_record("missing") is None
         assert [job["job_id"] for job in queue.list_jobs()] == ["job-1"]
+
+    def test_run_id_is_pinned_and_distinguishes_workloads(self):
+        keys = ["0" * 64, None, "f" * 64]
+        # the job ids of existing queue directories must not change
+        assert run_id_for(keys) == "26bb2998fa67ed5117ab2bf0804ec118"
+        assert run_id_for(keys[::-1]) != run_id_for(keys)  # order-sensitive
+        assert run_id_for(keys[:2]) != run_id_for(keys)
 
 
 # ------------------------------------------------------------------ #
@@ -502,9 +510,6 @@ class TestQueueGC:
         artifacts = tmp_path / "artifacts" / "old-done"
         artifacts.mkdir(parents=True)
         (artifacts / "index.md").write_text("report", encoding="utf-8")
-        manifests = tmp_path / "manifests"
-        manifests.mkdir()
-        (manifests / "run-old-done.json").write_text("{}", encoding="utf-8")
 
         clock.now += 100_000.0
         result = queue.gc(job_ttl=3600.0, keep_last=0)
@@ -513,7 +518,6 @@ class TestQueueGC:
         assert queue.job_record("old-done") is None
         assert queue.item_states(["item-0000", "item-0001"]) == {}
         assert not artifacts.exists()
-        assert not (manifests / "run-old-done.json").exists()
         text = service_metrics.render_metrics(queue)
         assert metric_value(text, "repro_gc_jobs_removed_total") == 1
         assert metric_value(text, "repro_gc_items_removed_total") == 2
@@ -714,6 +718,36 @@ class TestDeadPoolWorker:
         assert flag.exists()  # the kill really happened
         assert rows == reference
         assert "worker process died" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("path", ["normal", "respawn", "poison"])
+    def test_no_pool_thread_outlives_run_tasks(self, path, tmp_path, monkeypatch, capfd):
+        """A pool's manager and feeder threads are joined before
+        ``run_tasks`` returns or raises, after a killed-worker respawn
+        too, so no later fork (the next pool, a service child) inherits
+        them."""
+        tasks = [make_task(seed=seed, target=target) for seed in range(4) for target in ("trivial", "theorem3")]
+        flag = tmp_path / "killed-once"
+        original = InstanceContext.execute
+
+        def kill(self, task):
+            # respawn: the first worker to get here dies, once; poison: all do
+            if path == "respawn":
+                try:
+                    flag.touch(exist_ok=False)
+                except FileExistsError:
+                    return original(self, task)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        if path != "normal":
+            monkeypatch.setattr(InstanceContext, "execute", kill)
+        before = threading.enumerate()
+        if path == "poison":
+            with pytest.raises(RuntimeError, match="died twice"):
+                run_tasks(tasks, jobs=2)
+        else:
+            run_tasks(tasks, jobs=2)
+        assert [t for t in threading.enumerate() if t not in before] == []
+        assert ("worker process died" in capfd.readouterr().err) == (path != "normal")
 
     def test_chunk_lost_twice_raises_instead_of_spinning(self, tmp_path, monkeypatch):
         tasks = [make_task(seed=seed) for seed in range(2)]

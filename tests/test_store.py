@@ -1,4 +1,4 @@
-"""Tests of the sharded SQLite result store, run manifests and resume.
+"""Tests of the sharded SQLite result store and of rerunning a killed run.
 
 The store's contract: ``get`` / ``put`` / ``put_many`` with hit/miss
 counters, corruption is a miss (never an error), and — most importantly
@@ -11,6 +11,7 @@ shape of several ``--jobs`` sweeps sharing a cache directory.
 import json
 import multiprocessing
 import os
+import signal
 import sqlite3
 from dataclasses import replace
 
@@ -20,13 +21,13 @@ from repro.analysis.sweep import run_scheme_sweep
 from repro.runner import (
     ExecutionStats,
     GraphSpec,
+    InstanceContext,
     ProgressReporter,
-    RunManifest,
     SQLiteResultStore,
     SweepTask,
+    plan_groups,
     run_tasks,
 )
-from repro.runner.manifest import run_id_for
 from repro.runner.store import DEFAULT_SHARDS, STORE_SCHEMA_VERSION
 from repro.simulator.adversary import FaultSpec
 
@@ -215,10 +216,10 @@ class TestCorruptShardRecovery:
         assert SQLiteResultStore(tmp_path).stats()["rows"] == len(TASKS)
 
 
-def _die_between_write_and_rename(directory, keys):
-    """Checkpoint a run manifest, killed after its temp write."""
-    os.replace = lambda *args: os._exit(3)  # this forked child only
-    RunManifest.open(directory, keys).mark_done(keys)
+def _die_between_layout_write_and_link(directory):
+    """Open a brand-new store, killed after the layout claim's temp write."""
+    os.link = lambda *args: os._exit(3)  # this forked child only
+    SQLiteResultStore(directory)
 
 
 class TestMaintenance:
@@ -244,28 +245,21 @@ class TestMaintenance:
         assert warm.hits == len(TASKS)
 
     def test_gc_removes_temp_files_of_dead_writers_only(self, tmp_path):
-        store = SQLiteResultStore(tmp_path)
-        keys = [task.task_hash() for task in TASKS]
         child = multiprocessing.get_context("fork").Process(
-            target=_die_between_write_and_rename, args=(str(tmp_path), keys)
+            target=_die_between_layout_write_and_link, args=(str(tmp_path),)
         )
         child.start()
         child.join(timeout=60)
         assert not child.is_alive() and child.exitcode == 3
-        manifests = tmp_path / "manifests"
-        (stray,) = manifests.glob("*.tmp")
-        assert stray.name == f"run-{run_id_for(keys)}.json.{child.pid}.tmp"
-        dead_layout = tmp_path / f".layout.{child.pid}.tmp"
-        own = [
-            manifests / f"run-{'0' * 32}.json.{os.getpid()}.tmp",
-            tmp_path / f".layout.{os.getpid()}.tmp",
-        ]
-        for path in [dead_layout, *own]:
-            path.write_text("{}")
+        (stray,) = tmp_path.glob(".layout.*.tmp")
+        assert stray.name == f".layout.{child.pid}.tmp"
+        store = SQLiteResultStore(tmp_path)  # claims the layout the child never linked
+        own = tmp_path / f".layout.{os.getpid()}.tmp"
+        own.write_text("{}")
         store.gc()
-        assert not stray.exists() and not dead_layout.exists()
-        # a live writer may be mid-write: its temp files stay
-        assert all(path.exists() for path in own)
+        assert not stray.exists()
+        # a live writer may be mid-write: its temp file stays
+        assert own.exists()
 
 
 def _stress_writer(args):
@@ -313,85 +307,65 @@ class TestConcurrentWriters:
         assert json.dumps(a) == json.dumps(b)
 
 
-class TestRunManifest:
-    def test_identity_and_checkpoint(self, tmp_path):
-        keys = [t.task_hash() for t in TASKS]
-        manifest = RunManifest.open(tmp_path, keys)
-        assert manifest.total == len(TASKS)
-        assert not manifest.finished
-        manifest.mark_done(keys[:2])
-        stored = json.loads(manifest.path.read_text())
-        assert stored["run_id"] == run_id_for(keys)
-        assert stored["finished"] is False
-        assert len(stored["completed"]) == 2
+def _run_killed_in_second_group(directory):
+    """Run TASKS into the store; SIGKILL inside the second group's first execute."""
+    original = InstanceContext.execute
+    contexts = []
 
-        resumed = RunManifest.open(tmp_path, keys)
-        assert resumed.resumed == 2
-        resumed.mark_done(keys)
-        assert resumed.finished
-        assert json.loads(resumed.path.read_text())["finished"] is True
+    def execute(self, task):
+        if not any(context is self for context in contexts):
+            contexts.append(self)  # one context per instance group
+            if len(contexts) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return original(self, task)
 
-    def test_different_runs_get_different_ledgers(self, tmp_path):
-        first = RunManifest.open(tmp_path, [t.task_hash() for t in TASKS])
-        second = RunManifest.open(tmp_path, [t.task_hash() for t in TASKS[:2]])
-        assert first.run_id != second.run_id
-
-    def test_corrupt_manifest_is_ignored(self, tmp_path):
-        keys = [t.task_hash() for t in TASKS]
-        manifest = RunManifest.open(tmp_path, keys)
-        manifest.mark_done(keys[:1])
-        manifest.path.write_text("{broken")
-        assert RunManifest.open(tmp_path, keys).resumed == 0
-
-    def test_foreign_hashes_cannot_inflate_completion(self, tmp_path):
-        keys = [t.task_hash() for t in TASKS]
-        manifest = RunManifest.open(tmp_path, keys)
-        manifest.mark_done(keys)
-        doctored = json.loads(manifest.path.read_text())
-        doctored["completed"].append("f" * 64)
-        manifest.path.write_text(json.dumps(doctored))
-        assert RunManifest.open(tmp_path, keys).resumed == len(keys)
+    InstanceContext.execute = execute  # this forked child only
+    run_tasks(TASKS, cache_dir=directory)
 
 
 class TestResume:
-    def test_resume_requires_a_cache(self):
-        with pytest.raises(ValueError):
-            run_tasks(TASKS, resume=True)
+    def test_killed_run_resumes_without_recomputation(self, tmp_path, monkeypatch):
+        """A run SIGKILLed mid-sweep, rerun on the same store, executes only the rest.
 
-    def test_killed_run_resumes_without_recomputation(self, tmp_path):
-        """The acceptance shape: a partial run, then --resume finishes it.
-
-        The first call completes only half the tasks (simulating a kill
-        after two group checkpoints); the resumed call must re-execute
-        exactly the other half and produce byte-identical rows.
+        The first group's rows were committed before the kill; the rerun
+        must serve exactly those from the store, execute every other task
+        and produce rows byte-identical to a fresh run.
         """
         fresh = run_tasks(TASKS)
-        run_tasks(TASKS[:2], cache_dir=tmp_path, resume=True)
+        child = multiprocessing.get_context("fork").Process(
+            target=_run_killed_in_second_group, args=(str(tmp_path),)
+        )
+        child.start()
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == -signal.SIGKILL
+        first_group = plan_groups(TASKS)[0]
 
-        stats = ExecutionStats()
-        resumed = run_tasks(TASKS, cache_dir=tmp_path, resume=True, stats=stats)
-        assert stats.cache_hits == 2
-        assert stats.cache_misses == 2  # zero checkpointed tasks re-executed
-        assert json.dumps(resumed) == json.dumps(fresh)
+        executed = []
+        original = InstanceContext.execute
 
-        # the full run's ledger is now complete; a second resume executes nothing
+        def spy(self, task):
+            executed.append(task)
+            return original(self, task)
+
+        monkeypatch.setattr(InstanceContext, "execute", spy)
         stats = ExecutionStats()
-        again = run_tasks(TASKS, cache_dir=tmp_path, resume=True, stats=stats)
+        rerun = run_tasks(TASKS, cache_dir=tmp_path, stats=stats)
+        assert stats.cache_hits == len(first_group.tasks)
+        assert executed == [
+            task for index, task in enumerate(TASKS) if index not in first_group.indices
+        ]
+        assert json.dumps(rerun) == json.dumps(fresh)
+
+        # everything is committed now: a second rerun executes nothing
+        stats = ExecutionStats()
+        again = run_tasks(TASKS, cache_dir=tmp_path, stats=stats)
         assert stats.cache_misses == 0
         assert json.dumps(again) == json.dumps(fresh)
-        manifests = list((tmp_path / "manifests").glob("run-*.json"))
-        full = [
-            json.loads(p.read_text())
-            for p in manifests
-            if json.loads(p.read_text())["total"] == len(TASKS)
-        ]
-        assert len(full) == 1 and full[0]["finished"] is True
 
     def test_resume_is_byte_identical_across_jobs(self, tmp_path):
         fresh = run_scheme_sweep("trivial", sizes=(8, 16), seeds=(0, 1))
         resumed = run_scheme_sweep(
-            "trivial", sizes=(8, 16), seeds=(0, 1),
-            cache_dir=tmp_path, resume=True, jobs=2,
+            "trivial", sizes=(8, 16), seeds=(0, 1), cache_dir=tmp_path, jobs=2
         )
         assert json.dumps(resumed.rows) == json.dumps(fresh.rows)
 
@@ -420,14 +394,22 @@ class TestProgressReporter:
 
         stream = io.StringIO()
         reporter = ProgressReporter(4, label="sweep", stream=stream, min_interval=0.0)
-        reporter.add_cached(2, resumed=1)
+        reporter.add_cached(2)
         reporter.add_executed(1)
         reporter.add_executed(1)
         reporter.close()
         output = stream.getvalue()
-        assert "sweep: 4/4 done" in output
-        assert "(2 cached, 1 resumed)" in output
+        assert "sweep: 4/4 done (2 cached)" in output
         assert "tasks/s" in output
+
+    def test_nothing_executed_means_no_rate_or_eta(self):
+        import io
+
+        stream = io.StringIO()
+        reporter = ProgressReporter(3, label="report", stream=stream, min_interval=0.0)
+        reporter.add_cached(3)
+        reporter.close()
+        assert stream.getvalue().splitlines()[-1] == "report: 3/3 done (3 cached)"
 
     def test_progress_goes_to_stderr_not_stdout(self, tmp_path, capsys):
         run_tasks(TASKS, cache_dir=tmp_path, progress=True)
