@@ -8,7 +8,10 @@ Usage::
 BASE_DIR and HEAD_DIR are two checkouts: the merge base and the change
 under review.  The head's ``perfbench/`` and ``BENCHMARK.json`` are first
 copied over the base checkout (BASE_DIR is modified), so both sides run
-the same benchmark and differ only in the program under ``src/``.  Then
+the same benchmark and differ only in the program under ``src/``.  Both
+sides' bytecode under ``src/`` and ``perfbench/`` is then rebuilt from
+scratch, because ``setup_s`` includes importing the program and a side
+holding ``__pycache__`` imports faster than one without.  Then
 :data:`SEEDS` gives one pair per seed: in each pair both sides run the
 ``sweep`` and then the ``paper`` workload with ``--trace 0`` for
 :data:`SECONDS` seconds, the base first in even pairs and the head first
@@ -50,11 +53,26 @@ def load_end_to_end(root: Path) -> List[Dict[str, Any]]:
     return json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
 
 
+#: the directories whose bytecode ``prepare`` rebuilds on both sides
+BYTECODE_DIRS = ("src", "perfbench")
+
+
 def prepare(base: Path, head: Path) -> None:
-    """Replace the base checkout's benchmark with the head's."""
+    """Replace the base checkout's benchmark with the head's, and give
+    both checkouts the same bytecode state: every ``__pycache__`` under
+    :data:`BYTECODE_DIRS` removed, then all of it compiled afresh
+    (``compileall`` writes bytecode even under ``PYTHONDONTWRITEBYTECODE``)."""
     shutil.rmtree(base / "perfbench", ignore_errors=True)
     shutil.copytree(head / "perfbench", base / "perfbench")
     shutil.copy2(head / "BENCHMARK.json", base / "BENCHMARK.json")
+    for checkout in (base, head):
+        dirs = [name for name in BYTECODE_DIRS if (checkout / name).is_dir()]
+        for name in dirs:
+            for cache in list((checkout / name).rglob("__pycache__")):
+                shutil.rmtree(cache)
+        subprocess.run(
+            [sys.executable, "-m", "compileall", "-q", *dirs], cwd=checkout, check=True
+        )
 
 
 def schedule() -> List[Tuple[int, str, Tuple[str, str]]]:

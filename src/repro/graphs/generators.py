@@ -247,8 +247,12 @@ def hypercube_graph(
     if dim > 20:
         raise ValueError("refusing to build a hypercube with more than 2^20 nodes")
     n = 1 << dim
-    pairs = [(u, u ^ (1 << k)) for u in range(n) for k in range(dim) if u < u ^ (1 << k)]
-    return _build(n, pairs, _rng(seed), weight_mode, weight_range, shuffle_ports)
+    bits = np.int64(1) << np.arange(dim, dtype=np.int64)
+    # the pairs (u, u | 2^k) with bit k of u clear, u-major and k-ascending:
+    # the row-major positions of the (node, bit) "bit is clear" mask
+    clear = (np.arange(n, dtype=np.int64)[:, None] & bits) == 0
+    u, k = np.divmod(np.flatnonzero(clear), dim)
+    return _build(n, (u, u | bits[k]), _rng(seed), weight_mode, weight_range, shuffle_ports)
 
 
 def power_law_graph(
@@ -347,11 +351,10 @@ def random_spanning_tree_graph(
     if n < 1:
         raise ValueError("n must be positive")
     rng = _rng(seed)
-    pairs: List[Tuple[int, int]] = []
-    for v in range(1, n):
-        u = int(rng.integers(0, v))
-        pairs.append((u, v))
-    return _build(n, pairs, rng, weight_mode, weight_range, shuffle_ports)
+    children = np.arange(1, n, dtype=np.int64)
+    # node v's parent is uniform in [0, v); see random_connected_graph
+    parents = rng.integers(0, children)
+    return _build(n, (parents, children), rng, weight_mode, weight_range, shuffle_ports)
 
 
 def random_connected_graph(
@@ -367,21 +370,33 @@ def random_connected_graph(
     This is the workhorse workload of the benchmark sweeps: connectivity
     is guaranteed by construction (no rejection sampling), and the extra
     edge probability controls the density.
+
+    The random stream is, in order: one parent draw ``integers(0, v)``
+    per node ``v = 1 .. n-1``; when ``extra_edge_prob > 0`` and
+    ``n > 2``, one uniform per upper-triangle pair ``(i, j)``, ``i < j``,
+    in row-major order; then the weights and the port permutations (see
+    :func:`_build`).  The parents come from one ``integers`` call with
+    the array of bounds, which consumes the same stream as one call per
+    node.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ValueError("extra_edge_prob must be a probability")
     rng = _rng(seed)
-    tree_u = np.fromiter(
-        (rng.integers(0, v) for v in range(1, n)), dtype=np.int64, count=n - 1
-    )
-    codes = tree_u * n + np.arange(1, n, dtype=np.int64)  # u < v by construction
+    children = np.arange(1, n, dtype=np.int64)
+    codes = rng.integers(0, children) * n + children  # u < v by construction
     if extra_edge_prob > 0.0 and n > 2:
-        # vectorised G(n, p) over the upper triangle
-        iu, iv = np.triu_indices(n, k=1)
-        mask = rng.random(iu.size) < extra_edge_prob
-        codes = np.concatenate((codes, iu[mask] * n + iv[mask]))
+        # vectorised G(n, p) over the upper triangle, without its index
+        # arrays: row i holds the pairs (i, i+1 .. n-1) from flat
+        # position i * (2n - i - 1) / 2 on, so each hit's row is found by
+        # a search over the row starts and its column by the offset
+        hits = np.flatnonzero(rng.random(n * (n - 1) // 2) < extra_edge_prob)
+        rows = np.arange(n - 1, dtype=np.int64)
+        starts = rows * (2 * n - rows - 1) // 2
+        iu = np.searchsorted(starts, hits, side="right") - 1
+        iv = hits - starts[iu] + iu + 1
+        codes = np.concatenate((codes, iu * n + iv))
     # unique sorted codes == the historical sorted de-duplicated pair set
     # (sort + run mask rather than np.unique — the hash-based unique of
     # NumPy 2.x is several times slower on these nearly-duplicate-free

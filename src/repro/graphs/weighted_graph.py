@@ -210,9 +210,7 @@ class PortNumberedGraph:
         self.edge_w = edge_w
 
         # degree and CSR offsets
-        degrees = np.zeros(self.n, dtype=np.int64)
-        np.add.at(degrees, edge_u, 1)
-        np.add.at(degrees, edge_v, 1)
+        degrees = np.bincount(edge_u, minlength=self.n) + np.bincount(edge_v, minlength=self.n)
         self._degrees = degrees
         offsets = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(degrees, out=offsets[1:])

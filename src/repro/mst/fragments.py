@@ -318,9 +318,10 @@ class FragmentPartition:
         crossing = np.flatnonzero(
             (tree_parent >= 0) & (frag[np.maximum(tree_parent, 0)] != frag)
         )
-        diff = np.zeros(frag.size + 1, dtype=np.int64)
-        np.add.at(diff, pre[crossing], 1)
-        np.subtract.at(diff, span[crossing], 1)
+        positions = frag.size + 1
+        diff = np.bincount(pre[crossing], minlength=positions) - np.bincount(
+            span[crossing], minlength=positions
+        )
         depth_by_pos = np.cumsum(diff[:-1])
         depth = depth_by_pos[pre[frag_roots]]
         ftree = FragmentTree(

@@ -14,7 +14,9 @@ artifacts, building each of them exactly once:
   per ``(instance, root)`` — they live in per-graph memos, which the
   grouping turns from "lucky when tasks happen to be adjacent" into a
   guarantee, including under ``--jobs N`` where the runner ships whole
-  groups to workers;
+  groups to workers.  :meth:`InstanceContext.run_group` builds the
+  traces before the group's first task, so the trace's MST seeds the
+  Kruskal memo and no task of a traced group runs Kruskal;
 * the **advice** of each scheme is computed once per ``(scheme, root)``
   and reused by every backend that runs that scheme.
 
@@ -35,6 +37,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.oracle import run_scheme
 from repro.distributed.base import run_baseline
+from repro.mst.boruvka import boruvka_trace
 from repro.runner.registry import resolve_baseline, resolve_scheme
 from repro.runner.tasks import GraphSpec, SweepTask
 
@@ -139,10 +142,11 @@ def _wants_trace(scheme: Any) -> bool:
 class InstanceContext:
     """Shared artifacts of one instance group, built once and reused.
 
-    The context is deliberately lazy: a group of baseline tasks never
-    pays for a trace, a cache-warm group is never constructed at all.
-    ``execute`` produces exactly the row :func:`repro.runner.runner.execute_task`
-    produces — sharing is observable only as speed.
+    The context is deliberately lazy: a group without a trace-driven
+    scheme task never pays for a trace, a cache-warm group is never
+    constructed at all.  ``run_group`` produces exactly the rows
+    :func:`repro.runner.runner.execute_task` produces task by task —
+    sharing is observable only as speed.
     """
 
     def __init__(self) -> None:
@@ -169,8 +173,6 @@ class InstanceContext:
                 return cached
         scheme = resolve_scheme(task.target, problem=task.problem)
         if _wants_trace(scheme):
-            from repro.mst.boruvka import boruvka_trace
-
             trace = boruvka_trace(graph, root=root)
             advice = scheme.compute_advice(graph, root=root, trace=trace)
         else:
@@ -180,6 +182,28 @@ class InstanceContext:
         return scheme, advice
 
     # ------------------------------------------------------------------ #
+
+    def run_group(self, tasks: Sequence[SweepTask]) -> List[Dict[str, Any]]:
+        """Run tasks sharing one instance against this context; rows in task order.
+
+        Before the first task runs, the Borůvka trace is built once per
+        distinct root of the trace-driven scheme tasks.  The trace seeds
+        the instance's Kruskal and rooted-tree memos, so ``trivial``, the
+        MST verifier and ``ghs`` find them filled whatever the task
+        order.  A group without a trace-driven scheme task builds no
+        trace.
+        """
+        if tasks:
+            graph = self._instance(tasks[0])
+            roots = {
+                task.root % graph.n
+                for task in tasks
+                if task.kind == "scheme"
+                and _wants_trace(resolve_scheme(task.target, problem=task.problem))
+            }
+            for root in roots:
+                boruvka_trace(graph, root=root)
+        return [self.execute(task) for task in tasks]
 
     def execute(self, task: SweepTask) -> Dict[str, Any]:
         """Run one task against the shared context and return its row."""

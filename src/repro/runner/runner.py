@@ -63,13 +63,13 @@ def execute_task(task: SweepTask) -> Dict[str, Any]:
     unrounded measurements; presentation rounding happens in the
     aggregation layer so cached and fresh results cannot diverge.
     """
-    return InstanceContext().execute(task)
+    (row,) = InstanceContext().run_group([task])
+    return row
 
 
 def _execute_group(group: TaskGroup) -> List[Tuple[int, Dict[str, Any]]]:
     """Run one instance group against one shared context; ``(miss_index, row)`` pairs."""
-    context = InstanceContext()
-    return [(index, context.execute(task)) for index, task in zip(group.indices, group.tasks)]
+    return list(zip(group.indices, InstanceContext().run_group(group.tasks)))
 
 
 def _execute_group_chunk(chunk: Sequence[TaskGroup]) -> List[Tuple[int, Dict[str, Any]]]:

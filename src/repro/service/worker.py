@@ -36,7 +36,7 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.runner.plan import InstanceContext
 from repro.runner.store import SQLiteResultStore
@@ -86,12 +86,13 @@ def _execute_payload_child(queue_dir: str, payload: Dict[str, Any], error_pipe: 
             raise ValueError(
                 f"malformed payload: {len(hashes)} hashes for {len(tasks)} tasks"
             )
-        context = InstanceContext()
-        stored: List[Tuple[str, Dict[str, Any], Dict[str, Any]]] = []
-        for task, task_hash in zip(tasks, hashes):
-            row = context.execute(task)
-            stored.append((task_hash, task.key_dict() or {}, row))
-        SQLiteResultStore(Path(queue_dir)).put_many(stored)
+        rows = InstanceContext().run_group(tasks)
+        SQLiteResultStore(Path(queue_dir)).put_many(
+            [
+                (task_hash, task.key_dict() or {}, row)
+                for task, task_hash, row in zip(tasks, hashes, rows)
+            ]
+        )
     except BaseException:
         try:
             error_pipe.send(traceback.format_exc(limit=8))

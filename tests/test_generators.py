@@ -1,5 +1,7 @@
 """Tests of the instance generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,53 @@ class TestFamilyRegistry:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown graph kind"):
             build_graph("moebius", 16, seed=0)
+
+
+#: ``(n, p)`` of ``random_connected_graph`` with distinct weights
+DISTINCT_GRID = [
+    (n, p)
+    for n in (1, 2, 3, 4, 5, 17, 64, 100, 257, 1024, 2048)
+    for p in (0.0, 0.01, 0.04, 0.1, 0.5, 1.0)
+]
+#: ``(n, p, weight mode, shuffled ports)`` of ``random_connected_graph``
+MODE_GRID = [
+    (n, p, mode, shuffle)
+    for mode in ("distinct", "integer", "uniform")
+    for shuffle in (True, False)
+    for n in (1, 2, 3, 4, 5, 17, 64, 100, 257, 1024)
+    for p in (0.0, 0.04, 0.5, 1.0)
+]
+#: sha256 of :func:`_fingerprint_graphs`, taken from the generators that
+#: drew one parent per node and built the ``np.triu_indices`` arrays
+GENERATOR_FINGERPRINT = "829073cdfbf09f6267222deb8fd36f0d3cda12f5f69429280d39919603cf67e3"
+
+
+def _fingerprint_graphs():
+    for seed, (n, p) in enumerate(DISTINCT_GRID):
+        yield random_connected_graph(n, p, seed=seed)
+    for seed, (n, p, mode, shuffle) in enumerate(MODE_GRID):
+        yield random_connected_graph(n, p, seed=seed, weight_mode=mode, shuffle_ports=shuffle)
+    for dim in range(1, 11):
+        for shuffle in (False, True):
+            yield hypercube_graph(dim, seed=dim, shuffle_ports=shuffle)
+    for n in (1, 2, 3, 17, 1024):
+        for shuffle in (False, True):
+            yield random_spanning_tree_graph(n, seed=n, shuffle_ports=shuffle)
+
+
+class TestGeneratedBytes:
+    def test_generated_arrays_match_the_pinned_fingerprint(self):
+        """Edges, weights, ports and degrees of every graph, byte for byte.
+
+        Any change to the random stream (which draws happen, how many,
+        in what order) or to the edge order changes the digest.
+        """
+        digest = hashlib.sha256()
+        for g in _fingerprint_graphs():
+            # edge arrays are compact, not views keeping a larger buffer alive
+            assert all(a.flags.c_contiguous for a in (g.edge_u, g.edge_v, g.edge_w))
+            digest.update(f"{g.n} {g.m}".encode())
+            for array in (g.edge_u, g.edge_v, g.edge_w, g.edge_port_u, g.edge_port_v, g._degrees):
+                digest.update(array.dtype.str.encode())
+                digest.update(array.tobytes())
+        assert digest.hexdigest() == GENERATOR_FINGERPRINT

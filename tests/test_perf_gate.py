@@ -144,6 +144,30 @@ def test_prepare_gives_both_sides_the_heads_benchmark(tmp_path):
     assert not (base / "perfbench" / "stale.py").exists()
 
 
+def test_prepare_gives_both_sides_the_same_bytecode(tmp_path):
+    # only the base held bytecode, one file of it without a source
+    base, head = tmp_path / "base", tmp_path / "head"
+    for checkout in (base, head):
+        (checkout / "src" / "pkg").mkdir(parents=True)
+        (checkout / "src" / "pkg" / "mod.py").write_text("VALUE = 1\n")
+        (checkout / "perfbench").mkdir()
+        (checkout / "perfbench" / "run.py").write_text("RUN = 1\n")
+        (checkout / "BENCHMARK.json").write_text("{}")
+    stale = base / "src" / "pkg" / "__pycache__"
+    stale.mkdir()
+    (stale / "gone.cpython-0.pyc").write_bytes(b"stale")
+    perf_gate.prepare(base, head)
+
+    def bytecode(checkout):
+        return sorted(str(path.relative_to(checkout)) for path in checkout.rglob("*.pyc"))
+
+    expected = sorted(
+        str(Path(importlib.util.cache_from_source(str(head / name))).relative_to(head))
+        for name in ("perfbench/run.py", "src/pkg/mod.py")
+    )
+    assert bytecode(base) == bytecode(head) == expected
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert perf_gate.main([]) == 2
     assert "usage" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Tests of the instance-grouped batch executor (repro.runner.plan)."""
 
 import json
+import sys
 
 import pytest
 
@@ -13,6 +14,8 @@ from repro.runner import (
     plan_groups,
     run_tasks,
 )
+from repro.mst.boruvka import boruvka_trace
+from repro.mst.kruskal import kruskal_mst
 from repro.runner.plan import instance_key
 from repro.runner.registry import build_graph
 from repro.runner.tasks import clear_graph_memo
@@ -67,6 +70,20 @@ def _isolated_rows(tasks):
         rows.append(execute_task(task))
     clear_graph_memo()
     return rows
+
+
+def _spy(monkeypatch, fn, record):
+    """Route every ``repro`` module binding of ``fn`` through ``record(graph)``."""
+
+    def spy(graph, *args, **kwargs):
+        record(graph)
+        return fn(graph, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "repro" or name.startswith("repro.")):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, spy)
 
 
 class TestPlanGroups:
@@ -245,6 +262,38 @@ class TestGroupedExecution:
         assert cache.hits == len(tasks)
         assert warm.groups == 0  # no group was ever constructed
         assert json.dumps(first) == json.dumps(second)
+
+    def test_traced_group_makes_no_kruskal_pass(self, monkeypatch):
+        # trivial runs first but finds the MST the group's trace left in
+        # the Kruskal memo: no kruskal_mst call starts from an empty memo
+        tasks = [
+            SweepTask("scheme", target, GraphSpec("random", 0.1), 64, 3, backend="analytic")
+            for target in SCHEMES
+        ]
+        reference = _isolated_rows(tasks)
+        passes = []
+
+        def record(graph):
+            if getattr(graph, "_kruskal_cache", None) is None:
+                passes.append(graph)
+
+        _spy(monkeypatch, kruskal_mst, record)
+        clear_graph_memo()
+        rows = run_tasks(tasks)
+        assert passes == []
+        assert json.dumps(rows) == json.dumps(reference)
+
+    def test_group_without_trace_driven_scheme_builds_no_trace(self, monkeypatch):
+        traces = []
+        _spy(monkeypatch, boruvka_trace, traces.append)
+        clear_graph_memo()
+        tasks = [
+            SweepTask("baseline", "ghs", GraphSpec("random", 0.1), 64, 3, backend=backend)
+            for backend in ("engine", "analytic")
+        ]
+        rows = run_tasks(tasks)
+        assert traces == []
+        assert all(row["correct"] for row in rows)
 
     def test_advice_shared_across_backends_of_one_scheme(self):
         # one instance, one scheme, both backends: the context computes
