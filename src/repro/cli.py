@@ -27,11 +27,11 @@ The CLI exposes the library's main workflows without writing any Python:
     compiled into a task grid, executed through the cached parallel
     runner, and rendered as Markdown/CSV artifacts.
 ``store``
-    Maintain the SQLite result store behind ``--cache-dir``:
-    ``stats`` (rows/bytes per shard), ``gc`` (drop rows no current task
-    hash can reference; with ``--queue-dir`` also prune terminal service
-    jobs past ``--job-ttl`` and their orphaned artifacts, keeping the
-    ``--keep-last`` newest).
+    Maintain the SQLite result store behind ``--cache-dir`` (one file,
+    ``results.sqlite``): ``stats`` (its rows and bytes), ``gc`` (drop rows
+    no current task hash can reference; with ``--queue-dir`` also prune
+    terminal service jobs past ``--job-ttl`` and their orphaned artifacts,
+    keeping the ``--keep-last`` newest).
 ``lowerbound``
     The Theorem-1 fooling-family experiment and pigeonhole table.
 ``serve``
@@ -84,7 +84,7 @@ from repro.runner.registry import (
     resolve_scheme,
 )
 from repro.runner.runner import run_tasks
-from repro.runner.store import DEFAULT_SHARDS, STORE_SCHEMA_VERSION, SQLiteResultStore
+from repro.runner.store import STORE_FILE, STORE_SCHEMA_VERSION, SQLiteResultStore
 from repro.runner.tasks import GraphSpec, SweepTask
 
 __all__ = ["main", "build_parser", "SCHEMES", "BASELINES"]
@@ -150,7 +150,8 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         default=None,
         help=(
-            "directory of the on-disk result store (sharded, WAL-mode SQLite); "
+            "directory of the on-disk result store (one WAL-mode SQLite file, "
+            "results.sqlite); "
             "each finished group is committed, so a killed run restarted with "
             "the same directory re-executes zero finished tasks"
         ),
@@ -193,7 +194,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
             "cache": {
                 "backend": "sqlite",
                 "store_schema_version": STORE_SCHEMA_VERSION,
-                "store_default_shards": DEFAULT_SHARDS,
             },
             "graph_families": list(GRAPH_FAMILIES),
             "schemes": [
@@ -499,30 +499,29 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    """Maintenance of the sharded SQLite result store (stats/gc)."""
+    """Maintenance of the SQLite result store (stats/gc)."""
     directory = Path(args.cache_dir)
     queue_dir = getattr(args, "queue_dir", None)
-    has_shards = any(directory.glob("shard-*.sqlite"))
-    if args.store_command == "stats" and not has_shards:
+    has_store = (directory / STORE_FILE).exists()
+    if not has_store and not queue_dir:
         # read/maintenance commands must not conjure an empty store out of
-        # a typo'd path and then happily report zero rows
-        raise ValueError(f"no result store at {directory} (no shard-*.sqlite files)")
-    if args.store_command == "gc" and not has_shards and not queue_dir:
-        raise ValueError(f"no result store at {directory} (no shard-*.sqlite files)")
+        # a typo'd path and then happily report zero rows (only gc takes
+        # --queue-dir, and then has a queue to work on)
+        raise ValueError(f"no result store at {directory} (no {STORE_FILE})")
     if args.store_command == "stats":
         payload: Dict[str, Any] = SQLiteResultStore(args.cache_dir).stats()
         if args.json:
             print(json.dumps(payload, indent=2))
         else:
+            rows = payload["rows"]
             print(
-                f"store {payload['directory']}: {payload['rows']} row(s) in "
-                f"{payload['shards']} shard(s), {payload['bytes']} bytes "
-                f"(schema v{payload['schema_version']})"
+                f"store {payload['directory']}: "
+                + ("unreadable" if rows is None else f"{rows} row(s)")
+                + f", {payload['bytes']} bytes (schema v{payload['schema_version']})"
             )
-            print(format_table(payload["per_shard"]))
         return 0
     # gc — queue retention first: pruning terminal jobs can orphan result
-    # rows, and the shard gc that follows is what reclaims their bytes
+    # rows, and the store gc that follows is what reclaims their bytes
     queue_payload: Optional[Dict[str, Any]] = None
     if queue_dir:
         from repro.service.queue import LeaseQueue
@@ -530,7 +529,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         queue_payload = LeaseQueue(Path(queue_dir)).gc(
             job_ttl=args.job_ttl, keep_last=args.keep_last
         )
-    if has_shards:
+    if has_store:
         payload = SQLiteResultStore(args.cache_dir).gc(vacuum=not args.no_vacuum)
     else:
         payload = {"removed": 0, "kept": 0}
@@ -816,13 +815,13 @@ def build_parser() -> argparse.ArgumentParser:
         "store",
         help="inspect and maintain the SQLite result store",
         description=(
-            "Maintenance of the sharded SQLite result store: row/size stats per "
-            "shard and garbage collection of rows no current task hash can "
-            "ever reference."
+            "Maintenance of the SQLite result store (results.sqlite): row and "
+            "size stats and garbage collection of rows no current task hash "
+            "can ever reference."
         ),
     )
     store_sub = store_parser.add_subparsers(dest="store_command", required=True)
-    store_stats = store_sub.add_parser("stats", help="rows and bytes, per shard and total")
+    store_stats = store_sub.add_parser("stats", help="rows and bytes of the store file")
     store_gc = store_sub.add_parser(
         "gc", help="drop rows from other library/backend generations"
     )

@@ -10,7 +10,7 @@ amortises that workload:
   hashable graph factory) and :class:`SweepTask` (one ``(target, graph,
   n, seed)`` work unit with a stable content hash);
 * :mod:`~repro.runner.store` — the result store behind ``--cache-dir``:
-  a sharded, WAL-mode SQLite store with batched transactional upserts,
+  one WAL-mode SQLite file with batched transactional upserts,
   committed per finished group, so a killed run rerun with the same
   store executes only what never landed; plus ``stats`` / ``gc``
   maintenance;
@@ -46,13 +46,12 @@ from repro.runner.registry import (
     resolve_target,
 )
 from repro.runner.runner import execute_task, run_tasks
-from repro.runner.store import DEFAULT_SHARDS, STORE_SCHEMA_VERSION, SQLiteResultStore
+from repro.runner.store import STORE_SCHEMA_VERSION, SQLiteResultStore
 from repro.runner.tasks import GraphSpec, SweepTask
 
 __all__ = [
     "BACKENDS",
     "BASELINES",
-    "DEFAULT_SHARDS",
     "GRAPH_FAMILIES",
     "SCHEMES",
     "STORE_SCHEMA_VERSION",

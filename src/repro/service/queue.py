@@ -1,7 +1,8 @@
 """Durable lease queue of task groups, and the executor that drains it.
 
 One SQLite database (``queue.sqlite``, WAL, same directory as the result
-store's shards) holds everything the service needs to survive crashes:
+store's ``results.sqlite``) holds everything the service needs to survive
+crashes:
 
 ``jobs``
     one row per submitted sweep, keyed by the content-addressed job id
@@ -256,13 +257,11 @@ class LeaseQueue:
     def __init__(
         self,
         directory: Path,
-        busy_timeout_ms: int = DEFAULT_BUSY_TIMEOUT_MS,
         clock: Callable[[], float] = time.time,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / "queue.sqlite"
-        self.busy_timeout_ms = int(busy_timeout_ms)
         self.clock = clock
         self.events = EventLog(self.directory / "events.jsonl", clock=clock)
         #: where waiters bind their wake-up bells (:mod:`repro.service.bells`)
@@ -290,10 +289,10 @@ class LeaseQueue:
         # fresh connection after a fork or on first use in this thread
         conn = sqlite3.connect(
             str(self.path),
-            timeout=self.busy_timeout_ms / 1000.0,
+            timeout=DEFAULT_BUSY_TIMEOUT_MS / 1000.0,
             isolation_level=None,  # explicit BEGIN IMMEDIATE below
         )
-        conn.execute(f"PRAGMA busy_timeout={self.busy_timeout_ms}")
+        conn.execute(f"PRAGMA busy_timeout={DEFAULT_BUSY_TIMEOUT_MS}")
         conn.execute("PRAGMA synchronous=NORMAL")
         self._local.conn = conn
         self._local.pid = os.getpid()

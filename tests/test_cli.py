@@ -170,9 +170,9 @@ class TestCommands:
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        # the default backend is the sharded SQLite store, not JSON files
+        # the default backend is the one-file SQLite store, not JSON files
         assert list(tmp_path.glob("*.json")) == []
-        assert len(list(tmp_path.glob("shard-*.sqlite"))) > 0
+        assert (tmp_path / "results.sqlite").exists()
         assert main(argv) == 0  # second run is served from the store
         assert capsys.readouterr().out == first
 
@@ -343,11 +343,15 @@ class TestStoreCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["backend"] == "sqlite"
         assert payload["rows"] == 2
-        assert len(payload["per_shard"]) == payload["shards"]
-        assert sum(row["rows"] for row in payload["per_shard"]) == 2
         # the human rendering mentions the same totals
         assert main(["store", "stats", "--cache-dir", str(directory)]) == 0
         assert "2 row(s)" in capsys.readouterr().out
+
+    def test_stats_reports_an_unreadable_file(self, tmp_path, capsys):
+        """A corrupt store file is reported as such, not as an empty store."""
+        (tmp_path / "results.sqlite").write_text("garbage")
+        assert main(["store", "stats", "--cache-dir", str(tmp_path)]) == 0
+        assert "unreadable" in capsys.readouterr().out
 
     def test_gc_keeps_current_rows(self, tmp_path, capsys):
         directory = self._populate(tmp_path)
@@ -377,7 +381,7 @@ class TestStoreCommand:
         queue.set_job_state("stale", LeaseQueue.JOB_DONE)
         queue.submit_job("live", {"t": 2})
         capsys.readouterr()
-        # no shard store needed when a queue directory is given
+        # no result store needed when a queue directory is given
         argv = [
             "store", "gc", "--cache-dir", str(tmp_path / "no-store"),
             "--queue-dir", str(queue_dir),

@@ -289,8 +289,8 @@ class TestGoldenReport:
         warm = generate_report(smoke_spec, tmp_path / "warm", cache_dir=str(cache))
         assert cold.all_correct and warm.all_correct
         assert _artifact_map(tmp_path / "cold") == _artifact_map(tmp_path / "warm")
-        # the default cache backend is the sharded SQLite store
-        assert len(list(cache.glob("shard-*.sqlite"))) > 0
+        # the default cache backend is the one-file SQLite store
+        assert (cache / "results.sqlite").exists()
         assert list(cache.glob("*.json")) == []
 
     def test_resumed_report_matches_golden_and_reexecutes_nothing(

@@ -139,8 +139,8 @@ class TestRunTasks:
 
     def test_sqlite_cache_round_trip_is_the_default(self, tmp_path):
         fresh = run_tasks(self.TASKS, jobs=1, cache_dir=tmp_path)
-        assert list(tmp_path.glob("*.json")) == []  # sqlite shards, not files
-        assert len(list(tmp_path.glob("shard-*.sqlite"))) > 0
+        assert list(tmp_path.glob("*.json")) == []  # one sqlite file, not files
+        assert (tmp_path / "results.sqlite").exists()
         store = SQLiteResultStore(tmp_path)
         cached = run_tasks(self.TASKS, jobs=1, cache_dir=store)
         assert store.hits == len(self.TASKS)
@@ -163,7 +163,7 @@ class TestRunTasks:
         store = SQLiteResultStore(tmp_path)
         key = self.TASKS[0].task_hash()
         store.close()
-        with closing(sqlite3.connect(store.path_for_shard(store.shard_for(key)))) as conn:
+        with closing(sqlite3.connect(store.path)) as conn:
             with conn:
                 conn.execute("UPDATE results SET result = ? WHERE key = ?", ("{not json", key))
         store = SQLiteResultStore(tmp_path)

@@ -1,4 +1,4 @@
-"""Tests of the sharded SQLite result store and of rerunning a killed run.
+"""Tests of the one-file SQLite result store and of rerunning a killed run.
 
 The store's contract: ``get`` / ``put`` / ``put_many`` with hit/miss
 counters, corruption is a miss (never an error), and — most importantly
@@ -28,7 +28,7 @@ from repro.runner import (
     plan_groups,
     run_tasks,
 )
-from repro.runner.store import DEFAULT_SHARDS, STORE_SCHEMA_VERSION
+from repro.runner.store import DEFAULT_LOCK_RETRIES, STORE_SCHEMA_VERSION
 from repro.simulator.adversary import FaultSpec
 
 #: two instance groups of two tasks each; each group runs ``trivial``
@@ -78,44 +78,16 @@ class TestSQLiteStoreContract:
         assert json.dumps(store.get("ef" * 32)) == json.dumps(row)
 
     def test_shard_layout(self, tmp_path):
+        """Every row lands in the one store file, whatever its key."""
         store = SQLiteResultStore(tmp_path)
-        files = sorted(p.name for p in tmp_path.glob("shard-*.sqlite"))
-        assert len(files) == DEFAULT_SHARDS == store.shards
         keys = [f"{i:02x}" * 32 for i in range(64)]
         for i, key in enumerate(keys):
             store.put(key, {}, _row(i))
         stats = store.stats()
         assert stats["rows"] == len(keys)
         assert stats["schema_version"] == STORE_SCHEMA_VERSION
-        # the hash-prefix routing actually spreads the key space
-        populated = [row for row in stats["per_shard"] if row["rows"]]
-        assert len(populated) > 1
-
-    def test_reopen_adopts_existing_layout(self, tmp_path):
-        SQLiteResultStore(tmp_path, shards=2).put("ab" * 32, {}, _row(0))
-        reopened = SQLiteResultStore(tmp_path, shards=8)
-        assert reopened.shards == 2  # on-disk layout wins over the argument
-        assert reopened.get("ab" * 32) == _row(0)
-
-    def test_layout_file_pins_the_shard_count(self, tmp_path):
-        store = SQLiteResultStore(tmp_path)
-        layout = json.loads(store.layout_path.read_text())
-        assert layout["shards"] == store.shards
-        store.close()
-        # even with shard files missing (partial creation, manual damage)
-        # the layout claim — not a racy glob — decides the routing
-        store.path_for_shard(store.shards - 1).unlink()
-        assert SQLiteResultStore(tmp_path, shards=16).shards == store.shards
-
-    def test_legacy_directory_without_layout_file(self, tmp_path):
-        store = SQLiteResultStore(tmp_path, shards=2)
-        store.put("ab" * 32, {}, _row(0))
-        store.close()
-        store.layout_path.unlink()  # a pre-layout-file store directory
-        reopened = SQLiteResultStore(tmp_path, shards=8)
-        assert reopened.shards == 2  # counted from disk ...
-        assert json.loads(reopened.layout_path.read_text())["shards"] == 2  # ... and pinned
-        assert reopened.get("ab" * 32) == _row(0)
+        assert store.path == tmp_path / "results.sqlite"
+        assert [p.name for p in tmp_path.glob("*.sqlite")] == ["results.sqlite"]
 
     def test_non_hex_keys_still_route(self, tmp_path):
         store = SQLiteResultStore(tmp_path)
@@ -125,9 +97,8 @@ class TestSQLiteStoreContract:
     def test_schema_version_mismatch_is_a_miss(self, tmp_path):
         store = SQLiteResultStore(tmp_path)
         store.put("ab" * 32, {}, _row(0))
-        index = store.shard_for("ab" * 32)
         store.close()
-        conn = sqlite3.connect(store.path_for_shard(index))
+        conn = sqlite3.connect(store.path)
         conn.execute("UPDATE meta SET value='999' WHERE key='schema_version'")
         conn.commit()
         conn.close()
@@ -137,91 +108,111 @@ class TestSQLiteStoreContract:
         assert fresh.get("ab" * 32) == _row(1)
 
 
+class TestShardLayoutDirectory:
+    def test_shard_files_are_not_read(self, tmp_path, capsys, monkeypatch):
+        """A directory of the former sharded layout holds no store: a run
+        recomputes every task into ``results.sqlite`` beside the old files,
+        which stay untouched."""
+        from contextlib import closing
+
+        from repro.cli import main
+
+        fresh = run_tasks(TASKS)
+        (tmp_path / "store.layout").write_text('{"schema_version": 1, "shards": 4}')
+        with closing(sqlite3.connect(tmp_path / "shard-00.sqlite")) as conn, conn:
+            conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+            conn.execute("INSERT INTO meta VALUES ('schema_version', '1'), ('shards', '4')")
+            conn.execute(
+                "CREATE TABLE results (key TEXT PRIMARY KEY, task TEXT NOT NULL,"
+                " result TEXT NOT NULL)"
+            )
+            conn.execute(
+                "INSERT INTO results VALUES (?, ?, ?)",
+                (TASKS[0].task_hash(), json.dumps(TASKS[0].key_dict()), json.dumps(fresh[0])),
+            )
+        old = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert sorted(old) == ["shard-00.sqlite", "store.layout"]
+
+        assert main(["store", "stats", "--cache-dir", str(tmp_path)]) == 2
+        assert "no result store" in capsys.readouterr().err
+
+        executed = []
+        original = InstanceContext.execute
+
+        def spy(self, task):
+            executed.append(task)
+            return original(self, task)
+
+        monkeypatch.setattr(InstanceContext, "execute", spy)
+        rows = run_tasks(TASKS, cache_dir=tmp_path)
+        assert executed == TASKS
+        assert json.dumps(rows) == json.dumps(fresh)
+        assert (tmp_path / "results.sqlite").exists()
+        assert {name: (tmp_path / name).read_bytes() for name in old} == old
+
+
 class TestCorruptShardRecovery:
     def test_corrupt_shard_misses_then_recovers(self, tmp_path):
         store = SQLiteResultStore(tmp_path)
         key = "ab" * 32
         store.put(key, {}, _row(0))
-        index = store.shard_for(key)
         store.close()
-        store.path_for_shard(index).write_text("this is not a database")
+        store.path.write_text("this is not a database")
 
         # corruption is a miss, never an error ...
         reopened = SQLiteResultStore(tmp_path)
         assert reopened.get(key) is None
         assert reopened.misses == 1
-        # ... and the next write rebuilds the shard
+        assert reopened.stats()["rows"] is None  # reported as unreadable
+        # ... and the next write rebuilds the file
         reopened.put(key, {}, _row(1))
         assert reopened.get(key) == _row(1)
         assert reopened.stats()["rows"] == 1
-
-    def test_corrupt_shard_only_loses_its_own_keys(self, tmp_path):
-        store = SQLiteResultStore(tmp_path)
-        keys = [f"{i:02x}" * 32 for i in range(32)]
-        for i, key in enumerate(keys):
-            store.put(key, {}, _row(i))
-        victim = store.shard_for(keys[0])
-        store.close()
-        store.path_for_shard(victim).write_text("garbage")
-        reopened = SQLiteResultStore(tmp_path)
-        survivors = [k for k in keys if reopened.shard_for(k) != victim]
-        assert survivors
-        for key in survivors:
-            assert reopened.get(key) is not None
-        assert reopened.get(keys[0]) is None
 
     def test_transient_errors_never_delete_the_shard(self, tmp_path):
         """Lock contention retries behind bounded seeded backoff, then
         surfaces; other transient errors surface at once — and neither
         ever destroys committed rows."""
-        store = SQLiteResultStore(tmp_path, lock_retries=2)
+        store = SQLiteResultStore(tmp_path)
         key = "ab" * 32
         store.put(key, {}, _row(0))
-        index = store.shard_for(key)
-        store._drop_conn(index)
+        store._drop_conn()
         attempts = []
         delays = []
         store._sleep = delays.append
 
-        def locked(_index):
-            attempts.append(_index)
+        def locked():
+            attempts.append("locked")
             raise sqlite3.OperationalError("database is locked")
 
         store._conn = locked
         with pytest.raises(sqlite3.OperationalError):
             store.put(key, {}, _row(1))
-        # bounded: the initial try plus lock_retries retries, each behind
-        # a deterministic positive backoff — then the error is real
-        assert attempts == [index] * 3
-        assert len(delays) == 2 and all(delay > 0 for delay in delays)
+        # bounded: the initial try plus DEFAULT_LOCK_RETRIES retries, each
+        # behind a deterministic positive backoff — then the error is real
+        assert len(attempts) == 1 + DEFAULT_LOCK_RETRIES
+        assert len(delays) == DEFAULT_LOCK_RETRIES and all(delay > 0 for delay in delays)
         # a disk-full style error is not lock contention: no retry at all
         attempts.clear()
 
-        def disk_error(_index):
-            attempts.append(_index)
+        def disk_error():
+            attempts.append("disk")
             raise sqlite3.OperationalError("disk I/O error")
 
         store._conn = disk_error
         with pytest.raises(sqlite3.OperationalError):
             store.put(key, {}, _row(1))
-        assert attempts == [index]
-        # the shard file survived untouched, with its committed row
+        assert attempts == ["disk"]
+        # the store file survived untouched, with its committed row
         fresh = SQLiteResultStore(tmp_path)
         assert fresh.get(key) == _row(0)
 
     def test_run_tasks_recomputes_after_corruption(self, tmp_path):
         fresh = run_tasks(TASKS, cache_dir=tmp_path)
-        for shard in tmp_path.glob("shard-*.sqlite"):
-            shard.write_text("garbage")
+        (tmp_path / "results.sqlite").write_text("garbage")
         recovered = run_tasks(TASKS, cache_dir=tmp_path)
         assert json.dumps(recovered) == json.dumps(fresh)
         assert SQLiteResultStore(tmp_path).stats()["rows"] == len(TASKS)
-
-
-def _die_between_layout_write_and_link(directory):
-    """Open a brand-new store, killed after the layout claim's temp write."""
-    os.link = lambda *args: os._exit(3)  # this forked child only
-    SQLiteResultStore(directory)
 
 
 class TestMaintenance:
@@ -245,23 +236,6 @@ class TestMaintenance:
         warm = SQLiteResultStore(tmp_path)
         run_tasks(TASKS, cache_dir=warm)
         assert warm.hits == len(TASKS)
-
-    def test_gc_removes_temp_files_of_dead_writers_only(self, tmp_path):
-        child = multiprocessing.get_context("fork").Process(
-            target=_die_between_layout_write_and_link, args=(str(tmp_path),)
-        )
-        child.start()
-        child.join(timeout=60)
-        assert not child.is_alive() and child.exitcode == 3
-        (stray,) = tmp_path.glob(".layout.*.tmp")
-        assert stray.name == f".layout.{child.pid}.tmp"
-        store = SQLiteResultStore(tmp_path)  # claims the layout the child never linked
-        own = tmp_path / f".layout.{os.getpid()}.tmp"
-        own.write_text("{}")
-        store.gc()
-        assert not stray.exists()
-        # a live writer may be mid-write: its temp file stays
-        assert own.exists()
 
 
 def _stress_writer(args):
