@@ -189,14 +189,6 @@ class SQLiteResultStore:
             self._connection = self._connect()
         return self._connection
 
-    def _drop_conn(self) -> None:
-        conn, self._connection = self._connection, None
-        if conn is not None:
-            try:
-                conn.close()
-            except sqlite3.Error:  # pragma: no cover - close never fails in practice
-                pass
-
     def _recover(self) -> None:
         """Delete and recreate a file that SQLite refuses to use.
 
@@ -204,7 +196,7 @@ class SQLiteResultStore:
         fresh — the rows it held become recomputable misses, never an
         error.
         """
-        self._drop_conn()
+        self.close()
         for victim in (self.path, Path(f"{self.path}-wal"), Path(f"{self.path}-shm")):
             try:
                 victim.unlink()
@@ -214,7 +206,12 @@ class SQLiteResultStore:
 
     def close(self) -> None:
         """Close the open connection (the store can be reopened)."""
-        self._drop_conn()
+        conn, self._connection = self._connection, None
+        if conn is not None:
+            try:
+                conn.close()
+            except sqlite3.Error:  # pragma: no cover - close never fails in practice
+                pass
 
     def __getstate__(self) -> Dict[str, Any]:
         # picklable for multiprocessing: connections are per-process
@@ -235,9 +232,9 @@ class SQLiteResultStore:
                 .fetchone()
             )
         except sqlite3.Error:
-            # unreadable file: every lookup is a miss; drop the
+            # unreadable file: every lookup is a miss; close the
             # connection so a later write can rebuild the file
-            self._drop_conn()
+            self.close()
             self.misses += 1
             return None
         if row is None:
@@ -358,7 +355,7 @@ class SQLiteResultStore:
         try:
             rows = self._conn().execute("SELECT COUNT(*) FROM results").fetchone()[0]
         except sqlite3.Error:
-            self._drop_conn()
+            self.close()
             rows = None
         return {
             "backend": "sqlite",
@@ -383,7 +380,7 @@ class SQLiteResultStore:
             conn = self._conn()
             stored = conn.execute("SELECT key, task FROM results").fetchall()
         except sqlite3.Error:
-            self._drop_conn()
+            self.close()
             return {"removed": 0, "kept": 0}
         dead: List[Tuple[str]] = []
         for key, task_text in stored:

@@ -176,7 +176,7 @@ class TestCorruptShardRecovery:
         store = SQLiteResultStore(tmp_path)
         key = "ab" * 32
         store.put(key, {}, _row(0))
-        store._drop_conn()
+        store.close()
         attempts = []
         delays = []
         store._sleep = delays.append
