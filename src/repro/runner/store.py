@@ -9,16 +9,19 @@ the lookup/store contract of a cache (``get`` / ``put`` / ``put_many``,
 a miss) on top of one SQLite file:
 
 * **Layout** — every row lives in ``results.sqlite`` inside the store
-  directory, keyed by task hash.  Its writers are few and already
-  serialised elsewhere: the runner commits from its parent process
-  (``--jobs`` workers hand their rows back), and the service commits
-  once per item, each item transition having passed through the one
-  ``queue.sqlite`` already.
+  directory, keyed by task hash.  One file is enough because its writes
+  are few: the runner commits once per group from its parent process
+  (``--jobs`` workers hand their rows back), and the service once per
+  item, while every item already takes several write transactions on
+  the one ``queue.sqlite``.  Writers can still overlap — the execution
+  children of different service workers, or concurrent runs on one
+  ``--cache-dir`` — and the concurrency rules below keep that safe.
 * **Concurrency** — the file runs in WAL mode (readers never block the
   writer, the writer never blocks readers) with a 30 s busy timeout;
   writes are batched upserts (``INSERT OR REPLACE``) inside one
-  ``BEGIN IMMEDIATE`` transaction per batch, so parallel ``--jobs``
-  sweeps and wholly concurrent invocations interleave safely.
+  ``BEGIN IMMEDIATE`` transaction per batch, retried behind a seeded
+  backoff if the lock still times out, so parallel ``--jobs`` sweeps
+  and wholly concurrent invocations interleave safely.
 * **Corruption recovery** — a file that fails to open or query is
   treated as all-misses; the first write deletes and recreates it, so a
   torn file costs recomputing its rows, never a crash.
@@ -41,8 +44,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
-    "DEFAULT_BUSY_TIMEOUT_MS",
-    "DEFAULT_LOCK_RETRIES",
+    "BUSY_TIMEOUT_MS",
+    "LOCK_RETRIES",
     "STORE_FILE",
     "STORE_SCHEMA_VERSION",
     "SQLiteResultStore",
@@ -59,13 +62,13 @@ STORE_FILE = "results.sqlite"
 #: ``database is locked`` — set explicitly with ``PRAGMA busy_timeout``
 #: (the ``connect(timeout=...)`` handler alone is invisible to
 #: introspection and silently reset by some pragmas)
-DEFAULT_BUSY_TIMEOUT_MS = 30_000
+BUSY_TIMEOUT_MS = 30_000
 
 #: bounded retries a write gets after ``database is locked`` surfaces
 #: *despite* the busy timeout (WAL checkpoint starvation under many
 #: long-lived writers); each retry sleeps a seeded exponential backoff,
 #: then the error is real and raises
-DEFAULT_LOCK_RETRIES = 5
+LOCK_RETRIES = 5
 
 #: first lock-retry delay in seconds (doubles per attempt, capped)
 _LOCK_BACKOFF_BASE = 0.05
@@ -152,13 +155,13 @@ class SQLiteResultStore:
 
     def _connect(self) -> sqlite3.Connection:
         conn = sqlite3.connect(
-            self.path, timeout=DEFAULT_BUSY_TIMEOUT_MS / 1000.0, isolation_level=None
+            self.path, timeout=BUSY_TIMEOUT_MS / 1000.0, isolation_level=None
         )
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
         # explicit busy handler: connect(timeout=...) sets the same thing,
         # but the pragma survives later pragma churn and is inspectable
-        conn.execute(f"PRAGMA busy_timeout={DEFAULT_BUSY_TIMEOUT_MS}")
+        conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
         conn.execute("CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
         row = conn.execute("SELECT value FROM meta WHERE key='schema_version'").fetchone()
         if row is not None and row[0] != str(STORE_SCHEMA_VERSION):
@@ -330,7 +333,7 @@ class SQLiteResultStore:
                 # write retried; anything else (disk full, a bug) is a
                 # real error worth surfacing — never grounds for deleting
                 # committed rows
-                if _is_locked(exc) and lock_attempts < DEFAULT_LOCK_RETRIES:
+                if _is_locked(exc) and lock_attempts < LOCK_RETRIES:
                     self._sleep(
                         _lock_backoff_delay(f"{self.path}:{os.getpid()}", lock_attempts)
                     )

@@ -55,6 +55,7 @@ EVENT_KINDS = (
     "requeue",  # failed item returned to pending (fields: key, not_before)
     "quarantine",  # item pulled from rotation (fields: key, attempts, error)
     "quarantine-requeue",  # operator returned quarantined item to pending
+    "rerun",  # done item returned to pending: its rows were missing (fields: key, job)
     "drain",  # service began draining (fields: outstanding)
     "gc",  # retention pass (fields: jobs, items, quarantine)
 )
@@ -135,6 +136,7 @@ _ITEM_STATE_AFTER = {
     "requeue": "pending",
     "quarantine": "quarantined",
     "quarantine-requeue": "pending",
+    "rerun": "pending",
 }
 
 
@@ -167,7 +169,7 @@ def replay(events: Iterable[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
             if kind == "lease":
                 item["attempts"] = event.get("attempts", item["attempts"])
                 item["owner"] = event.get("owner")
-            elif kind == "quarantine-requeue":
+            elif kind in ("quarantine-requeue", "rerun"):
                 item["attempts"] = 0
                 item["owner"] = None
             else:

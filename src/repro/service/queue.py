@@ -28,9 +28,11 @@ a lock.  A worker that crashes or hangs simply stops heartbeating, its
 lease expires, and the next ``lease()`` call hands the item to someone
 else.  Running a task group twice is safe because results are committed
 to the content-addressed store keyed by task hash — the second execution
-writes byte-identical rows.  Attempts are counted at lease time, so
-crash-looping items (workers die before they can even report a failure)
-still hit the quarantine bound.
+writes byte-identical rows.  So a done item whose rows were lost from
+the store later (a rebuilt corrupt file, or rows only in the files of
+an older store layout, which are not read) is simply run again.
+Attempts are counted at lease time, so crash-looping items (workers die
+before they can even report a failure) still hit the quarantine bound.
 
 Scheduling is **two-lane**: every job (and therefore every item) carries
 a ``high`` or ``normal`` priority, and :meth:`LeaseQueue.lease` serves
@@ -65,10 +67,10 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.runner.plan import TaskGroup
-from repro.runner.store import DEFAULT_BUSY_TIMEOUT_MS, SQLiteResultStore
+from repro.runner.store import BUSY_TIMEOUT_MS, SQLiteResultStore
 from repro.runner.tasks import task_to_wire
 from repro.service import bells
 from repro.service import metrics as service_metrics
@@ -289,10 +291,10 @@ class LeaseQueue:
         # fresh connection after a fork or on first use in this thread
         conn = sqlite3.connect(
             str(self.path),
-            timeout=DEFAULT_BUSY_TIMEOUT_MS / 1000.0,
+            timeout=BUSY_TIMEOUT_MS / 1000.0,
             isolation_level=None,  # explicit BEGIN IMMEDIATE below
         )
-        conn.execute(f"PRAGMA busy_timeout={DEFAULT_BUSY_TIMEOUT_MS}")
+        conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
         conn.execute("PRAGMA synchronous=NORMAL")
         self._local.conn = conn
         self._local.pid = os.getpid()
@@ -781,6 +783,29 @@ class LeaseQueue:
             bells.ring(self.bells_dir, bells.WORKER_BELLS)
         return len(requeued_keys)
 
+    def rerun_done(self, dedup_key: str, job_id: str) -> bool:
+        """Send a done item back to pending because its rows are missing.
+
+        ``complete()`` only ever follows the worker's commit, so a done
+        item lacks rows only when they were lost afterwards: the store
+        file was rebuilt after corruption or deleted by hand, or the
+        item finished under an older store layout, whose files are not
+        read.  The item gets a fresh attempt budget, as a requeued
+        quarantined item does.
+        """
+        with self._txn() as conn:
+            cursor = conn.execute(
+                "UPDATE items SET state = ?, attempts = 0, owner = NULL,"
+                " lease_expires = NULL, not_before = 0, error = NULL"
+                " WHERE dedup_key = ? AND state = ?",
+                (self.ITEM_PENDING, dedup_key, self.ITEM_DONE),
+            )
+            rerun = cursor.rowcount == 1
+        if rerun:
+            self.events.append("rerun", key=dedup_key, job=job_id)
+            bells.ring(self.bells_dir, bells.WORKER_BELLS)
+        return rerun
+
     def stats(self) -> Dict[str, Any]:
         """Queue-wide counters for ``/healthz`` and operator eyes."""
         items = {
@@ -905,6 +930,10 @@ class QueueExecutor:
     the rows themselves are deterministic and the report layer sorts,
     so artifacts stay byte-identical to serial execution.
 
+    A done item whose rows are missing from the store is sent back to
+    pending once (:meth:`LeaseQueue.rerun_done`) and waited on again;
+    rows missing after that rerun raise.
+
     Quarantined items do not block the rest of the job: the executor
     keeps draining until only quarantined work remains, then raises
     :class:`QuarantinedTasksError`.  A set ``stop_event`` raises
@@ -953,6 +982,7 @@ class QueueExecutor:
             pending.setdefault(dedup_key, []).append((unit.indices, hashes))
 
         quarantined_errors: Dict[str, str] = {}
+        rerun: Set[str] = set()
         with contextlib.ExitStack() as resources:
             # the bell exists before the first state check, so a completion
             # rung between a check and the wait is buffered, not missed
@@ -976,11 +1006,20 @@ class QueueExecutor:
                     if dedup_key not in pending:
                         continue
                     if state == LeaseQueue.ITEM_DONE:
-                        waiters = pending.pop(dedup_key)
-                        batch: List[Tuple[int, Dict[str, Any]]] = []
-                        for indices, hashes in waiters:
-                            rows = self._rows_for(store, hashes)
-                            batch.extend(zip(indices, rows))
+                        batch = self._rows_for(store, pending[dedup_key])
+                        if batch is None:
+                            if dedup_key in rerun:
+                                # rows lost again after this job's own
+                                # rerun: fail loudly, don't spin
+                                raise RuntimeError(
+                                    f"queue item {dedup_key[:12]} completed twice but "
+                                    f"its results are missing from the store; was the "
+                                    f"queue directory garbage-collected mid-job?"
+                                )
+                            rerun.add(dedup_key)
+                            self.queue.rerun_done(dedup_key, self.job_id)
+                            continue
+                        del pending[dedup_key]
                         commit(batch)
                     elif state == LeaseQueue.ITEM_QUARANTINED:
                         pending.pop(dedup_key)
@@ -993,18 +1032,16 @@ class QueueExecutor:
             )
 
     @staticmethod
-    def _rows_for(store: SQLiteResultStore, hashes: List[str]) -> List[Dict[str, Any]]:
-        rows: List[Dict[str, Any]] = []
-        for task_hash in hashes:
-            row = store.get(task_hash)
-            if row is None:
-                # complete() only ever follows the worker's put_many, so
-                # a done item without rows means the store was tampered
-                # with (or GC'd mid-job) — fail loudly, don't fabricate
-                raise RuntimeError(
-                    f"queue item completed but result {task_hash[:12]} is missing "
-                    f"from the store; was the queue directory garbage-collected "
-                    f"mid-job?"
-                )
-            rows.append(row)
-        return rows
+    def _rows_for(
+        store: SQLiteResultStore,
+        waiters: List[Tuple[Tuple[int, ...], List[str]]],
+    ) -> Optional[List[Tuple[int, Dict[str, Any]]]]:
+        """The ``(index, row)`` batch of a done item, or ``None`` if a row is missing."""
+        batch: List[Tuple[int, Dict[str, Any]]] = []
+        for indices, hashes in waiters:
+            for index, task_hash in zip(indices, hashes):
+                row = store.get(task_hash)
+                if row is None:
+                    return None
+                batch.append((index, row))
+        return batch

@@ -30,6 +30,7 @@ The ``--jobs N`` dead-worker regression test lives here too: it is the
 same failure mode (a worker dying mid-task) on the in-process pool path.
 """
 
+import contextlib
 import gc
 import json
 import os
@@ -632,6 +633,32 @@ class TestQueueExecutor:
         # the quarantine surfaced — poison does not discard finished work
         assert sorted(index for index, _ in committed) == list(good.indices)
         assert all(row["correct"] for _, row in committed)
+
+    def test_done_item_without_rows_is_rerun_once_then_raises(self, tmp_path):
+        queue = LeaseQueue(tmp_path)
+        group = plan_groups([make_task(seed=2)])[0]
+        executor = QueueExecutor(queue, "job", poll_interval=0.01)
+        completions = []
+
+        def complete_without_rows() -> None:
+            # a worker whose rows never reach the store
+            deadline = time.monotonic() + 30.0
+            while len(completions) < 2 and time.monotonic() < deadline:
+                item = queue.lease("fake-worker", ttl=30.0, max_attempts=3)
+                if item is None:
+                    time.sleep(0.01)
+                    continue
+                completions.append(queue.complete(item.dedup_key, "fake-worker"))
+
+        thread = threading.Thread(target=complete_without_rows, daemon=True)
+        thread.start()
+        with pytest.raises(RuntimeError, match="missing from the store"):
+            executor.run_units([group], lambda batch: None)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        # the first done-without-rows was sent back once; the second raised
+        assert completions == [True, True]
+        assert event_kinds(tmp_path).count("rerun") == 1
 
 
 # ------------------------------------------------------------------ #
@@ -1305,6 +1332,83 @@ class TestKilledBetweenCommitAndComplete:
         leases = [event for event in item_events if event["kind"] == "lease"]
         assert [event.get("expired") for event in leases] == [None, True]
         assert [event["kind"] for event in item_events].count("complete") == 1
+
+
+# ------------------------------------------------------------------ #
+# upgrade: items finished under the older sharded result store
+# ------------------------------------------------------------------ #
+
+
+def write_sharded_store(directory: Path, tasks, rows) -> None:
+    """The older store layout: ``store.layout`` plus ``shard-00.sqlite``."""
+    (directory / "store.layout").write_text('{"schema_version": 1, "shards": 4}')
+    with contextlib.closing(sqlite3.connect(directory / "shard-00.sqlite")) as conn, conn:
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+        conn.execute("INSERT INTO meta VALUES ('schema_version', '1'), ('shards', '4')")
+        conn.execute(
+            "CREATE TABLE results (key TEXT PRIMARY KEY, task TEXT NOT NULL,"
+            " result TEXT NOT NULL)"
+        )
+        conn.executemany(
+            "INSERT INTO results VALUES (?, ?, ?)",
+            [
+                (task.task_hash(), json.dumps(task.key_dict()), json.dumps(row))
+                for task, row in zip(tasks, rows)
+            ],
+        )
+
+
+class TestUpgradeFromShardedStore:
+    def test_parked_job_whose_done_rows_sit_in_a_shard_file_finishes(self, tmp_path):
+        """A job parked under the older sharded store left its finished
+        group ``done`` in the queue, with the rows in ``shard-00.sqlite``,
+        which is not read.  Resumed, the job re-runs that group instead of
+        failing, and its artifacts match a serial run."""
+        text = ONE_GROUP_SPEC.format(seed=4)
+        spec = parse_spec_text(text, fmt="toml", source="one.toml")
+        tasks = [task for _, batch in compile_tasks(spec) for task in batch]
+        serial_dir = tmp_path / "serial"
+        generate_report(spec, serial_dir)
+
+        queue_dir = tmp_path / "svc"
+        service = SweepService(queue_dir, lease_ttl=5.0, poll_interval=0.05)
+        job_id, _ = service.submit_text(text, "toml", name="one.toml")
+        service.drain(timeout=30.0)  # parked: the job's one item is pending
+        item = service.queue.lease("old-worker", ttl=30.0, max_attempts=3)
+        assert item is not None and service.queue.complete(item.dedup_key, "old-worker")
+        write_sharded_store(queue_dir, tasks, run_tasks(tasks))
+        old = {
+            name: (queue_dir / name).read_bytes()
+            for name in ("shard-00.sqlite", "store.layout")
+        }
+
+        service2 = SweepService(queue_dir, lease_ttl=5.0, poll_interval=0.05)
+        assert service2.resume_running_jobs() == [job_id]
+        worker = spawn_test_worker(queue_dir, lease_ttl=5.0, delay=0.0)
+        try:
+            deadline = time.monotonic() + 120.0
+            while service2.queue.job_record(job_id)["state"] == LeaseQueue.JOB_RUNNING:
+                assert time.monotonic() < deadline, "job never finished"
+                time.sleep(0.05)
+        finally:
+            worker.kill()
+            worker.wait()
+            service2.drain(timeout=30.0)
+        record = service2.queue.job_record(job_id)
+        assert record["state"] == LeaseQueue.JOB_DONE, record["error"]
+
+        service_dir = service2.artifacts_dir(job_id)
+        names = sorted(path.name for path in serial_dir.iterdir())
+        assert sorted(path.name for path in service_dir.iterdir()) == names
+        for name in names:
+            assert (service_dir / name).read_bytes() == (serial_dir / name).read_bytes(), name
+        kinds = [
+            event["kind"]
+            for event in read_events(queue_dir / "events.jsonl")
+            if event.get("key") == item.dedup_key
+        ]
+        assert kinds.count("rerun") == 1 and kinds.count("complete") == 2
+        assert {name: (queue_dir / name).read_bytes() for name in old} == old
 
 
 # ------------------------------------------------------------------ #

@@ -28,7 +28,7 @@ from repro.runner import (
     plan_groups,
     run_tasks,
 )
-from repro.runner.store import DEFAULT_LOCK_RETRIES, STORE_SCHEMA_VERSION
+from repro.runner.store import LOCK_RETRIES, STORE_SCHEMA_VERSION
 from repro.simulator.adversary import FaultSpec
 
 #: two instance groups of two tasks each; each group runs ``trivial``
@@ -188,10 +188,10 @@ class TestCorruptShardRecovery:
         store._conn = locked
         with pytest.raises(sqlite3.OperationalError):
             store.put(key, {}, _row(1))
-        # bounded: the initial try plus DEFAULT_LOCK_RETRIES retries, each
+        # bounded: the initial try plus LOCK_RETRIES retries, each
         # behind a deterministic positive backoff — then the error is real
-        assert len(attempts) == 1 + DEFAULT_LOCK_RETRIES
-        assert len(delays) == DEFAULT_LOCK_RETRIES and all(delay > 0 for delay in delays)
+        assert len(attempts) == 1 + LOCK_RETRIES
+        assert len(delays) == LOCK_RETRIES and all(delay > 0 for delay in delays)
         # a disk-full style error is not lock contention: no retry at all
         attempts.clear()
 
