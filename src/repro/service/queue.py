@@ -1012,9 +1012,9 @@ class QueueExecutor:
                                 # rows lost again after this job's own
                                 # rerun: fail loudly, don't spin
                                 raise RuntimeError(
-                                    f"queue item {dedup_key[:12]} completed twice but "
-                                    f"its results are missing from the store; was the "
-                                    f"queue directory garbage-collected mid-job?"
+                                    f"queue item {dedup_key[:12]} is done but its results "
+                                    f"are missing from the store, even after a rerun; was "
+                                    f"the queue directory garbage-collected mid-job?"
                                 )
                             rerun.add(dedup_key)
                             self.queue.rerun_done(dedup_key, self.job_id)
