@@ -1009,10 +1009,10 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help="attach one worker process to a service queue directory",
         description=(
-            "Lease task groups from --queue-dir, execute each in a killable "
-            "subprocess with heartbeats and a wall-clock timeout, and commit "
-            "results to the shared store. SIGTERM finishes the in-flight item "
-            "and exits."
+            "Lease task groups from --queue-dir, execute them in one long-lived, "
+            "killable subprocess (replaced after a failure or a timeout) with "
+            "heartbeats and a wall-clock timeout, and commit results to the "
+            "shared store. SIGTERM finishes the in-flight item and exits."
         ),
     )
     _add_service_arguments(worker_parser)

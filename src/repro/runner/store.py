@@ -349,12 +349,19 @@ class SQLiteResultStore:
     # ------------------------------------------------------------------ #
 
     def stats(self) -> Dict[str, Any]:
-        """The row count and file size of the store.
+        """The row count and on-disk size of the store.
 
-        A file SQLite cannot query reports ``rows: None`` (corrupt — its
-        lookups miss until a write rebuilds it).
+        ``bytes`` counts every ``results.sqlite*`` file: committed rows can
+        sit in the ``-wal`` sidecar until a checkpoint.  A file SQLite
+        cannot query reports ``rows: None`` (corrupt — its lookups miss
+        until a write rebuilds it).
         """
-        size = self.path.stat().st_size if self.path.exists() else 0
+        size = 0
+        for path in self.directory.glob(f"{STORE_FILE}*"):
+            try:
+                size += path.stat().st_size
+            except OSError:  # a sidecar the last connection's close removed
+                pass
         try:
             rows = self._conn().execute("SELECT COUNT(*) FROM results").fetchone()[0]
         except sqlite3.Error:

@@ -12,8 +12,8 @@ here is built around at-least-once delivery made safe by idempotency:
   with seeded jitter, per-task wall-clock timeouts, and the quarantine
   rule that keeps one poison task from wedging a queue;
 * :mod:`repro.service.worker` — the worker loop behind ``repro
-  worker``: lease, execute in a killable subprocess, heartbeat, commit
-  to the shared result store, complete or fail;
+  worker``: lease, execute in one long-lived killable subprocess,
+  heartbeat, commit to the shared result store, complete or fail;
 * :mod:`repro.service.daemon` — the stdlib-HTTP daemon behind ``repro
   serve``: spec submission with task-hash job dedup, progress
   streaming, artifact serving, and graceful SIGTERM drain.

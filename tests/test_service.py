@@ -13,7 +13,9 @@ Five layers, in rising order of violence:
 * worker tests: poison payloads quarantine instead of wedging, hung
   executions hit the wall-clock timeout, drained items survive,
   heartbeats keep their configured cadence, idle workers stay live,
-  and a warmed worker's forked children import nothing;
+  a warmed worker's execution child imports nothing per item, and that
+  one child serves item after item, is replaced after a failure or a
+  timeout, and outlives neither a drain nor a SIGKILLed worker;
 * waiting tests: bells wake idle workers and waiting jobs long before
   their poll interval, and an unbindable or stale bell degrades to
   polling; 20 jobs through the HTTP daemon leave no connection, file
@@ -843,7 +845,7 @@ class TestDeadPoolWorker:
 
 
 def spawn_test_worker(
-    queue_dir: Path, lease_ttl: float, delay: float, poll_interval: float = 0.1
+    queue_dir: Path, lease_ttl: float, delay: float, poll_interval: float = 0.1, **popen_kwargs
 ) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
@@ -869,6 +871,7 @@ def spawn_test_worker(
         ],
         env=env,
         stderr=subprocess.DEVNULL,
+        **popen_kwargs,
     )
 
 
@@ -980,7 +983,7 @@ class TestSweepServiceDrainAndResume:
 
         # "restart": a fresh service over the same directory resumes the
         # parked job, and a worker process drains the queue.  Not a worker
-        # thread: the worker forks one child per item, and forking while
+        # thread: the worker forks its execution child, and forking while
         # this process's job and polling threads sit inside SQLite can
         # hand the child a mutex that is never released
         service2 = SweepService(queue_dir, lease_ttl=5.0, poll_interval=0.05)
@@ -1071,35 +1074,35 @@ def spawn_python(script: str, *args: str, **popen_kwargs) -> subprocess.Popen:
     return subprocess.Popen([sys.executable, "-c", script, *args], env=env, **popen_kwargs)
 
 
-#: a worker whose execution children each record the modules they import
-#: (the diff of sys.modules from fork to os._exit) in one JSON file
+#: a worker whose execution child records, per item, the modules the
+#: item imported (the diff of sys.modules around it) as one JSON line
 RECORD_CHILD_IMPORTS = """
 import json, os, sys
 from pathlib import Path
 import repro.service.worker as worker
 
-queue_dir, out_dir, items = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
-execute_child = worker._execute_payload_child
+queue_dir, out_file, items = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
+execute = worker._execute_payload
 
-def recording_child(*args):
+def recording_execute(*args):
     before = set(sys.modules)
-    real_exit = os._exit
-
-    def exit_and_record(code):
+    ok = False
+    try:
+        store = execute(*args)
+        ok = True
+        return store
+    finally:
         new = sorted(set(sys.modules) - before)
-        (out_dir / f"{os.getpid()}.json").write_text(json.dumps({"code": code, "new": new}))
-        real_exit(code)
+        with out_file.open("a") as out:
+            out.write(json.dumps({"pid": os.getpid(), "ok": ok, "new": new}) + "\\n")
 
-    os._exit = exit_and_record
-    execute_child(*args)
-
-worker._execute_payload_child = recording_child
+worker._execute_payload = recording_execute
 worker.run_worker(queue_dir, max_items=items, poll_interval=0.05)
 """
 
 
 class TestWarmWorker:
-    def test_forked_child_of_a_warmed_worker_imports_nothing(self, tmp_path):
+    def test_execution_child_imports_nothing_per_item(self, tmp_path):
         random = GraphSpec("random", 0.1)
         tasks = [
             SweepTask("scheme", "trivial", random, n=16, seed=1),
@@ -1113,20 +1116,22 @@ class TestWarmWorker:
                 for family in ("torus", "hypercube", "powerlaw", "geometric")
             ),
         ]
-        queue_dir, out_dir = tmp_path / "q", tmp_path / "imports"
-        out_dir.mkdir()
+        queue_dir, out_file = tmp_path / "q", tmp_path / "imports.jsonl"
         queue = LeaseQueue(queue_dir)
         groups = plan_groups(tasks)
         for group in groups:
             enqueue_group(queue, "job", group.tasks)
         worker = spawn_python(
-            RECORD_CHILD_IMPORTS, str(queue_dir), str(out_dir), str(len(groups))
+            RECORD_CHILD_IMPORTS, str(queue_dir), str(out_file), str(len(groups))
         )
         assert worker.wait(timeout=120) == 0
-        records = [json.loads(path.read_text()) for path in sorted(out_dir.iterdir())]
+        records = [json.loads(line) for line in out_file.read_text().splitlines()]
         assert len(records) == len(groups) == 6
-        assert [record["code"] for record in records] == [0] * len(groups)
+        assert [record["ok"] for record in records] == [True] * len(groups)
         assert [record["new"] for record in records] == [[]] * len(groups)
+        # one execution child ran them all, and it is not the worker itself
+        assert len({record["pid"] for record in records}) == 1
+        assert records[0]["pid"] != worker.pid
 
     def test_failed_warm_up_raises_before_anything_is_leased(self, tmp_path, monkeypatch):
         import repro.service.worker as worker_module
@@ -1141,6 +1146,167 @@ class TestWarmWorker:
             run_worker(tmp_path, max_items=1, poll_interval=0.05)
         assert queue.item_states([key])[key][0] == LeaseQueue.ITEM_PENDING
         assert "lease" not in event_kinds(tmp_path)
+
+
+# ------------------------------------------------------------------ #
+# the execution child: one per worker, replaced after a failure
+# ------------------------------------------------------------------ #
+
+
+def record_child_items(monkeypatch, log: Path, hang_first: bool = False) -> None:
+    """Make the execution child log each item's pid and graph-memo size
+    as one JSON line; with ``hang_first`` the first item hangs."""
+    import repro.runner.tasks as tasks_module
+    import repro.service.worker as worker_module
+
+    execute = worker_module._execute_payload
+
+    def recording_execute(*args):
+        first = not log.exists()
+        record = {"pid": os.getpid(), "memo": len(tasks_module._GRAPH_MEMO)}
+        with log.open("a") as out:
+            out.write(json.dumps(record) + "\n")
+        if hang_first and first:
+            time.sleep(60)
+        return execute(*args)
+
+    monkeypatch.setattr(worker_module, "_execute_payload", recording_execute)
+
+
+def logged_items(log: Path):
+    return [json.loads(line) for line in log.read_text().splitlines()]
+
+
+def child_pids(pid: int):
+    return [int(child) for child in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+
+
+def process_gone(pid: int) -> bool:
+    """Whether ``pid`` has exited: no ``/proc`` entry, or a zombie not reaped yet."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def wait_for_worker_bell(queue_dir: Path, worker: subprocess.Popen) -> None:
+    """Until ``worker`` has bound its bell: warmed up, child forked, leasing next."""
+    deadline = time.monotonic() + 60.0
+    while not list((Path(queue_dir) / "bells").glob(f"{WORKER_BELLS}*")):
+        assert time.monotonic() < deadline, "the worker never bound its bell"
+        assert worker.poll() is None
+        time.sleep(0.02)
+
+
+def wait_for_event(queue_dir: Path, kind: str, key: str, timeout: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not any(
+        event["kind"] == kind and event.get("key") == key
+        for event in read_events(Path(queue_dir) / "events.jsonl")
+    ):
+        assert time.monotonic() < deadline, f"no {kind} event for item {key[:12]}"
+        time.sleep(0.05)
+
+
+#: the tests below read a worker's children from /proc
+PROC_CHILDREN = pytest.mark.skipif(
+    not os.path.exists(f"/proc/self/task/{os.getpid()}/children"),
+    reason="lists child processes through /proc",
+)
+
+
+class TestExecutionChild:
+    def test_one_child_serves_consecutive_items_and_max_items_joins_it(
+        self, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "items.jsonl"
+        record_child_items(monkeypatch, log)
+        queue = LeaseQueue(tmp_path / "q")
+        keys = [enqueue_group(queue, "job", [make_task(seed=seed)]) for seed in range(3)]
+        assert run_worker(tmp_path / "q", max_items=3, poll_interval=0.05) == 3
+        states = queue.item_states(keys)
+        assert [states[key][0] for key in keys] == [LeaseQueue.ITEM_DONE] * 3
+        [pid] = {item["pid"] for item in logged_items(log)}
+        assert pid != os.getpid()
+        with pytest.raises(ChildProcessError):  # joined: nothing left to reap
+            os.waitpid(pid, os.WNOHANG)
+
+    def test_graph_memo_is_empty_after_each_item(self, tmp_path, monkeypatch):
+        log = tmp_path / "items.jsonl"
+        record_child_items(monkeypatch, log)
+        queue = LeaseQueue(tmp_path / "q")
+        for seed in range(3):
+            enqueue_group(queue, "job", [make_task(seed=seed)])
+        run_worker(tmp_path / "q", max_items=3, poll_interval=0.05)
+        # what the first item finds is the warm-up's instance
+        assert [item["memo"] for item in logged_items(log)][1:] == [0, 0]
+
+    @pytest.mark.parametrize("failure", ["poison", "timeout"])
+    def test_item_after_a_failed_one_runs_in_a_fresh_child(
+        self, failure, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "items.jsonl"
+        record_child_items(monkeypatch, log, hang_first=failure == "timeout")
+        queue = LeaseQueue(tmp_path / "q")
+        bad = enqueue_group(queue, "job", [make_task(seed=0)])
+        if failure == "poison":
+            with queue._txn() as conn:
+                conn.execute(
+                    "UPDATE items SET payload = ? WHERE dedup_key = ?",
+                    (json.dumps({"version": 1, "hashes": [], "tasks": [{"kind": "junk"}]}), bad),
+                )
+        good = enqueue_group(queue, "job", [make_task(seed=1)])  # leased second
+        policy = RetryPolicy(max_attempts=1, task_timeout=1.0)
+        assert run_worker(tmp_path / "q", policy=policy, max_items=2, poll_interval=0.02) == 2
+        states = queue.item_states([bad, good])
+        assert states[bad][0] == LeaseQueue.ITEM_QUARANTINED
+        assert ("timed out" if failure == "timeout" else "exited with code 1") in states[bad][1]
+        assert states[good][0] == LeaseQueue.ITEM_DONE
+        first, second = [item["pid"] for item in logged_items(log)]
+        assert first != second and os.getpid() not in (first, second)
+
+    @PROC_CHILDREN
+    @pytest.mark.parametrize("when", ["idle", "mid-item"])
+    def test_sigkilled_worker_leaves_no_execution_child(self, when, tmp_path):
+        queue = LeaseQueue(tmp_path)
+        task = make_task(seed=5)
+        worker = spawn_test_worker(tmp_path, lease_ttl=1.5, delay=2.0)
+        try:
+            if when == "idle":
+                wait_for_worker_bell(tmp_path, worker)
+            else:
+                # a heartbeat means the child holds the item: it is sleeping
+                # the 2 s test delay
+                wait_for_event(tmp_path, "heartbeat", enqueue_group(queue, "job", [task]))
+            [child] = child_pids(worker.pid)
+        finally:
+            worker.kill()
+            worker.wait()
+        deadline = time.monotonic() + 10.0
+        while not process_gone(child):
+            assert time.monotonic() < deadline, "the execution child outlived its worker"
+            time.sleep(0.05)
+        if when == "mid-item":  # it finished the item in hand first
+            assert SQLiteResultStore(tmp_path).get(task.task_hash()) is not None
+
+    @PROC_CHILDREN
+    def test_process_group_sigterm_mid_item_drains_and_joins_the_child(self, tmp_path):
+        queue = LeaseQueue(tmp_path)
+        worker = spawn_test_worker(tmp_path, lease_ttl=1.5, delay=2.0, start_new_session=True)
+        try:
+            key = enqueue_group(queue, "job", [make_task(seed=6)])
+            wait_for_event(tmp_path, "heartbeat", key)
+            [child] = child_pids(worker.pid)
+            os.killpg(worker.pid, signal.SIGTERM)  # the worker and its child alike
+            assert worker.wait(timeout=60) == 0
+        finally:
+            worker.kill()
+            worker.wait()
+        # the child ignored the signal and finished its item; the drain
+        # reaped it before the worker exited
+        assert not os.path.exists(f"/proc/{child}")
+        assert queue.item_states([key])[key][0] == LeaseQueue.ITEM_DONE
 
 
 # ------------------------------------------------------------------ #
@@ -1189,11 +1355,7 @@ class TestWakeups:
         try:
             # a bound worker bell means the warm-up is done and the first
             # lease is next; give it a moment to reach its 30 s wait
-            deadline = time.monotonic() + 60.0
-            while not list((tmp_path / "bells").glob(f"{WORKER_BELLS}*")):
-                assert time.monotonic() < deadline, "the worker never bound its bell"
-                assert worker.poll() is None
-                time.sleep(0.02)
+            wait_for_worker_bell(tmp_path, worker)
             time.sleep(0.3)
             committed = []
             started = time.monotonic()
@@ -1214,10 +1376,7 @@ class TestWakeups:
     def test_sigterm_cuts_an_idle_wait_short(self, tmp_path):
         worker = spawn_test_worker(tmp_path, lease_ttl=30.0, delay=0.0, poll_interval=30.0)
         try:
-            deadline = time.monotonic() + 60.0
-            while not list((tmp_path / "bells").glob(f"{WORKER_BELLS}*")):
-                assert time.monotonic() < deadline, "the worker never bound its bell"
-                time.sleep(0.02)
+            wait_for_worker_bell(tmp_path, worker)
             worker.terminate()
             assert worker.wait(timeout=10.0) == 0  # not after its 30 s wait
         finally:

@@ -77,7 +77,7 @@ class TestSQLiteStoreContract:
         store.put("ef" * 32, {}, row)
         assert json.dumps(store.get("ef" * 32)) == json.dumps(row)
 
-    def test_shard_layout(self, tmp_path):
+    def test_one_store_file(self, tmp_path):
         """Every row lands in the one store file, whatever its key."""
         store = SQLiteResultStore(tmp_path)
         keys = [f"{i:02x}" * 32 for i in range(64)]
@@ -89,7 +89,7 @@ class TestSQLiteStoreContract:
         assert store.path == tmp_path / "results.sqlite"
         assert [p.name for p in tmp_path.glob("*.sqlite")] == ["results.sqlite"]
 
-    def test_non_hex_keys_still_route(self, tmp_path):
+    def test_arbitrary_keys_round_trip(self, tmp_path):
         store = SQLiteResultStore(tmp_path)
         store.put("not-a-hash", {}, _row(7))
         assert store.get("not-a-hash") == _row(7)
@@ -151,8 +151,8 @@ class TestShardLayoutDirectory:
         assert {name: (tmp_path / name).read_bytes() for name in old} == old
 
 
-class TestCorruptShardRecovery:
-    def test_corrupt_shard_misses_then_recovers(self, tmp_path):
+class TestCorruptFileRecovery:
+    def test_corrupt_file_misses_then_recovers(self, tmp_path):
         store = SQLiteResultStore(tmp_path)
         key = "ab" * 32
         store.put(key, {}, _row(0))
@@ -169,7 +169,7 @@ class TestCorruptShardRecovery:
         assert reopened.get(key) == _row(1)
         assert reopened.stats()["rows"] == 1
 
-    def test_transient_errors_never_delete_the_shard(self, tmp_path):
+    def test_transient_errors_never_delete_the_file(self, tmp_path):
         """Lock contention retries behind bounded seeded backoff, then
         surfaces; other transient errors surface at once — and neither
         ever destroys committed rows."""
@@ -236,6 +236,17 @@ class TestMaintenance:
         warm = SQLiteResultStore(tmp_path)
         run_tasks(TASKS, cache_dir=warm)
         assert warm.hits == len(TASKS)
+
+    def test_stats_bytes_count_the_wal_sidecars(self, tmp_path):
+        """Rows committed through a connection that is still open sit in
+        ``results.sqlite-wal``; ``bytes`` counts them, as ``du -sh
+        results.sqlite*`` does."""
+        run_tasks(TASKS, cache_dir=tmp_path)  # leaves the store it opened open
+        stats = SQLiteResultStore(tmp_path).stats()
+        on_disk = sum(path.stat().st_size for path in tmp_path.glob("results.sqlite*"))
+        assert stats["bytes"] == on_disk
+        assert on_disk > (tmp_path / "results.sqlite").stat().st_size
+        assert (tmp_path / "results.sqlite-wal").stat().st_size > 0
 
 
 def _stress_writer(args):
