@@ -9,7 +9,8 @@ Contents
 --------
 
 ``union_find``
-    A rank + path-compression disjoint-set forest.
+    A rank + path-compression disjoint-set forest (Kruskal and the
+    spanning-tree checks).
 ``kruskal`` / ``prim``
     Classic sequential MST algorithms under the canonical
     ``(weight, edge_id)`` total order, so that all components of the
@@ -23,6 +24,7 @@ Contents
     phase ``i`` iff its size is ``< 2^i``; every active fragment selects
     its minimum outgoing MST edge; the full per-phase trace (fragments,
     choosing nodes, selected edges, levels) is recorded for the oracles.
+    Its loop and classic Borůvka share one hook-and-jump merge per phase.
 ``fragments``
     Fragment forests: membership, induced subtrees ``T_F``, fragment
     roots ``r_F``, DFS orders, the contracted fragment tree ``T_i`` and

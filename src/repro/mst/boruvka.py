@@ -23,20 +23,24 @@ Two entry points are provided:
     :class:`FragmentSelection` record per active fragment (choosing
     node, selected edge, orientation, DFS position, ...).  The oracles
     of ``repro.core`` are written directly against this trace.
+
+Both loops keep one representative label per node and merge each
+phase's selections with the same vectorised hook-and-jump
+(:func:`_hook_and_jump`).
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Set, Tuple
 
 import numpy as np
 
 from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.mst.fragments import FragmentPartition, FragmentTree
 from repro.mst.rooted_tree import RootedSpanningTree, build_rooted_tree, graph_of
-from repro.mst.union_find import UnionFind
 
 __all__ = [
     "FragmentSelection",
@@ -108,8 +112,9 @@ class BoruvkaPhase:
         self.active = active
         #: de-duplicated edge ids selected at this phase
         self.selected_edge_ids = selected_edge_ids
-        #: per-selection columns, ordered by fragment index (see
-        #: :data:`SELECTION_COLUMNS`)
+        #: per-selection columns named after the :class:`FragmentSelection`
+        #: fields (``index_pair`` split into ``index_x`` and ``index_y``),
+        #: ordered by fragment index
         self.arrays = arrays
         self._selections = None
 
@@ -179,37 +184,24 @@ class BoruvkaTrace:
         """Number of phases until a single fragment remained."""
         return len(self.phases)
 
-    def phase(self, i: int) -> BoruvkaPhase:
-        """Phase ``i`` (1-based)."""
-        return self.phases[i - 1]
-
-    def selected_before_phase(self, i: int) -> List[int]:
-        """All edge ids selected strictly before phase ``i`` (1-based)."""
-        out: Set[int] = set()
-        for ph in self.phases[: i - 1]:
-            out.update(ph.selected_edge_ids)
-        return sorted(out)
-
     def partition_before_phase(self, i: int) -> FragmentPartition:
         """The fragment partition at the beginning of phase ``i`` (1-based).
 
-        For ``i`` beyond the last recorded phase this returns the
-        partition obtained after the final phase (which may still have
-        several fragments if the trace was truncated with
-        ``max_phases``).
+        For ``i`` beyond the last phase this is the partition the final
+        phase leaves: one fragment holding every node.
         """
         if 1 <= i <= len(self.phases):
             return self.phases[i - 1].partition
-        # the beyond-the-end partition is the same object for every such
-        # ``i``; build it once (the analytic backend asks for it once per
-        # remaining phase window plus once for the final collection)
-        cached = getattr(self, "_final_partition", None)
-        if cached is None:
-            cached = FragmentPartition.from_selected_edges(
-                self.tree, self.selected_before_phase(len(self.phases) + 1)
-            )
-            self._final_partition = cached
-        return cached
+        return self._final_partition
+
+    @cached_property
+    def _final_partition(self) -> FragmentPartition:
+        # one object for every ``i`` past the end: the analytic backend
+        # asks for it once per remaining phase window and once more for
+        # the final collection
+        return FragmentPartition(
+            self.tree, np.zeros(self.tree.n, dtype=np.int64), num_fragments=1
+        )
 
     def mst_edge_ids(self) -> List[int]:
         """Edge ids of the MST produced by the run (the reference tree's edges)."""
@@ -265,6 +257,39 @@ def _minimum_outgoing_edges(
     return frags, eids, nodes
 
 
+def _hook_and_jump(
+    graph: PortNumberedGraph,
+    labels: np.ndarray,
+    frags: np.ndarray,
+    edge_ids: np.ndarray,
+    nodes: np.ndarray,
+) -> Tuple[np.ndarray, int]:
+    """Merge one phase's selections: ``(new labels, number of merges)``.
+
+    Fragment ``frags[k]`` (a representative) selected edge
+    ``edge_ids[k]`` at its node ``nodes[k]``; every such fragment hooks
+    onto the fragment across its edge, and fragments that selected
+    nothing stay roots.  Under one global total order the hooks form a
+    forest plus, per merged fragment, one edge selected from both sides;
+    the smaller representative of that mutual pair becomes the root.
+    Pointer jumping then flattens every tree onto its root, and each
+    distinct selected edge is one merge.
+    """
+    across = np.where(
+        graph.edge_u[edge_ids] == nodes, graph.edge_v[edge_ids], graph.edge_u[edge_ids]
+    )
+    parent = np.arange(graph.n, dtype=np.int64)
+    parent[frags] = labels[across]
+    roots = frags[(parent[parent[frags]] == frags) & (frags < parent[frags])]
+    parent[roots] = roots
+    while True:
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            break
+        parent = jumped
+    return parent[labels], edge_ids.size - roots.size
+
+
 # ---------------------------------------------------------------------- #
 # plain Borůvka (independent MST reference)
 # ---------------------------------------------------------------------- #
@@ -296,25 +321,8 @@ def plain_boruvka_phases(
         if edge_ids.size == 0:
             return
         yield edge_ids, nodes
-        # merge in one hook-and-jump: every fragment hooks onto the one
-        # across its selected edge.  Under one global total order the
-        # selections form a forest plus, per merged fragment, one edge
-        # selected from both sides; the smaller representative of that
-        # mutual pair becomes the root.
-        across = np.where(
-            graph.edge_u[edge_ids] == nodes, graph.edge_v[edge_ids], graph.edge_u[edge_ids]
-        )
-        parent = np.arange(graph.n, dtype=np.int64)
-        parent[frags] = labels[across]
-        roots = frags[(parent[parent[frags]] == frags) & (frags < parent[frags])]
-        parent[roots] = roots
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
-        labels = parent[labels]
-        fragments -= edge_ids.size - roots.size  # one merge per distinct edge
+        labels, merges = _hook_and_jump(graph, labels, frags, edge_ids, nodes)
+        fragments -= merges
 
 
 def boruvka_mst(graph: PortNumberedGraph) -> List[int]:
@@ -338,11 +346,7 @@ def boruvka_mst(graph: PortNumberedGraph) -> List[int]:
 # ---------------------------------------------------------------------- #
 
 
-def boruvka_trace(
-    graph: PortNumberedGraph,
-    root: int = 0,
-    max_phases: Optional[int] = None,
-) -> BoruvkaTrace:
+def boruvka_trace(graph: PortNumberedGraph, root: int = 0) -> BoruvkaTrace:
     """Run the paper's active/passive Borůvka variant and record everything.
 
     Parameters
@@ -353,68 +357,60 @@ def boruvka_trace(
         The node chosen as the root ``r`` of the resulting MST; the
         up/down orientation of selected edges and the fragment levels are
         defined relative to ``r``.
-    max_phases:
-        If given, stop recording after this many phases even if several
-        fragments remain (the Theorem-3 oracle only needs
-        ``⌈log₂ log₂ n⌉`` phases).  The reference MST and the rooted tree
-        are always computed from a full run.
     """
     if not graph.is_connected():
         raise ValueError("MST is undefined on a disconnected graph")
     if not 0 <= root < graph.n:
         raise ValueError("root out of range")
 
-    # full traces are memoised per (graph, root): the trace is a pure
-    # function of the immutable instance, and every trace-driven scheme
-    # (theorem2 / theorem3 / theorem3-level) plus the analytic backend
-    # asks for the same one when run over the same instance
-    if max_phases is None:
-        memo = getattr(graph, "_trace_cache", None)
-        if memo is None:
-            memo = {}
-            graph._trace_cache = memo
-        cached = memo.get(root)
-        if cached is not None:
-            return cached
+    # traces are memoised per (graph, root): the trace is a pure function
+    # of the immutable instance, and every trace-driven scheme (theorem2 /
+    # theorem3 / theorem3-level) plus the analytic backend asks for the
+    # same one when run over the same instance
+    memo = getattr(graph, "_trace_cache", None)
+    if memo is None:
+        memo = {}
+        graph._trace_cache = memo
+    cached = memo.get(root)
+    if cached is not None:
+        return cached
 
     order = np.lexsort((np.arange(graph.m), graph.edge_w))
     sorted_u = graph.edge_u[order]
     sorted_v = graph.edge_v[order]
 
     # ---------- raw phase loop (membership + selections only) ----------
-    uf = UnionFind(graph.n)
+    labels = np.arange(graph.n, dtype=np.int64)  # a representative per node
+    fragments = graph.n
     raw_phases: List[Dict] = []
     all_selected: Set[int] = set()
     phase_index = 0
-    while uf.component_count > 1:
+    while fragments > 1:
         phase_index += 1
-        threshold = 1 << phase_index
-        reps = uf.roots_array()
-        sizes = np.bincount(reps, minlength=graph.n)
+        sizes = np.bincount(labels, minlength=graph.n)
 
         # first outgoing edge in canonical order, per active fragment
-        # (arrays are ordered by fragment representative — the historical
-        # ``sorted(rep -> selection)`` iteration order)
-        frag_reps, edge_ids, nodes = _minimum_outgoing_edges(
-            graph.n, graph.edge_u, graph.edge_v, reps, sorted_u, sorted_v, order
+        # (arrays are ordered by representative; ``_annotate_phases``
+        # puts them in fragment-index order)
+        frags, edge_ids, nodes = _minimum_outgoing_edges(
+            graph.n, graph.edge_u, graph.edge_v, labels, sorted_u, sorted_v, order
         )
-        active = sizes[frag_reps] < threshold
-        sel_eids = edge_ids[active]
-        sel_nodes = nodes[active]
+        active = sizes[frags] < (1 << phase_index)
+        frags, edge_ids, nodes = frags[active], edge_ids[active], nodes[active]
 
-        new_edges = np.unique(sel_eids).tolist()
+        new_edges = np.unique(edge_ids).tolist()
         raw_phases.append(
             {
                 "index": phase_index,
-                "reps": reps,
-                "sel_eids": sel_eids,
-                "sel_nodes": sel_nodes,
+                "reps": labels,
+                "sel_eids": edge_ids,
+                "sel_nodes": nodes,
                 "new_edges": new_edges,
             }
         )
-        for eid in new_edges:
-            uf.union(int(graph.edge_u[eid]), int(graph.edge_v[eid]))
-            all_selected.add(eid)
+        all_selected.update(new_edges)
+        labels, merges = _hook_and_jump(graph, labels, frags, edge_ids, nodes)
+        fragments -= merges
         if phase_index > graph.n:  # pragma: no cover - safety net
             raise RuntimeError("Borůvka did not converge")
 
@@ -428,10 +424,9 @@ def boruvka_trace(
         graph._kruskal_cache = tuple(mst_edges)
     tree = build_rooted_tree(graph, mst_edges, root=root)
 
-    phases = _annotate_phases(graph, tree, raw_phases, max_phases)
+    phases = _annotate_phases(graph, tree, raw_phases)
     trace = BoruvkaTrace(graph_ref=weakref.ref(graph), root=root, tree=tree, phases=phases)
-    if max_phases is None:
-        graph._trace_cache[root] = trace
+    memo[root] = trace
     return trace
 
 
@@ -439,33 +434,35 @@ def _annotate_phases(
     graph: PortNumberedGraph,
     tree: RootedSpanningTree,
     raw_phases: List[Dict],
-    max_phases: Optional[int] = None,
 ) -> List[BoruvkaPhase]:
     """Turn raw per-phase selections into fully annotated :class:`BoruvkaPhase`\\ s.
 
     Each phase's partition is one bulk pass over the representatives the
-    raw loop recorded at the start of that phase; every per-selection
-    field (ports, ranks, index pairs, orientations, levels, DFS indices)
-    is gathered with one vectorised pass per phase.
+    raw loop recorded at the start of that phase; the selections are put
+    in fragment-index order, and every per-selection field (ports,
+    ranks, index pairs, orientations, levels, DFS indices) is gathered
+    with one vectorised pass per phase.
     """
     phases: List[BoruvkaPhase] = []
-    limit = len(raw_phases) if max_phases is None else min(max_phases, len(raw_phases))
     parent_edge_arr = np.asarray(tree.parent_edge, dtype=np.int64)
     slot_rank, slot_x, slot_y = graph._slot_orders()
     offsets = graph._offsets
-    for raw in raw_phases[:limit]:
+    for raw in raw_phases:
         i = raw["index"]
         partition = FragmentPartition.from_roots(tree, raw["reps"])
         ftree = partition.fragment_tree()
         active = tuple(partition.active_fragments(i))
-        eids = raw["sel_eids"]
-        choosing = raw["sel_nodes"]
         frag_of = partition.fragment_of_array()
+        # one selection per fragment, so its fragment index is its sort key
+        frag = frag_of[raw["sel_nodes"]]
+        by_fragment = np.argsort(frag)
+        frag = frag[by_fragment]
+        eids = raw["sel_eids"][by_fragment]
+        choosing = raw["sel_nodes"][by_fragment]
         at_u = graph.edge_u[eids] == choosing
         target = np.where(at_u, graph.edge_v[eids], graph.edge_u[eids])
         port = np.where(at_u, graph.edge_port_u[eids], graph.edge_port_v[eids])
         slot = offsets[choosing] + port
-        frag = frag_of[choosing]
         counts = partition.fragment_sizes_array()
         levels = ftree.depth_array() % 2
         target_frag = frag_of[target]

@@ -8,23 +8,23 @@ whose root is the fragment containing ``r``.  The paper assigns every
 fragment a *level*: the parity of the depth of its contracted node in
 ``T_i``.
 
-:class:`FragmentPartition` captures one such partition (derived from the
-set of MST edges selected so far), and :class:`FragmentTree` captures
-the contracted rooted tree with its levels.  Both are *oracle-side*
-objects: the advising schemes use them to decide what advice to write,
-and the test-suite uses them to check the structural lemmas of the paper
-(Lemma 1, Lemma 2, the level parity of selected edges, ...).
+:class:`FragmentPartition` captures one such partition (built from the
+per-node fragment representatives of a Borůvka phase), and
+:class:`FragmentTree` captures the contracted rooted tree with its
+levels.  Both are *oracle-side* objects: the advising schemes use them
+to decide what advice to write, and the test-suite uses them to check
+the structural lemmas of the paper (Lemma 1, Lemma 2, the level parity
+of selected edges, ...).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.mst.rooted_tree import RootedSpanningTree
-from repro.mst.union_find import UnionFind
 
 __all__ = ["FragmentPartition", "FragmentTree"]
 
@@ -55,25 +55,13 @@ class FragmentPartition:
     )
 
     def __init__(
-        self,
-        tree: RootedSpanningTree,
-        fragment_of: Optional[Sequence[int]] = None,
-        members: Optional[Sequence[Sequence[int]]] = None,
-        *,
-        frag_array: Optional["np.ndarray"] = None,
-        num_fragments: Optional[int] = None,
+        self, tree: RootedSpanningTree, frag_array: "np.ndarray", num_fragments: int
     ):
         self.tree = tree
-        if frag_array is None:
-            frag_array = np.asarray(tuple(fragment_of or ()), dtype=np.int64)
         self._frag_array = frag_array
-        if num_fragments is None:
-            num_fragments = int(frag_array.max()) + 1 if frag_array.size else 0
         self._num_fragments = int(num_fragments)
-        self._fragment_of_t = tuple(fragment_of) if fragment_of is not None else None
-        self._members_t = (
-            tuple(tuple(m) for m in members) if members is not None else None
-        )
+        self._fragment_of_t: Optional[Tuple[int, ...]] = None
+        self._members_t: Optional[Tuple[Tuple[int, ...], ...]] = None
         #: per-instance caches (preorders and fragment roots are requested
         #: by the oracle, the packer and the analytic backend)
         self._cache: Dict = {}
@@ -124,33 +112,12 @@ class FragmentPartition:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def from_selected_edges(
-        tree: RootedSpanningTree, selected_edge_ids: Iterable[int]
-    ) -> "FragmentPartition":
-        """Partition induced by the connected components of ``selected_edge_ids``.
-
-        Every selected edge must be an edge of ``tree`` (fragments are
-        always unions of MST subtrees).
-        """
-        graph = tree.graph
-        tree_edges = set(tree.edge_ids)
-        uf = UnionFind(graph.n)
-        for eid in selected_edge_ids:
-            eid = int(eid)
-            if eid not in tree_edges:
-                raise ValueError(f"edge {eid} is not an edge of the reference MST")
-            ref = graph.edge(eid)
-            uf.union(ref.u, ref.v)
-        return FragmentPartition.from_roots(tree, uf.roots_array())
-
-    @staticmethod
     def from_roots(tree: RootedSpanningTree, roots: "np.ndarray") -> "FragmentPartition":
         """Partition from a per-node representative array, in one bulk pass.
 
         Fragment indices are assigned in increasing order of the smallest
-        member node — identical to the historical per-node
-        ``UnionFind.find`` scan, but built from ``np.unique`` instead of
-        ``n`` Python-level find calls per phase.
+        member node, so any choice of representatives for the same
+        grouping gives the same partition.
         """
         roots = np.asarray(roots, dtype=np.int64)
         uniq, first_pos, inverse = np.unique(roots, return_index=True, return_inverse=True)
@@ -161,14 +128,7 @@ class FragmentPartition:
         relabel = np.empty(len(uniq), dtype=np.int64)
         relabel[order] = np.arange(len(uniq))
         fragment_of = relabel[inverse]
-        return FragmentPartition(
-            tree=tree, frag_array=fragment_of, num_fragments=len(uniq)
-        )
-
-    @staticmethod
-    def singletons(tree: RootedSpanningTree) -> "FragmentPartition":
-        """The initial partition: every node is its own fragment."""
-        return FragmentPartition.from_selected_edges(tree, [])
+        return FragmentPartition(tree, fragment_of, num_fragments=len(uniq))
 
     # ------------------------------------------------------------------ #
     # queries

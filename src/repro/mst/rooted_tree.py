@@ -247,13 +247,16 @@ def build_rooted_tree(
 ) -> RootedSpanningTree:
     """Root the spanning tree given by ``tree_edge_ids`` at ``root``.
 
-    Raises ``ValueError`` if the edge set is not a spanning tree of
-    ``graph``.  Results are memoised per ``(root, edge set)`` on the
-    (immutable) graph instance: the Borůvka tracer, the trivial scheme's
-    Kruskal tree and the analytic backend all root the same MST of the
-    same instance, and the tree object itself carries useful caches
-    (children table, preorder, subtree spans).
+    Raises ``ValueError`` if ``root`` is not a node of ``graph`` or the
+    edge set is not a spanning tree of it.  Results are memoised per
+    ``(root, edge set)`` on the (immutable) graph instance: the Borůvka
+    tracer, the trivial scheme's Kruskal tree and the analytic backend
+    all root the same MST of the same instance, and the tree object
+    itself carries useful caches (children table, preorder, subtree
+    spans).
     """
+    if not 0 <= root < graph.n:
+        raise ValueError("root out of range")
     edge_ids = sorted(int(e) for e in tree_edge_ids)
     memo = getattr(graph, "_rooted_tree_cache", None)
     if memo is None:

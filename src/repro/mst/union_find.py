@@ -1,15 +1,12 @@
 """Disjoint-set forest (union by rank, path compression).
 
-Used by Kruskal, by the Borůvka phase machinery, and by several
-verifiers.  Fragment sizes, which the paper's Borůvka variant needs to
-decide which fragments are *active* at a phase (``|F| < 2^i``), come
-from :meth:`UnionFind.roots_array` (``np.bincount`` over the
-representatives), not from per-union bookkeeping.
+Used by Kruskal and by the spanning-tree checks of
+:mod:`repro.mst.verify`.  The Borůvka loops do not use it: they merge
+each phase's selections with one vectorised hook-and-jump
+(:mod:`repro.mst.boruvka`).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 __all__ = ["UnionFind"]
 
@@ -50,23 +47,3 @@ class UnionFind:
             self._rank[ra] += 1
         self._count -= 1
         return True
-
-    def roots_array(self) -> np.ndarray:
-        """Representative of every element, as one bulk array pass.
-
-        Equivalent to ``[self.find(x) for x in range(n)]`` but computed
-        with vectorised pointer jumping (``p = parent[p]`` until a fixed
-        point, which takes ``O(log depth)`` array passes) followed by a
-        full path-compression write-back.  Representatives are identical
-        to per-call :meth:`find` — compression never changes roots — so
-        callers that previously paid ``n`` Python-level ``find`` calls
-        per phase (the Borůvka loop, fragment partitions) now pay a few
-        NumPy passes instead.
-        """
-        parent = np.asarray(self._parent, dtype=np.int64)
-        roots = parent[parent]
-        while not np.array_equal(roots, parent):
-            parent = roots
-            roots = parent[parent]
-        self._parent = roots.tolist()
-        return roots

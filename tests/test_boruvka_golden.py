@@ -14,12 +14,17 @@ to the historical per-fragment implementation.  Two enforcement layers:
   edges, duplicated node identifiers, and permuted ports.
 """
 
+import hashlib
+
+import numpy as np
+
 from repro.graphs.generators import cycle_graph, grid_graph, random_connected_graph
 from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.mst.boruvka import boruvka_mst, boruvka_trace
 from repro.mst.kruskal import kruskal_mst
 from repro.mst.prim import prim_mst
 from repro.mst.union_find import UnionFind
+from repro.runner.registry import GRAPH_FAMILIES, build_graph
 
 # captured from the pre-vectorisation kernel; regenerate only if the
 # *specified* trace semantics change, never for a performance refactor
@@ -158,9 +163,65 @@ def test_tiebreaking_stable_under_port_relabelling():
 
 
 def test_selection_order_is_deterministic():
-    # FragmentSelection records appear sorted by union-find representative,
-    # twice the same run gives identical phases object-for-object
+    # FragmentSelection records appear in fragment-index order, so twice
+    # the same run gives identical phases object-for-object
     graph, root = _cases()["random_n24_s3"]
     a = _fingerprint(boruvka_trace(graph, root=root))
     b = _fingerprint(boruvka_trace(graph, root=root))
     assert a == b
+
+
+# --------------------------------------------------------------------- #
+# every registry family, beyond the three golden instances
+# --------------------------------------------------------------------- #
+
+#: sha256 of :func:`_trace_digest`, taken from the trace loop that merged
+#: edge by edge with a union-find
+TRACE_FINGERPRINT = "fedd2f414af5ca0cd9c2bd29d2665c960dc5aa097e4c926ef57a0fb5c32693e7"
+
+FINGERPRINT_SIZES = (8, 16, 33, 64, 128, 300)
+
+
+def _registry_traces():
+    for family in GRAPH_FAMILIES:
+        for n in FINGERPRINT_SIZES:
+            for seed in range(3):
+                graph = build_graph(family, n, seed=seed)
+                yield graph, boruvka_trace(graph, root=seed % graph.n)
+
+
+def _update(digest, values, dtype=np.int64):
+    array = np.asarray(values, dtype=dtype)
+    digest.update(array.dtype.str.encode())
+    digest.update(array.tobytes())
+
+
+def _trace_digest():
+    digest = hashlib.sha256()
+    for graph, trace in _registry_traces():
+        digest.update(f"{graph.n} {trace.root} {trace.num_phases}".encode())
+        _update(digest, trace.tree.parent)
+        _update(digest, trace.tree.edge_ids)
+        for ph in trace.phases:
+            _update(digest, ph.partition.fragment_of_array())
+            _update(digest, ph.active)
+            _update(digest, ph.selected_edge_ids)
+            _update(digest, ph.fragment_tree.parent_fragment)
+            _update(digest, ph.fragment_tree.depth)
+            by_fragment = np.argsort(ph.arrays["fragment"], kind="stable")
+            for name in sorted(ph.arrays):
+                column = ph.arrays[name][by_fragment]
+                _update(digest, column, dtype=column.dtype)
+    return digest.hexdigest()
+
+
+def test_registry_traces_match_the_pinned_fingerprint():
+    """Partitions, active sets, selected edges, fragment trees, selection
+    columns (by fragment) and rooted trees of every registry family."""
+    assert _trace_digest() == TRACE_FINGERPRINT
+
+
+def test_selection_columns_are_in_fragment_order():
+    for _graph, trace in _registry_traces():
+        for ph in trace.phases:
+            assert np.all(np.diff(ph.arrays["fragment"]) > 0), ph.index

@@ -17,9 +17,7 @@ from repro.graphs.generators import (
     random_connected_graph,
 )
 from repro.mst.boruvka import boruvka_trace
-from repro.mst.fragments import FragmentPartition
 from repro.mst.kruskal import kruskal_mst
-from repro.mst.rooted_tree import build_rooted_tree
 
 
 TRACE_GRAPHS = [
@@ -118,14 +116,15 @@ class TestTrace:
                 assert preorder[sel.choosing_dfs_index - 1] == sel.choosing_node
                 assert len(preorder) == sel.fragment_size
 
-    def test_max_phases_truncation(self, traced):
-        _, graph, root, trace = traced
-        truncated = boruvka_trace(graph, root=root, max_phases=1)
-        assert truncated.num_phases == 1
-        assert truncated.mst_edge_ids() == trace.mst_edge_ids()
-        # the partition after the only recorded phase is still available
-        partition = truncated.partition_before_phase(2)
-        assert sum(partition.sizes()) == graph.n
+    def test_final_partition_is_one_fragment(self, traced):
+        _, graph, _, trace = traced
+        final = trace.partition_before_phase(trace.num_phases + 1)
+        assert final.num_fragments == 1
+        assert final.sizes() == [graph.n]
+        assert final.members == (tuple(range(graph.n)),)
+        assert final.fragment_tree().num_fragments == 1
+        # built once: every phase past the end gets the same object
+        assert trace.partition_before_phase(trace.num_phases + 2) is final
 
 
 class TestKruskalMemoSeeding:
@@ -158,31 +157,13 @@ class TestKruskalMemoSeeding:
 
 class TestFragmentPartition:
     def test_singletons(self):
+        """Phase 1 starts from the singleton partition."""
         g = random_connected_graph(12, 0.2, seed=7)
-        tree = build_rooted_tree(g, kruskal_mst(g), root=0)
-        partition = FragmentPartition.singletons(tree)
+        partition = boruvka_trace(g, root=0).partition_before_phase(1)
         assert partition.num_fragments == g.n
+        assert partition.fragment_of == tuple(range(g.n))
         assert partition.sizes() == [1] * g.n
         assert partition.dfs_preorder(3) == [partition.members[3][0]]
-
-    def test_partition_from_selected_edges(self):
-        g = random_connected_graph(20, 0.15, seed=8)
-        mst = kruskal_mst(g)
-        tree = build_rooted_tree(g, mst, root=0)
-        partition = FragmentPartition.from_selected_edges(tree, mst[:5])
-        assert sum(partition.sizes()) == g.n
-        # nodes joined by a selected edge share a fragment
-        for eid in mst[:5]:
-            ref = g.edge(eid)
-            assert partition.fragment_of[ref.u] == partition.fragment_of[ref.v]
-
-    def test_rejects_non_tree_edges(self):
-        g = complete_graph(6, seed=9)
-        mst = kruskal_mst(g)
-        tree = build_rooted_tree(g, mst, root=0)
-        non_tree = next(e for e in range(g.m) if e not in set(mst))
-        with pytest.raises(ValueError):
-            FragmentPartition.from_selected_edges(tree, [non_tree])
 
     def test_fragment_root_and_depths(self):
         g = random_connected_graph(25, 0.1, seed=10)

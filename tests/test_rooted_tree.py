@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.oracle import run_scheme
 from repro.graphs.generators import path_graph, random_connected_graph, star_graph
 from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.mst.kruskal import kruskal_mst
 from repro.mst.rooted_tree import ROOT_OUTPUT, build_rooted_tree
+from repro.runner.registry import resolve_scheme
 
 
 class TestBuild:
@@ -45,6 +47,26 @@ class TestBuild:
         g = path_graph(4, seed=1)
         with pytest.raises(ValueError):
             build_rooted_tree(g, [0, 0, 1], root=0)
+
+    @pytest.mark.parametrize("root", [-1, 16])
+    def test_rejects_a_root_outside_the_graph(self, root):
+        g = random_connected_graph(16, 0.2, seed=1)
+        with pytest.raises(ValueError, match="root out of range"):
+            build_rooted_tree(g, kruskal_mst(g), root=root)
+        # nothing was memoised under the bad root
+        assert all(key[0] != root for key in getattr(g, "_rooted_tree_cache", {}))
+
+    @pytest.mark.parametrize("backend", ["engine", "analytic"])
+    @pytest.mark.parametrize("root", [-1, 16])
+    @pytest.mark.parametrize(
+        "target", ["trivial", "wakeup/spanning-tree", "stverify/flag", "stverify/distance"]
+    )
+    def test_schemes_rooting_a_tree_reject_a_root_outside_the_graph(
+        self, target, root, backend
+    ):
+        g = random_connected_graph(16, 0.2, seed=1)
+        with pytest.raises(ValueError, match="root out of range"):
+            run_scheme(resolve_scheme(target), g, root=root, backend=backend)
 
 
 class TestQueries:
