@@ -111,10 +111,11 @@ def run_baseline(
     ``backend`` selects how the program is executed, as for
     :func:`~repro.core.oracle.run_scheme`: ``"engine"`` simulates it
     round by round; ``"analytic"`` computes the same metrics and outputs
-    from the plain Borůvka phases (see
-    :func:`~repro.simulator.analytic.run_baseline_analytic`).  Baselines
-    without an analytic model, and runs that would exceed
-    ``max_rounds``, fall back to the engine.
+    from the plain Borůvka phases (GHS) or the nodes' hop balls
+    (full-info; see
+    :func:`~repro.simulator.analytic.run_baseline_analytic`).  Other
+    baselines, instances outside a model and runs that would exceed
+    ``max_rounds`` fall back to the engine.
 
     ``fault`` selects the adversarial engine (seeded delays and
     crash/recovery; ``fault_seed`` pins the schedule); it requires the

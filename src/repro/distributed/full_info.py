@@ -23,12 +23,15 @@ the benchmarks report as a violently non-CONGEST ``congest_factor``.
 Node identifiers must be distinct (as the paper requires for this
 algorithm).
 
-Simulation cost: the wire still carries the whole knowledge base every
-round, but the simulator's per-round work follows what each node
-*newly* learns.  A received record is kept as the immutable tuple it
-arrived as, closure is tracked incrementally (the set of mentioned
-identifiers only grows; knowledge is closed once it mentions no more
-identifiers than it has records), and the gossip payload
+Simulation cost: the analytic backend runs no program at all —
+:func:`~repro.simulator.analytic.run_baseline_analytic` computes the
+same metrics and outputs from every node's hop balls (the schedule is in
+``docs/accounting.md``).  On the engine, the wire still carries the
+whole knowledge base every round, but the per-round work follows what
+each node *newly* learns.  A received record is kept as the immutable
+tuple it arrived as, closure is tracked incrementally (the set of
+mentioned identifiers only grows; knowledge is closed once it mentions
+no more identifiers than it has records), and the gossip payload
 (:class:`_Knowledge`) is rebuilt only when knowledge grew.  Its wire
 size is summed from per-record ``estimate_bits`` shares, each computed
 once by the record's owner, and reaches the engine through the

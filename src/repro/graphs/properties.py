@@ -9,13 +9,14 @@ verifiers, workload generators and benchmark harnesses do.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graphs.weighted_graph import PortNumberedGraph
 
 __all__ = [
+    "all_sources_bfs",
     "bfs_layers",
     "bfs_parents",
     "connected_components",
@@ -86,18 +87,16 @@ def eccentricity(graph: PortNumberedGraph, source: int) -> int:
 def diameter(graph: PortNumberedGraph, exact_limit: int = 2048) -> int:
     """Unweighted diameter.
 
-    Exact for graphs of at most ``exact_limit`` nodes: an all-sources
-    BFS run bit-parallel over the CSR arrays, 64 sources per ``uint64``
-    word, so each block of 64 sources costs one vectorised O(m) step per
-    BFS layer and O(m) words of memory.  Beyond the limit a standard
-    double-sweep lower bound is returned, which is exact on trees and a
-    very good estimate elsewhere — benchmarks only use the diameter to
-    contextualise round counts.
+    Exact for graphs of at most ``exact_limit`` nodes: the largest last
+    step of any block of :func:`all_sources_bfs`.  Beyond the limit a
+    standard double-sweep lower bound is returned, which is exact on
+    trees and a very good estimate elsewhere — benchmarks only use the
+    diameter to contextualise round counts.
     """
     if not is_connected(graph):
         raise ValueError("diameter is undefined on a disconnected graph")
     if graph.n <= exact_limit:
-        return _diameter_exact(graph)
+        return max(step for _, step, _ in all_sources_bfs(graph))
     # double sweep
     d0 = shortest_path_lengths(graph, 0)
     far = int(np.argmax(d0))
@@ -105,32 +104,34 @@ def diameter(graph: PortNumberedGraph, exact_limit: int = 2048) -> int:
     return int(d1.max())
 
 
-def _diameter_exact(graph: PortNumberedGraph) -> int:
-    """Largest eccentricity of a connected graph, 64 BFS sources per word.
+def all_sources_bfs(graph: PortNumberedGraph) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """A BFS from every node of a connected graph, 64 sources per ``uint64`` word.
 
-    Bit ``k`` of ``reach[v]`` says whether source ``lo + k`` has reached
-    ``v``; one step ORs every node's neighbour words into its own, so a
-    block needs as many steps as its largest eccentricity.
+    Yields ``(lo, step, reach)`` for each block of sources ``lo ..
+    lo + 63`` (fewer in the last block) and each step ``0, 1, ...``
+    until the block has reached every node: bit ``k`` of ``reach[v]``
+    says whether ``v`` lies within ``step`` hops of source ``lo + k``.
+    One step ORs every node's neighbour words into its own, so each
+    block costs one vectorised O(m) step per BFS layer and O(m) words
+    of memory, and its last step is its largest eccentricity.  ``reach``
+    is updated in place: read it before asking for the next item.
     """
     n = graph.n
-    if n == 1:
-        return 0
-    # connected with n >= 2: every degree is >= 1, so no reduceat segment
-    # is empty
     neighbor = graph._adj_neighbor
+    # connected with n >= 2: every degree is >= 1, so no reduceat segment
+    # is empty (a lone node is full at step 0 and never steps)
     starts = graph._offsets[:-1]
-    best = 0
     for lo in range(0, n, 64):
         width = min(64, n - lo)
         full = np.uint64((1 << width) - 1)
         reach = np.zeros(n, dtype=np.uint64)
         reach[lo : lo + width] = np.left_shift(np.uint64(1), np.arange(width, dtype=np.uint64))
-        steps = 0
+        yield lo, 0, reach
+        step = 0
         while not (reach == full).all():
             reach |= np.bitwise_or.reduceat(reach[neighbor], starts)
-            steps += 1
-        best = max(best, steps)
-    return best
+            step += 1
+            yield lo, step, reach
 
 
 def is_connected(graph: PortNumberedGraph) -> bool:

@@ -4,6 +4,7 @@ The returned edge set is the library's reference MST ``T*``: because all
 edges are compared under one global total order, the result is unique
 even when edge weights are duplicated, and it coincides with the output
 of :func:`repro.mst.boruvka.boruvka_mst` and :func:`repro.mst.prim.prim_mst`.
+:func:`kruskal_in_order` is the same scan under a caller's order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.mst.union_find import UnionFind
 
-__all__ = ["kruskal_mst"]
+__all__ = ["kruskal_in_order", "kruskal_mst"]
 
 
 def kruskal_mst(graph: PortNumberedGraph) -> List[int]:
@@ -33,7 +34,18 @@ def kruskal_mst(graph: PortNumberedGraph) -> List[int]:
         return list(cached)
     if not graph.is_connected():
         raise ValueError("MST is undefined on a disconnected graph")
-    order = np.lexsort((np.arange(graph.m), graph.edge_w))
+    tree = kruskal_in_order(graph, np.lexsort((np.arange(graph.m), graph.edge_w)))
+    graph._kruskal_cache = tuple(tree)
+    return tree
+
+
+def kruskal_in_order(graph: PortNumberedGraph, order: np.ndarray) -> List[int]:
+    """Sorted edge ids of the tree Kruskal builds scanning edges in ``order``.
+
+    ``order`` lists the edge ids of a connected graph, lightest first
+    under whatever total order the caller breaks ties by; nothing is
+    memoised.
+    """
     uf = UnionFind(graph.n)
     edge_u = graph.edge_u.tolist()
     edge_v = graph.edge_v.tolist()
@@ -44,5 +56,4 @@ def kruskal_mst(graph: PortNumberedGraph) -> List[int]:
             if len(tree) == graph.n - 1:
                 break
     tree.sort()
-    graph._kruskal_cache = tuple(tree)
     return tree

@@ -78,6 +78,8 @@ class LeaderFlagScheme(AdvisingScheme):
     problem = "leader"
 
     def compute_advice(self, graph: PortNumberedGraph, root: int = 0) -> AdviceAssignment:
+        if not 0 <= root < graph.n:
+            raise ValueError("root out of range")
         advice = AdviceAssignment(graph.n)
         one = BitString.from_uint(1, 1)
         zero = BitString.from_uint(0, 1)
@@ -125,6 +127,8 @@ class LeaderRankScheme(AdvisingScheme):
 
     def compute_advice(self, graph: PortNumberedGraph, root: int = 0) -> AdviceAssignment:
         n = graph.n
+        if not 0 <= root < n:
+            raise ValueError("root out of range")
         width = max(1, (n - 1).bit_length())
         advice = AdviceAssignment(n)
         for u in range(n):

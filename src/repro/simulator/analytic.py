@@ -23,17 +23,20 @@ per-node outputs, for
   window schedule: per-fragment convergecasts (heights), broadcasts
   (depths and unconsumed-bit prefix sums over the DFS preorder),
   attachments, and the final collection wave;
-* the no-advice baseline
+* the no-advice baselines (:func:`run_baseline_analytic`):
   :class:`~repro.distributed.boruvka_sync.SynchronizedBoruvkaMST` — its
-  fixed ``⌈log₂ n⌉``-phase schedule over the plain Borůvka phases
-  (:func:`run_baseline_analytic`).
+  fixed ``⌈log₂ n⌉``-phase schedule over the plain Borůvka phases — and
+  :class:`~repro.distributed.full_info.FullInformationMST` — every
+  node's knowledge is its hop ball, one bit-parallel BFS from every
+  node (:func:`~repro.graphs.properties.all_sources_bfs`).
 
 Equivalence with the engine is not assumed — it is enforced
-round-for-round by ``tests/test_analytic_backend.py`` on every scheme
-and graph family.  The backend refuses unknown scheme and baseline classes (raising
-:class:`AnalyticUnsupported`) instead of guessing, and it never models
-truncated runs: if a declared ``max_rounds`` budget would be exceeded
-the caller must fall back to the engine.
+round-for-round by ``tests/test_analytic_backend.py`` on every modelled
+scheme and baseline and every graph family.  The backend refuses
+unknown scheme and baseline classes (raising :class:`AnalyticUnsupported`)
+instead of guessing, and it never models truncated runs: if a declared
+``max_rounds`` budget would be exceeded the caller must fall back to
+the engine.
 
 Message sizes replicate :func:`~repro.simulator.message.estimate_bits`
 for the exact payload shapes the decoders send; the helper formulas are
@@ -47,9 +50,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.graphs.properties import all_sources_bfs
 from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.mst.boruvka import boruvka_trace, plain_boruvka_phases
-from repro.mst.kruskal import kruskal_mst
+from repro.mst.kruskal import kruskal_in_order, kruskal_mst
 from repro.mst.rooted_tree import ROOT_OUTPUT, build_rooted_tree
 from repro.simulator.engine import RunResult
 from repro.simulator.metrics import RunMetrics
@@ -138,6 +142,26 @@ def _ghs_convmin_bits(phase: int, has_weight: bool) -> int:
     return _ghs_signal_bits(23, phase) + 2 + (32 if has_weight else 0)
 
 
+# the full-information baseline's payloads (tags 11 and 12 of distributed/full_info.py)
+
+#: ``(12, ())``: the knowledge gossip's tag and the framing of its entries
+_KNOWLEDGE_HEADER_BITS = _int_elem(12) + 2
+
+
+def _hello_bits(id_elem: np.ndarray) -> np.ndarray:
+    """``(11, id)`` per node, from the :func:`_id_elems` of the identifiers."""
+    return _int_elem(11) + id_elem
+
+
+def _share_bits(graph: PortNumberedGraph, id_elem: np.ndarray) -> np.ndarray:
+    """Per node, the bits its entry ``(id, ((weight, neighbour id), ...))``
+    adds to a knowledge payload: the entry's and its record's framing,
+    the id and, per port, the pair's framing, the framed float weight
+    and the neighbour's id (every degree is at least 1)."""
+    pairs = 2 + (2 + 32) + id_elem[graph._adj_neighbor]
+    return 2 + 2 + id_elem + np.add.reduceat(pairs, graph._offsets[:-1])
+
+
 # --------------------------------------------------------------------- #
 # the per-round message ledger
 # --------------------------------------------------------------------- #
@@ -155,11 +179,15 @@ class _Ledger:
         self.max_bits = 0
 
     def deliver(self, round_number: int, bits: int, count: int = 1) -> None:
+        self.deliver_round(round_number, count, bits * count, bits)
+
+    def deliver_round(self, round_number: int, count: int, bits_sum: int, bits_max: int) -> None:
+        """Charge ``count`` deliveries of ``bits_sum`` bits, the largest ``bits_max``."""
         self.per_round[round_number] = self.per_round.get(round_number, 0) + count
         self.total_messages += count
-        self.total_bits += bits * count
-        if bits > self.max_bits:
-            self.max_bits = bits
+        self.total_bits += bits_sum
+        if bits_max > self.max_bits:
+            self.max_bits = bits_max
 
     def deliver_bulk(self, rounds: np.ndarray, bits: np.ndarray) -> None:
         """Charge one delivery per ``(rounds[k], bits[k])`` pair at once."""
@@ -210,11 +238,11 @@ def _gamma_len(value: int) -> int:
 
 
 def _bit_length(values: np.ndarray) -> np.ndarray:
-    """Vectorised ``max(1, int(v).bit_length())`` for non-negative ints.
+    """Vectorised ``max(1, int(v).bit_length())``.
 
-    ``frexp`` returns the exponent ``e`` with ``v = m * 2**e`` and
-    ``0.5 <= m < 1``, which for ``v >= 1`` *is* the bit length; exact for
-    every integer below ``2**53``, far beyond any count in a trace.
+    ``frexp`` returns the exponent ``e`` with ``|v| = m * 2**e`` and
+    ``0.5 <= m < 1``, which for ``|v| >= 1`` *is* the bit length; exact
+    for every magnitude below ``2**53``, far beyond any count in a trace.
     """
     return np.maximum(1, np.frexp(values.astype(np.float64))[1])
 
@@ -222,6 +250,13 @@ def _bit_length(values: np.ndarray) -> np.ndarray:
 def _int_elems(values: np.ndarray) -> np.ndarray:
     """Vectorised :func:`_int_elem`."""
     return 3 + _bit_length(values)
+
+
+def _id_elems(ids: np.ndarray) -> np.ndarray:
+    """:func:`_int_elem` of every node identifier, exact for any ``int64``."""
+    if ids.min() > -(1 << 53) and ids.max() < 1 << 53:
+        return _int_elems(ids)
+    return np.array([_int_elem(x) for x in ids.tolist()], dtype=np.int64)
 
 
 def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -640,10 +675,7 @@ def _analytic_ghs(graph: PortNumberedGraph) -> RunResult:
     window = 4 * budget + 8
     num_phases = max(1, math.ceil(math.log2(n)))
     ids = graph.node_ids
-    if ids.min() > -(1 << 53) and ids.max() < 1 << 53:
-        id_elem = _int_elems(ids)  # exact in this range
-    else:
-        id_elem = np.array([_int_elem(x) for x in ids.tolist()], dtype=np.int64)
+    id_elem = _id_elems(ids)
     degrees = graph._degrees
     edge_u, edge_v = graph.edge_u, graph.edge_v
     port_u, port_v = graph.edge_port_u.tolist(), graph.edge_port_v.tolist()
@@ -705,18 +737,81 @@ def _analytic_ghs(graph: PortNumberedGraph) -> RunResult:
     return _result(outputs, ledger.metrics(n, num_phases * window))
 
 
+# --------------------------------------------------------------------- #
+# the full-information LOCAL baseline
+# --------------------------------------------------------------------- #
+
+
+def _analytic_full_info(graph: PortNumberedGraph) -> RunResult:
+    """The full-information baseline's run, from every node's hop balls.
+
+    With ``B(u, s)`` the nodes within ``s`` hops of ``u``, ``ecc(u)``
+    its eccentricity and ``D`` the diameter:
+
+    * in round 0 every node sends ``(11, id)`` on every port;
+    * in round ``s + 1``, for ``s = 0 .. ecc(u)``, node ``u`` knows the
+      records of ``B(u, s)`` and sends them on every port: a knowledge
+      payload of ``9 + Σ share(w)`` bits over ``w ∈ B(u, s)``;
+    * node ``u`` halts in round ``ecc(u) + 2``, once its knowledge is
+      closed and stopped growing, so the run lasts ``D + 2`` rounds and
+      the last payloads arrive before it ends.
+
+    Every node outputs its parent port in the MST that Kruskal builds
+    in the program's ``(weight, smaller id, larger id)`` order, rooted
+    at the smallest identifier.
+    """
+    n = graph.n
+    if n == 1:
+        # the lone degree-0 node halts during init: no rounds at all
+        return _result({0: ROOT_OUTPUT}, _Ledger().metrics(n, 0))
+    ids = graph.node_ids
+    if np.unique(ids).size != n:
+        raise AnalyticUnsupported("the full-information model needs distinct node identifiers")
+    id_elem = _id_elems(ids)
+    degrees = graph._degrees
+    shares = _share_bits(graph, id_elem)
+    everything = int(shares.sum())
+
+    ledger = _Ledger()
+    hello = _hello_bits(id_elem)
+    ledger.deliver_round(1, 2 * graph.m, int(degrees @ hello), int(hello.max()))
+    # u sends B(u, s) on each port in round s + 1 while s <= ecc(u), i.e.
+    # while B(u, s - 1) still misses a node
+    shifts = np.arange(64, dtype=np.uint64)
+    last_step = 0  # ends as the diameter
+    for lo, step, reach in all_sources_bfs(graph):
+        inside = (reach[:, None] >> shifts[: min(64, n - lo)]) & np.uint64(1)
+        ball = shares @ inside.astype(np.int64)  # the shares of B(lo + k, step)
+        ports = degrees[lo : lo + ball.size]
+        if step:
+            ports = np.where(last_ball < everything, ports, 0)
+        last_ball = ball
+        sizes = _KNOWLEDGE_HEADER_BITS + ball
+        ledger.deliver_round(
+            step + 2, int(ports.sum()), int(ports @ sizes), int(sizes[ports > 0].max(initial=0))
+        )
+        last_step = max(last_step, step)
+
+    low, high = ids[graph.edge_u], ids[graph.edge_v]
+    order = np.lexsort((np.maximum(low, high), np.minimum(low, high), graph.edge_w))
+    tree = build_rooted_tree(graph, kruskal_in_order(graph, order), root=int(np.argmin(ids)))
+    return _result(_expected_outputs(tree), ledger.metrics(n, last_step + 2))
+
+
 def run_baseline_analytic(
     baseline, graph: PortNumberedGraph, max_rounds: Optional[int] = None
 ) -> RunResult:
     """Compute a no-advice baseline's run result without the engine.
 
     Supports exactly
-    :class:`~repro.distributed.boruvka_sync.SynchronizedBoruvkaMST` on a
-    connected graph; any other baseline class (the full-information
-    LOCAL baseline, the other problems' baselines, subclasses) and any
-    disconnected instance raise :class:`AnalyticUnsupported`, as does a
-    run that would exceed ``max_rounds`` — run those on the engine.
-    Tied weights or identifiers raise the engine's own ``ValueError``.
+    :class:`~repro.distributed.boruvka_sync.SynchronizedBoruvkaMST` and
+    :class:`~repro.distributed.full_info.FullInformationMST` on a
+    connected graph; any other baseline class (the other problems'
+    baselines, subclasses), any disconnected instance and a
+    full-information instance with duplicate identifiers raise
+    :class:`AnalyticUnsupported`, as does a run that would exceed
+    ``max_rounds`` — run those on the engine.  The GHS-style baseline's
+    tied weights or identifiers raise the engine's own ``ValueError``.
 
     >>> from repro.distributed.boruvka_sync import SynchronizedBoruvkaMST
     >>> from repro.graphs.generators import random_connected_graph
@@ -729,23 +824,29 @@ def run_baseline_analytic(
     True
     """
     from repro.distributed.boruvka_sync import SynchronizedBoruvkaMST
+    from repro.distributed.full_info import FullInformationMST
 
     cls = type(baseline)
-    if cls is not SynchronizedBoruvkaMST:
+    if cls is SynchronizedBoruvkaMST:
+        model = _analytic_ghs
+    elif cls is FullInformationMST:
+        model = _analytic_full_info
+    else:
         raise AnalyticUnsupported(
             f"no analytic model for baseline class {cls.__name__}; "
             'run it with backend="engine"'
         )
     baseline.program_factory(graph)  # the engine's instance checks
     if not graph.is_connected():
-        raise AnalyticUnsupported("the GHS model covers connected graphs only")
-    rounds = 0 if graph.n == 1 else int(baseline.round_bound(graph))
+        raise AnalyticUnsupported("the baseline models cover connected graphs only")
+    result = model(graph)
+    rounds = result.metrics.rounds
     if max_rounds is not None and rounds > max_rounds:
         raise AnalyticUnsupported(
             f"the run needs {rounds} rounds but max_rounds={max_rounds}; "
             "truncated runs must use the engine"
         )
-    return _analytic_ghs(graph)
+    return result
 
 
 # --------------------------------------------------------------------- #

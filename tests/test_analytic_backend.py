@@ -4,7 +4,7 @@ The analytic backend (``repro/simulator/analytic.py``) claims to produce
 *exactly* the metrics the :class:`~repro.simulator.engine.SyncEngine`
 measures — same rounds, same per-round message counts, same bit totals,
 same halting behaviour — without simulating a single message.  This
-suite is the enforcement: every scheme, and the GHS-style baseline, on
+suite is the enforcement: every scheme, and both MST baselines, on
 every graph family is run on both backends and every observable
 compared.
 """
@@ -26,6 +26,7 @@ from repro.graphs.generators import (
     random_connected_graph,
     random_geometric_graph,
 )
+from repro.graphs.properties import diameter
 from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.runner import GraphSpec, SQLiteResultStore, SweepTask, run_tasks
 from repro.runner.registry import GRAPH_FAMILIES, SCHEMES, build_graph
@@ -39,9 +40,13 @@ from repro.simulator.analytic import (
     _gamma_len,
     _ghs_convmin_bits,
     _ghs_signal_bits,
+    _hello_bits,
+    _id_elems,
     _int_elem,
+    _KNOWLEDGE_HEADER_BITS,
     _level_bits,
     _reply_bits,
+    _share_bits,
     run_baseline_analytic,
     run_scheme_analytic,
 )
@@ -405,23 +410,108 @@ def test_ghs_truncated_budget_falls_back_to_the_engine():
     assert analytic.metrics == engine.metrics
 
 
+# --------------------------------------------------------------------- #
+# the full-information LOCAL baseline: model against engine
+# --------------------------------------------------------------------- #
+
+
+def _full_info_graphs():
+    graphs = {name: graph for name, (graph, _) in GRAPHS.items()}  # ties included
+    for family in GRAPH_FAMILIES:
+        for n in (16, 64):
+            graphs[f"{family}-{n}"] = build_graph(family, n, seed=1, density=0.1)
+    graphs["path3"] = PortNumberedGraph(3, [(0, 1, 0.5), (1, 2, 0.25)])
+    # new identifiers and ports; on dup47's tied weights the program's
+    # (weight, smaller id, larger id) order picks another MST than the
+    # reference (weight, edge id) order
+    for name in ("random-64", "path40", "hypercube-64", "dup47"):
+        graphs[f"{name}-relabelled"] = _relabelled(graphs[name], seed=len(name))
+    return graphs
+
+
+FULL_INFO_GRAPHS = _full_info_graphs()
+
+
+@pytest.mark.parametrize("graph_name", sorted(FULL_INFO_GRAPHS))
+def test_full_info_model_matches_engine_exactly(graph_name):
+    graph = FULL_INFO_GRAPHS[graph_name]
+    full_info = FullInformationMST()
+    engine = run_sync(
+        graph,
+        full_info.program_factory(graph),
+        max_rounds=int(full_info.round_bound(graph)) + 50,
+    )
+    model = run_baseline_analytic(full_info, graph)
+    # the whole RunMetrics, messages_per_round included, and every output
+    assert model.metrics == engine.metrics
+    assert model.outputs == engine.outputs
+    assert (model.completed, model.stop_reason, model.missing_outputs) == (
+        engine.completed,
+        engine.stop_reason,
+        engine.missing_outputs,
+    )
+
+
+def test_full_info_payload_formulas_match_estimate_bits():
+    from repro.distributed import full_info as program
+
+    # the model hard-codes the program's message tags
+    assert (program._MSG_HELLO, program._MSG_KNOWLEDGE) == (11, 12)
+    assert _KNOWLEDGE_HEADER_BITS == program._KNOWLEDGE_HEADER_BITS
+    assert _KNOWLEDGE_HEADER_BITS == estimate_bits((program._MSG_KNOWLEDGE, ()))
+    node_ids = [0, 1, 5, 1023, (1 << 40) + 3, -6]
+    # a star and two more edges: degrees 1, 2 and 5
+    edges = [(0, k, 0.25 * k) for k in range(1, 6)] + [(1, 2, 3.0), (3, 4, 0.5)]
+    graph = PortNumberedGraph(6, edges, node_ids=node_ids)
+    id_elem = _id_elems(graph.node_ids)
+    hello, shares = _hello_bits(id_elem), _share_bits(graph, id_elem)
+    for u, view in enumerate(graph.local_views()):
+        assert hello[u] == estimate_bits((program._MSG_HELLO, view.node_id))
+        record = tuple(
+            (view.port_weights[port], node_ids[graph.neighbor(u, port)])
+            for port in range(view.degree)
+        )
+        assert shares[u] == program._record_share(view.node_id, record)
+
+
 def test_baselines_without_a_model_fall_back_to_the_engine():
     class Custom(SynchronizedBoruvkaMST):
         pass
 
+    class CustomFullInfo(FullInformationMST):
+        pass
+
     graph = GHS_GRAPHS["random-16"]
     disconnected = PortNumberedGraph(4, [(0, 1, 1.0), (2, 3, 2.0)])
-    for baseline, instance in (
-        (FullInformationMST(), graph),
-        (Custom(), graph),
-        (SynchronizedBoruvkaMST(), disconnected),
+    duplicate_ids = PortNumberedGraph(3, [(0, 1, 1.0), (1, 2, 2.0)], node_ids=[4, 7, 4])
+    # the full-information run lasts D + 2 rounds
+    short = diameter(graph) + 1
+    for baseline, instance, max_rounds in (
+        (Custom(), graph, None),
+        (SynchronizedBoruvkaMST(), disconnected, None),
+        (FullInformationMST(), duplicate_ids, None),
+        (CustomFullInfo(), graph, None),
+        (FullInformationMST(), graph, short),
     ):
         with pytest.raises(AnalyticUnsupported):
-            run_baseline_analytic(baseline, instance)
-        engine = run_baseline(baseline, instance)
-        analytic = run_baseline(baseline, instance, backend="analytic")
+            run_baseline_analytic(baseline, instance, max_rounds=max_rounds)
+        engine = run_baseline(baseline, instance, max_rounds=max_rounds)
+        analytic = run_baseline(baseline, instance, max_rounds=max_rounds, backend="analytic")
         assert analytic.metrics == engine.metrics
         assert analytic.as_row() == engine.as_row()
+    # what the engine makes of the two full-information instances
+    assert "exactly one root" in run_baseline(FullInformationMST(), duplicate_ids).check.reason
+    assert not run_baseline(FullInformationMST(), graph, max_rounds=short).correct
+
+
+def test_full_info_disconnected_raises_the_same_error_on_both_backends():
+    disconnected = PortNumberedGraph(4, [(0, 1, 1.0), (2, 3, 2.0)])
+    errors = []
+    for backend in ("engine", "analytic"):
+        with pytest.raises(ValueError, match="disconnected") as info:
+            run_baseline(FullInformationMST(), disconnected, backend=backend)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1] and errors[0][0] is ValueError
 
 
 def test_baseline_faults_still_require_the_engine():

@@ -7,7 +7,7 @@ from repro.graphs.generators import path_graph, random_connected_graph, star_gra
 from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.mst.kruskal import kruskal_mst
 from repro.mst.rooted_tree import ROOT_OUTPUT, build_rooted_tree
-from repro.runner.registry import resolve_scheme
+from repro.runner.registry import qualified_names, resolve_scheme
 
 
 class TestBuild:
@@ -58,9 +58,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("backend", ["engine", "analytic"])
     @pytest.mark.parametrize("root", [-1, 16])
-    @pytest.mark.parametrize(
-        "target", ["trivial", "wakeup/spanning-tree", "stverify/flag", "stverify/distance"]
-    )
+    @pytest.mark.parametrize("target", qualified_names("scheme"))
     def test_schemes_rooting_a_tree_reject_a_root_outside_the_graph(
         self, target, root, backend
     ):
