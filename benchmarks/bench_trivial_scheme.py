@@ -11,7 +11,6 @@ import math
 from conftest import publish
 
 from repro.analysis import format_table, run_scheme_sweep
-from repro.analysis.sweep import default_graph_factory
 from repro.runner import GraphSpec
 
 SIZES = (16, 32, 64, 128, 256, 512, 1024)
@@ -19,7 +18,7 @@ SIZES = (16, 32, 64, 128, 256, 512, 1024)
 
 def _run_experiment():
     sparse = run_scheme_sweep(
-        "trivial", SIZES, graph_factory=default_graph_factory(0.04), seeds=(0, 1)
+        "trivial", SIZES, graph_factory=GraphSpec("random", 0.04), seeds=(0, 1)
     )
     dense = run_scheme_sweep(
         "trivial",

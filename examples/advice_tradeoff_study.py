@@ -20,9 +20,10 @@ across invocations (the output is byte-identical either way).
 
 import argparse
 
-from repro.analysis import default_graph_factory, run_scheme_sweep
+from repro.analysis import run_scheme_sweep
 from repro.core.scheme_average import paper_average_constant
 from repro.core.scheme_main import ShortAdviceScheme as Main
+from repro.runner import GraphSpec
 
 
 def main() -> None:
@@ -33,7 +34,7 @@ def main() -> None:
     args = parser.parse_args()
 
     sizes = (16, 32, 64, 128, 256) if args.quick else (16, 32, 64, 128, 256, 512, 1024)
-    factory = default_graph_factory(extra_edge_prob=0.04)
+    factory = GraphSpec("random", 0.04)
     seeds = (0, 1)
 
     for scheme in ("trivial", "theorem2", "theorem3"):

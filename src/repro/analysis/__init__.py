@@ -11,7 +11,6 @@ paper's results (experiment E6 in DESIGN.md).
 from repro.analysis.tables import format_markdown_table, format_table
 from repro.analysis.sweep import (
     SweepResult,
-    default_graph_factory,
     run_baseline_sweep,
     run_scheme_sweep,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "format_markdown_table",
     "format_table",
     "SweepResult",
-    "default_graph_factory",
     "run_baseline_sweep",
     "run_scheme_sweep",
     "theoretical_tradeoff_rows",

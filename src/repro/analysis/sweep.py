@@ -14,71 +14,47 @@ cache (``cache_dir=...``).  Workers return raw per-run rows and all
 aggregation happens here, in task order — the serial and parallel paths
 therefore produce byte-identical results.
 
-Schemes and baselines may be passed as instances (as before) or as
-registry names (``"theorem3"``, ``"ghs"``, ...); only name +
-:class:`~repro.runner.tasks.GraphSpec` workloads are cacheable, because
-ad-hoc instances and closures have no stable content hash.  Names
-resolve on the problem axis: bare names against ``problem`` (default
-``mst``), qualified names (``"leader/flag"``) directly.
+Schemes and baselines are registry names (``"theorem3"``, ``"ghs"``,
+...) and the instance family a :class:`~repro.runner.tasks.GraphSpec`,
+so every run has a content hash to cache by.  Names resolve on the
+problem axis: bare names against ``problem`` (default ``mst``),
+qualified names (``"leader/flag"``) directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.tables import format_table
 from repro.core.oracle import AdvisingScheme
-from repro.core.problem import DEFAULT_PROBLEM
 from repro.distributed.base import DistributedMSTBaseline
-from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.runner.registry import graph_shape, resolve_baseline, resolve_scheme
 from repro.runner.runner import run_tasks
 from repro.runner.tasks import GraphSpec, SweepTask
 
 __all__ = [
-    "GraphFactory",
     "SweepResult",
     "aggregate_baseline_rows",
     "aggregate_scheme_rows",
-    "default_graph_factory",
     "resolve_actual_sizes",
     "run_scheme_sweep",
     "run_baseline_sweep",
 ]
 
 
-def resolve_actual_sizes(
-    factory: "GraphFactory", sizes: Sequence[int], seed: int = 0
-) -> List[int]:
-    """Map requested sizes to the sizes the factory actually realises.
+def resolve_actual_sizes(graph: GraphSpec, sizes: Sequence[int]) -> List[int]:
+    """Map requested sizes to the sizes the graph family actually realises.
 
     Structured families round a requested ``n`` (the rule, with its
     cases, is :func:`repro.runner.registry.graph_shape`), and derived
     columns — ``log2_n``, ``congest_factor``, the theoretical bounds —
     must be computed at the *real* size or they quietly describe a
-    different instance.  A :class:`~repro.runner.tasks.GraphSpec` reads
-    the size off that rule without building anything; any other factory
-    builds one instance per size (at ``seed``) to read ``n`` off it.
+    different instance.  The size is read off that rule without
+    building anything.
     """
-    if isinstance(factory, GraphSpec):
-        return [graph_shape(factory.family, n).n for n in sizes]
-    return [factory(n, seed).n for n in sizes]
-
-
-#: ``factory(n, seed) -> PortNumberedGraph``
-GraphFactory = Callable[[int, int], PortNumberedGraph]
-
-
-def default_graph_factory(extra_edge_prob: float = 0.05) -> GraphSpec:
-    """The default workload: random connected graphs with the given density.
-
-    Returns a :class:`~repro.runner.tasks.GraphSpec` — callable like the
-    closure it used to be, but picklable (usable with ``jobs > 1``) and
-    hashable (usable with the result cache).
-    """
-    return GraphSpec("random", extra_edge_prob)
+    return [graph_shape(graph.family, n).n for n in sizes]
 
 
 @dataclass
@@ -98,9 +74,9 @@ class SweepResult:
 
 
 def run_scheme_sweep(
-    scheme: Union[str, AdvisingScheme],
+    scheme: str,
     sizes: Sequence[int],
-    graph_factory: Optional[GraphFactory] = None,
+    graph_factory: GraphSpec = GraphSpec("random", 0.05),
     seeds: Sequence[int] = (0, 1, 2),
     root: int = 0,
     jobs: int = 1,
@@ -116,11 +92,12 @@ def run_scheme_sweep(
     see :mod:`repro.simulator.analytic`); backends hash into distinct
     cache keys, so an engine cache is never served to an analytic sweep.
 
-    Schemes may be registry names or instances; ``jobs``/``cache_dir``
-    fan the runs over worker processes and an on-disk cache without
-    changing a byte of the result (a killed sweep rerun with the same
-    ``cache_dir`` recomputes no finished work), and ``progress=True``
-    reports done/total + ETA on stderr:
+    ``scheme`` is a registry name and ``graph_factory`` the instance
+    family (random connected graphs of density 0.05 by default);
+    ``jobs``/``cache_dir`` fan the runs over worker processes and an
+    on-disk cache without changing a byte of the result (a killed sweep
+    rerun with the same ``cache_dir`` recomputes no finished work), and
+    ``progress=True`` reports done/total + ETA on stderr:
 
     >>> result = run_scheme_sweep("trivial", sizes=[8, 16], seeds=(0, 1))
     >>> [row["n"] for row in result.rows]
@@ -133,19 +110,17 @@ def run_scheme_sweep(
     """
     if not seeds:
         raise ValueError("a sweep needs at least one seed")
-    factory = graph_factory if graph_factory is not None else default_graph_factory()
     scheme_obj = resolve_scheme(scheme, problem=problem)
-    task_problem = getattr(scheme_obj, "problem", DEFAULT_PROBLEM)
     tasks = [
         SweepTask(
             kind="scheme",
             target=scheme,
-            graph=factory,
+            graph=graph_factory,
             n=n,
             seed=seed,
             root=root,
             backend=backend,
-            problem=task_problem,
+            problem=scheme_obj.problem,
         )
         for n in sizes
         for seed in seeds
@@ -161,7 +136,7 @@ def run_scheme_sweep(
         name=scheme_obj.name,
         rows=aggregate_scheme_rows(
             scheme_obj,
-            resolve_actual_sizes(factory, sizes, seeds[0]),
+            resolve_actual_sizes(graph_factory, sizes),
             len(seeds),
             raw,
         ),
@@ -201,7 +176,7 @@ def aggregate_scheme_rows(
         log_n = math.log2(max(n, 2))
         rows.append(
             {
-                "problem": getattr(scheme_obj, "problem", DEFAULT_PROBLEM),
+                "problem": scheme_obj.problem,
                 "scheme": scheme_obj.name,
                 "n": n,
                 "log2_n": round(log_n, 2),
@@ -220,9 +195,9 @@ def aggregate_scheme_rows(
 
 
 def run_baseline_sweep(
-    baseline: Union[str, DistributedMSTBaseline],
+    baseline: str,
     sizes: Sequence[int],
-    graph_factory: Optional[GraphFactory] = None,
+    graph_factory: GraphSpec = GraphSpec("random", 0.05),
     seeds: Sequence[int] = (0, 1),
     jobs: int = 1,
     cache_dir: Optional[str] = None,
@@ -238,16 +213,15 @@ def run_baseline_sweep(
     """
     if not seeds:
         raise ValueError("a sweep needs at least one seed")
-    factory = graph_factory if graph_factory is not None else default_graph_factory()
     baseline_obj = resolve_baseline(baseline, problem=problem)
     tasks = [
         SweepTask(
             kind="baseline",
             target=baseline,
-            graph=factory,
+            graph=graph_factory,
             n=n,
             seed=seed,
-            problem=getattr(baseline_obj, "problem", DEFAULT_PROBLEM),
+            problem=baseline_obj.problem,
         )
         for n in sizes
         for seed in seeds
@@ -263,7 +237,7 @@ def run_baseline_sweep(
         name=baseline_obj.name,
         rows=aggregate_baseline_rows(
             baseline_obj,
-            resolve_actual_sizes(factory, sizes, seeds[0]),
+            resolve_actual_sizes(graph_factory, sizes),
             len(seeds),
             raw,
         ),
@@ -297,7 +271,7 @@ def aggregate_baseline_rows(
         log_n = math.log2(max(n, 2))
         rows.append(
             {
-                "problem": getattr(baseline_obj, "problem", DEFAULT_PROBLEM),
+                "problem": baseline_obj.problem,
                 "scheme": baseline_obj.name,
                 "n": n,
                 "log2_n": round(log_n, 2),

@@ -340,8 +340,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--repeats must be >= 1")
     seeds = tuple(range(args.repeats))
 
-    # the scheme is passed by registry name and the graph as a GraphSpec so
-    # the workload is picklable (--jobs) and content-hashable (--cache-dir)
     result = run_scheme_sweep(
         args.scheme,
         sizes,

@@ -172,9 +172,7 @@ def _render_sweep(
     # label rows (and compute log-derived columns / bounds) at the sizes
     # the family actually realises, which rounding families may differ
     # from the requested ones (grid/torus/hypercube/gn)
-    actual_sizes = resolve_actual_sizes(
-        experiment.graph, experiment.sizes, experiment.seeds[0]
-    )
+    actual_sizes = resolve_actual_sizes(experiment.graph, experiment.sizes)
     rows: List[Dict[str, Any]] = []
     offset = 0
     for name in experiment.schemes:
@@ -212,9 +210,7 @@ def _render_robustness(
     the same ``(target, n)`` — the grid's fault-free corner under the
     conventional ``0, 0.0`` leading entries.
     """
-    actual_sizes = resolve_actual_sizes(
-        experiment.graph, experiment.sizes, experiment.seeds[0]
-    )
+    actual_sizes = resolve_actual_sizes(experiment.graph, experiment.sizes)
     seeds = len(experiment.seeds)
     targets = list(experiment.schemes) + list(experiment.baselines)
     rows: List[Dict[str, Any]] = []
@@ -354,9 +350,7 @@ def generate_report(
             correct = all(row["correct"] for row in rows)
             # structured families round the requested size: label the
             # table at the size the family realises
-            (actual_n,) = resolve_actual_sizes(
-                experiment.graph, [experiment.n], experiment.seed
-            )
+            (actual_n,) = resolve_actual_sizes(experiment.graph, [experiment.n])
             # baselines use no advice: render explicit zeros, not blanks
             display = [
                 {"max_advice_bits": 0, "avg_advice_bits": 0.0, **row, "n": actual_n}

@@ -7,8 +7,8 @@ amortises that workload:
 * :mod:`~repro.runner.registry` — names for every scheme, baseline and
   graph family, so a unit of work can be described declaratively;
 * :mod:`~repro.runner.tasks` — :class:`GraphSpec` (a picklable,
-  hashable graph factory) and :class:`SweepTask` (one ``(target, graph,
-  n, seed)`` work unit with a stable content hash);
+  hashable graph-family description) and :class:`SweepTask` (one
+  ``(target, graph, n, seed)`` work unit with a stable content hash);
 * :mod:`~repro.runner.store` — the result store behind ``--cache-dir``:
   one WAL-mode SQLite file with batched transactional upserts,
   committed per finished group, so a killed run rerun with the same

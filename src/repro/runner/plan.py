@@ -5,9 +5,11 @@ execution backends, the no-advice baselines — over the *same* graph
 instance, and each of those treatments needs the same expensive
 preparations: build the graph, run the Borůvka trace, root the reference
 MST, compute the oracle advice.  :func:`plan_groups` partitions a miss
-list into :class:`TaskGroup`\\ s of tasks that share one instance, and
-:class:`InstanceContext` executes a whole group against shared
-artifacts, building each of them exactly once:
+list into :class:`TaskGroup`\\ s of tasks that share one instance (a
+task's instance is its :class:`~repro.runner.tasks.GraphSpec`, size and
+seed: :func:`instance_key`), and :class:`InstanceContext` executes a
+whole group against shared artifacts, building each of them exactly
+once:
 
 * the **graph** is built once per group (not once per task);
 * the **Borůvka trace** and the **rooted reference tree** are built once
@@ -33,13 +35,13 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Sequence, Tuple
 
 from repro.core.oracle import run_scheme
 from repro.distributed.base import run_baseline
 from repro.mst.boruvka import boruvka_trace
 from repro.runner.registry import resolve_baseline, resolve_scheme
-from repro.runner.tasks import GraphSpec, SweepTask
+from repro.runner.tasks import SweepTask
 
 __all__ = [
     "ExecutionStats",
@@ -67,26 +69,22 @@ class ExecutionStats:
 class TaskGroup:
     """A maximal run of cache-miss tasks sharing one graph instance."""
 
-    #: shared-instance identity, or ``None`` for an ungroupable task
-    key: Optional[Hashable]
+    #: shared-instance identity (:func:`instance_key` of every task)
+    key: Hashable
     #: positions of the group's tasks in the planned task list
     indices: Tuple[int, ...]
     tasks: Tuple[SweepTask, ...]
 
 
-def instance_key(task: SweepTask) -> Optional[Hashable]:
-    """The shared-instance identity of a task, or ``None`` if it has none.
+def instance_key(task: SweepTask) -> Hashable:
+    """The shared-instance identity of a task.
 
     Tasks agree on the key exactly when :meth:`SweepTask.build_graph`
     builds the same instance (neither the root nor the problem is part
     of the key — traces and advice are memoised per ``(problem, target,
     root)`` inside the group, so a sweep point mixing, say, MST and
-    leader-election tasks still builds its graph exactly once).  Tasks
-    with ad-hoc factory callables have no comparable identity and become
-    singleton groups.
+    leader-election tasks still builds its graph exactly once).
     """
-    if not isinstance(task.graph, GraphSpec):
-        return None
     spec = task.graph.key_dict()
     return (spec["family"], spec["density"], task.n, task.seed)
 
@@ -95,29 +93,16 @@ def plan_groups(tasks: Sequence[SweepTask]) -> List[TaskGroup]:
     """Partition ``tasks`` into instance groups, in first-seen order.
 
     Every task lands in exactly one group (the groups' ``indices``
-    partition ``range(len(tasks))``); tasks without an instance identity
-    become singleton groups at their original position in the order.
+    partition ``range(len(tasks))``).
     """
-    order: List[Hashable] = []
     by_key: Dict[Hashable, Tuple[List[int], List[SweepTask]]] = {}
     for index, task in enumerate(tasks):
-        key = instance_key(task)
-        if key is None:
-            key = ("__singleton__", index)
-        bucket = by_key.get(key)
-        if bucket is None:
-            bucket = ([], [])
-            by_key[key] = bucket
-            order.append(key)
-        bucket[0].append(index)
-        bucket[1].append(task)
+        indices, members = by_key.setdefault(instance_key(task), ([], []))
+        indices.append(index)
+        members.append(task)
     return [
-        TaskGroup(
-            key=None if isinstance(key, tuple) and key and key[0] == "__singleton__" else key,
-            indices=tuple(by_key[key][0]),
-            tasks=tuple(by_key[key][1]),
-        )
-        for key in order
+        TaskGroup(key=key, indices=tuple(indices), tasks=tuple(members))
+        for key, (indices, members) in by_key.items()
     ]
 
 
@@ -164,21 +149,17 @@ class InstanceContext:
     def _scheme_and_advice(self, task: SweepTask, graph) -> Tuple[Any, Any]:
         """The task's scheme and its advice, shared across the group's backends."""
         root = task.root % graph.n
-        memo_key = (
-            (task.problem, task.target, root) if isinstance(task.target, str) else None
-        )
-        if memo_key is not None:
-            cached = self._advice.get(memo_key)
-            if cached is not None:
-                return cached
+        memo_key = (task.problem, task.target, root)
+        cached = self._advice.get(memo_key)
+        if cached is not None:
+            return cached
         scheme = resolve_scheme(task.target, problem=task.problem)
         if _wants_trace(scheme):
             trace = boruvka_trace(graph, root=root)
             advice = scheme.compute_advice(graph, root=root, trace=trace)
         else:
             advice = scheme.compute_advice(graph, root=root)
-        if memo_key is not None:
-            self._advice[memo_key] = (scheme, advice)
+        self._advice[memo_key] = (scheme, advice)
         return scheme, advice
 
     # ------------------------------------------------------------------ #

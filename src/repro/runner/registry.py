@@ -14,7 +14,7 @@ targets can never drift apart.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, NamedTuple, Optional, Union
+from typing import Callable, Dict, NamedTuple, Optional
 
 from repro.core.oracle import AdvisingScheme
 from repro.core.problem import (
@@ -24,7 +24,7 @@ from repro.core.problem import (
     qualified_names,
     split_target,
 )
-from repro.distributed.base import DistributedBaseline, DistributedMSTBaseline
+from repro.distributed.base import DistributedBaseline
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -83,19 +83,14 @@ GRAPH_FAMILIES = (
 )
 
 
-def resolve_target(
-    kind: str,
-    target: Union[str, AdvisingScheme, DistributedBaseline],
-    problem: Optional[str] = None,
-):
+def resolve_target(kind: str, target: str, problem: Optional[str] = None):
     """Turn a registry name into a scheme or baseline instance.
 
-    ``kind`` is ``"scheme"`` or ``"baseline"``.  Instances pass through
-    untouched.  Strings may be qualified (``"leader/flag"``) or bare
-    (``"theorem3"``); bare names resolve against ``problem`` (default:
-    ``mst``).  A qualifier that contradicts an explicit ``problem`` is an
-    error, and unknown names are reported against the full
-    problem-qualified vocabulary.
+    ``kind`` is ``"scheme"`` or ``"baseline"``.  Names may be qualified
+    (``"leader/flag"``) or bare (``"theorem3"``); bare names resolve
+    against ``problem`` (default: ``mst``).  A qualifier that contradicts
+    an explicit ``problem`` is an error, and unknown names are reported
+    against the full problem-qualified vocabulary.
 
     >>> resolve_target("scheme", "theorem3").name
     'theorem3-main'
@@ -107,7 +102,7 @@ def resolve_target(
     if kind not in ("scheme", "baseline"):
         raise ValueError(f"kind must be 'scheme' or 'baseline', got {kind!r}")
     if not isinstance(target, str):
-        return target
+        raise ValueError(f"{kind} must be a registry name, got {type(target).__name__}")
     qualifier, bare = split_target(target)
     if qualifier is not None and problem is not None and qualifier != problem:
         raise ValueError(
@@ -124,17 +119,13 @@ def resolve_target(
         ) from None
 
 
-def resolve_scheme(
-    scheme: Union[str, AdvisingScheme], problem: Optional[str] = None
-) -> AdvisingScheme:
-    """Turn a registry name into a scheme instance (instances pass through)."""
+def resolve_scheme(scheme: str, problem: Optional[str] = None) -> AdvisingScheme:
+    """Turn a registry name into a scheme instance."""
     return resolve_target("scheme", scheme, problem=problem)
 
 
-def resolve_baseline(
-    baseline: Union[str, DistributedMSTBaseline], problem: Optional[str] = None
-) -> DistributedBaseline:
-    """Turn a registry name into a baseline instance (instances pass through)."""
+def resolve_baseline(baseline: str, problem: Optional[str] = None) -> DistributedBaseline:
+    """Turn a registry name into a baseline instance."""
     return resolve_target("baseline", baseline, problem=problem)
 
 

@@ -16,11 +16,10 @@ and the repository benchmark (``perfbench/``, declared by
   rooted tree and per-scheme advice are built **once per group** instead
   of once per task.  With ``jobs=N`` whole groups are shipped to
   workers, so the sharing holds in every worker process too.
-* **Caching** — with ``cache_dir`` set, cacheable tasks (registry-name
-  target + :class:`GraphSpec` graph) are looked up / stored by their
-  content hash (computed once per task and reused for lookup, store and
-  planning) in a :class:`~repro.runner.store.SQLiteResultStore`.  A
-  cache-warm call never constructs a single group.
+* **Caching** — with ``cache_dir`` set, every task is looked up /
+  stored by its content hash (computed once per task and reused for
+  lookup and store) in a :class:`~repro.runner.store.SQLiteResultStore`.
+  A cache-warm call never constructs a single group.
 * **Checkpointing** — results are committed to the cache *as each
   group's work completes* (batched upserts, streamed back from workers
   in deterministic chunk order), not in one flush at the end: a run
@@ -229,9 +228,8 @@ def run_tasks(
 ) -> List[Dict[str, Any]]:
     """Execute every task and return their rows **in task order**.
 
-    ``jobs=1`` runs in-process (no pickling — closures and ad-hoc scheme
-    instances are fine); ``jobs>1`` distributes cache misses over a
-    process pool.  ``cache_dir`` may be a directory path (opened as a
+    ``jobs=1`` runs in-process; ``jobs>1`` distributes cache misses over
+    a process pool.  ``cache_dir`` may be a directory path (opened as a
     :class:`~repro.runner.store.SQLiteResultStore`) or an already-open
     store; a killed call rerun with the same store executes only the
     tasks whose rows never landed.  ``progress=True`` reports done/total
@@ -260,14 +258,12 @@ def run_tasks(
 
     results: List[Optional[Dict[str, Any]]] = [None] * len(task_list)
     # one hash per task, reused for the lookup below and the store after
-    keys: List[Optional[str]] = (
-        [task.task_hash() for task in task_list] if cache is not None else []
-    )
+    keys: List[str] = [task.task_hash() for task in task_list] if cache is not None else []
 
     miss_indices: List[int] = []
     if cache is not None:
         for index, key in enumerate(keys):
-            row = cache.get(key) if key is not None else None
+            row = cache.get(key)
             if row is not None:
                 results[index] = row
             else:
@@ -294,8 +290,8 @@ def run_tasks(
         stored: List[Tuple[str, Dict[str, Any], Dict[str, Any]]] = []
         for index, row in batch:
             results[index] = row
-            if cache is not None and keys[index] is not None:
-                stored.append((keys[index], task_list[index].key_dict() or {}, row))
+            if cache is not None:
+                stored.append((keys[index], task_list[index].key_dict(), row))
         if stored and cache is not None:
             cache.put_many(stored)
         if reporter is not None:

@@ -1,21 +1,17 @@
 """Work units of the experiment runner.
 
 A :class:`SweepTask` is one simulated run: an advising scheme or
-baseline, a graph instance description, a size and a seed.  Tasks are
-plain frozen dataclasses so they can be
+baseline named in the registry, a :class:`GraphSpec` describing the
+graph family, a size and a seed.  Tasks are plain frozen dataclasses of
+primitives so they can be
 
-* pickled to a ``multiprocessing`` worker,
+* pickled to a ``multiprocessing`` worker and shipped as JSON to the
+  sweep service (:func:`task_to_wire`),
 * hashed into a stable cache key (:meth:`SweepTask.task_hash`), and
 * compared for equality in tests.
 
-:class:`GraphSpec` is the declarative counterpart of the ad-hoc
-``factory(n, seed)`` closures the analysis layer historically used: it
-*is* callable with ``(n, seed)`` (so it is a drop-in ``GraphFactory``),
-but being a frozen dataclass of primitives it also pickles and hashes.
-Tasks built from registry names and ``GraphSpec`` objects are cacheable;
-tasks carrying arbitrary instances or closures still run (serially, or
-in parallel when picklable) but bypass the on-disk cache because their
-content has no stable identity.
+Only names and specs are accepted: every task has a content hash, so
+every task can be cached, grouped by instance and queued.
 """
 
 from __future__ import annotations
@@ -23,11 +19,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
-from repro.core.oracle import AdvisingScheme
 from repro.core.problem import DEFAULT_PROBLEM, split_target
-from repro.distributed.base import DistributedMSTBaseline
 from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.runner.registry import build_graph
 from repro.simulator.adversary import FaultSpec, effective_fault
@@ -105,11 +99,10 @@ def clear_graph_memo() -> None:
 class GraphSpec:
     """A picklable, hashable description of one graph family workload.
 
-    Families come from :data:`repro.runner.registry.GRAPH_FAMILIES`; a
-    spec is callable like the ``factory(n, seed)`` closures it replaced:
+    Families come from :data:`repro.runner.registry.GRAPH_FAMILIES`:
 
     >>> spec = GraphSpec("hypercube")
-    >>> spec(16, seed=0).n  # builds the instance (memoised per process)
+    >>> spec.build(16, seed=0).n  # builds the instance (memoised per process)
     16
     >>> GraphSpec("cycle").key_dict()  # density only shapes "random"
     {'family': 'cycle', 'density': None}
@@ -131,10 +124,6 @@ class GraphSpec:
             _GRAPH_MEMO[key] = graph
         return graph
 
-    # GraphFactory-compatible: a GraphSpec can be passed anywhere a
-    # ``factory(n, seed)`` callable was expected
-    __call__ = build
-
     def key_dict(self) -> Dict[str, Any]:
         """Canonical content for hashing.
 
@@ -154,10 +143,10 @@ class GraphSpec:
 class SweepTask:
     """One simulated run inside a sweep.
 
-    Tasks built from registry names and a :class:`GraphSpec` are
-    *cacheable*: their content hashes to a stable sha256 key that
-    includes the library version and the execution backend's semantic
-    version, so stale or cross-backend rows are never served.
+    The target is a registry name and the graph a :class:`GraphSpec`,
+    so the content hashes to a stable sha256 key that includes the
+    library version and the execution backend's semantic version:
+    stale or cross-backend rows are never served.
 
     Targets live on a *problem* axis: bare names resolve against the
     ``problem`` field (default ``mst``, so every historical task keeps
@@ -165,8 +154,6 @@ class SweepTask:
     ``(problem, bare_name)`` at construction.
 
     >>> task = SweepTask("scheme", "theorem3", GraphSpec("random", 0.05), n=64, seed=0)
-    >>> task.cacheable
-    True
     >>> task.task_hash() == task.task_hash()  # content-addressed, stable
     True
     >>> engine_key = task.task_hash()
@@ -200,11 +187,9 @@ class SweepTask:
 
     #: ``"scheme"`` or ``"baseline"``
     kind: str
-    #: registry name (cacheable) or a picklable instance (not cacheable)
-    target: Union[str, AdvisingScheme, DistributedMSTBaseline]
-    #: graph description: a :class:`GraphSpec` (cacheable) or any
-    #: ``factory(n, seed)`` callable (not cacheable)
-    graph: Union[GraphSpec, Callable[[int, int], PortNumberedGraph]]
+    #: registry name, bare (``"theorem3"``) or qualified (``"leader/flag"``)
+    target: str
+    graph: GraphSpec
     n: int
     seed: int
     root: int = 0
@@ -212,8 +197,7 @@ class SweepTask:
     #: round, ``"analytic"`` computes the same metrics from the Borůvka
     #: phases (targets without an analytic model fall back to the engine)
     backend: str = "engine"
-    #: the problem the target solves; bare string targets resolve against
-    #: it, instance targets override it with their own declaration
+    #: the problem the target solves; bare targets resolve against it
     problem: str = DEFAULT_PROBLEM
     #: adversarial execution model (``None`` = the synchronous engine);
     #: a *null* spec is normalised to ``None`` so the zero point of a
@@ -223,20 +207,20 @@ class SweepTask:
     def __post_init__(self) -> None:
         if self.kind not in ("scheme", "baseline"):
             raise ValueError(f"kind must be 'scheme' or 'baseline', got {self.kind!r}")
-        if isinstance(self.target, str):
-            qualifier, bare = split_target(self.target)
-            if qualifier is not None:
-                if self.problem not in (DEFAULT_PROBLEM, qualifier):
-                    raise ValueError(
-                        f"target {self.target!r} contradicts problem {self.problem!r}"
-                    )
-                object.__setattr__(self, "problem", qualifier)
-                object.__setattr__(self, "target", bare)
-        else:
-            # an instance knows its own problem; keep the task's axis honest
-            object.__setattr__(
-                self, "problem", getattr(self.target, "problem", DEFAULT_PROBLEM)
+        if not isinstance(self.target, str):
+            raise ValueError(
+                f"target must be a registry name, got {type(self.target).__name__}"
             )
+        if not isinstance(self.graph, GraphSpec):
+            raise ValueError(f"graph must be a GraphSpec, got {type(self.graph).__name__}")
+        qualifier, bare = split_target(self.target)
+        if qualifier is not None:
+            if self.problem not in (DEFAULT_PROBLEM, qualifier):
+                raise ValueError(
+                    f"target {self.target!r} contradicts problem {self.problem!r}"
+                )
+            object.__setattr__(self, "problem", qualifier)
+            object.__setattr__(self, "target", bare)
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {', '.join(BACKENDS)}, got {self.backend!r}"
@@ -245,15 +229,8 @@ class SweepTask:
             self, "fault", effective_fault(self.fault, self.backend, self.problem)
         )
 
-    @property
-    def cacheable(self) -> bool:
-        """Whether the task's content has a stable identity on disk."""
-        return isinstance(self.target, str) and isinstance(self.graph, GraphSpec)
-
-    def key_dict(self) -> Optional[Dict[str, Any]]:
-        """Canonical JSON-able content, or ``None`` when not cacheable."""
-        if not self.cacheable:
-            return None
+    def key_dict(self) -> Dict[str, Any]:
+        """Canonical JSON-able content of the task."""
         return {
             "format": TASK_FORMAT_VERSION,
             "lib": _library_version(),
@@ -275,37 +252,26 @@ class SweepTask:
             "fault": self.fault.key_dict() if self.fault is not None else None,
         }
 
-    def task_hash(self) -> Optional[str]:
-        """Stable sha256 cache key, or ``None`` when not cacheable."""
-        content = self.key_dict()
-        if content is None:
-            return None
-        blob = json.dumps(content, sort_keys=True, separators=(",", ":"))
+    def task_hash(self) -> str:
+        """Stable sha256 cache key."""
+        blob = json.dumps(self.key_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def build_graph(self) -> PortNumberedGraph:
         """Materialise this task's graph instance."""
-        return self.graph(self.n, self.seed)
+        return self.graph.build(self.n, self.seed)
 
 
 def task_to_wire(task: SweepTask) -> Dict[str, Any]:
-    """A JSON-able description of one *cacheable* task.
+    """A JSON-able description of one task.
 
     The sweep service ships task groups through its lease queue as plain
-    JSON, so only tasks with a declarative identity — registry-name
-    target plus :class:`GraphSpec` graph — can travel; ad-hoc scheme
-    instances and factory closures have no wire form (they cannot be
-    cached either, for the same reason).
+    JSON: the registry name, the spec's fields and the task's scalars.
 
     >>> task = SweepTask("scheme", "theorem3", GraphSpec("random", 0.1), 16, 0)
     >>> task_from_wire(task_to_wire(task)) == task
     True
     """
-    if not task.cacheable:
-        raise ValueError(
-            "only cacheable tasks (registry-name target + GraphSpec graph) "
-            "have a wire form"
-        )
     return {
         "kind": task.kind,
         "problem": task.problem,

@@ -15,13 +15,14 @@ HTTP surface (JSON in/out unless noted)::
 
     POST /jobs[?priority=high]      spec body (TOML, or JSON by
                                     Content-Type) -> {"job_id", "created"};
-                                    ``priority`` picks the scheduling lane
+                                    ``priority`` picks the scheduling lane;
+                                    400 for a bad spec or Content-Length
     GET  /jobs                      all job records
     GET  /jobs/<id>                 state + item-progress counts (+
                                     artifact names once done)
     GET  /jobs/<id>/progress        plain-text progress stream until the
                                     job reaches a terminal state
-    GET  /jobs/<id>/artifacts/<f>   one artifact file
+    GET  /jobs/<id>/artifacts/<f>   one artifact file of a known job
     GET  /healthz                   queue-wide counters
     GET  /metrics                   Prometheus text exposition (see
                                     repro.service.metrics)
@@ -299,7 +300,14 @@ class _Handler(BaseHTTPRequestHandler):
         if self.service.stop_event.is_set():
             self._send_json(503, {"error": "service is draining; resubmit after restart"})
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up
+            self._send_json(400, {"error": "Content-Length must be a non-negative integer"})
+            return
         content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip()
         fmt = "json" if content_type == "application/json" else "toml"
         # ?name=smoke.toml names the submission like the spec file a local
@@ -404,13 +412,14 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_artifact(self, job_id: str, name: str) -> None:
         artifacts = self.service.artifacts_dir(job_id)
         path = artifacts / name
-        # names come from our own renderers: flat files only, and the
-        # resolved path must stay inside the job's artifact directory
+        # the id must name a job (so "jobs/../artifacts/<f>" cannot climb
+        # into the queue directory), and names come from our own
+        # renderers: flat files only
         if (
-            os.sep in name
+            self.service.queue.job_record(job_id) is None
+            or os.sep in name
             or name in (".", "..")
             or not path.is_file()
-            or path.parent != artifacts
         ):
             self._send_json(404, {"error": f"no such artifact: {job_id}/{name}"})
             return

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Set
 
 __all__ = [
     "EVENT_KINDS",
@@ -94,6 +94,23 @@ class EventLog:
         return record
 
 
+def _decode(
+    line: str, since: Optional[float], wanted: Optional[Set[str]]
+) -> Optional[Dict[str, Any]]:
+    """One log line as an event, or ``None`` if it is unreadable or filtered out."""
+    try:
+        event = json.loads(line)
+    except ValueError:
+        return None  # blank, or torn by a writer killed mid-append
+    if not isinstance(event, dict) or "kind" not in event:
+        return None
+    if since is not None and event.get("ts", 0.0) < since:
+        return None
+    if wanted is not None and event["kind"] not in wanted:
+        return None
+    return event
+
+
 def read_events(
     path: Path,
     since: Optional[float] = None,
@@ -112,20 +129,9 @@ def read_events(
         return
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError:
-                continue  # torn write; the next line is intact
-            if not isinstance(event, dict) or "kind" not in event:
-                continue
-            if since is not None and event.get("ts", 0.0) < since:
-                continue
-            if wanted is not None and event["kind"] not in wanted:
-                continue
-            yield event
+            event = _decode(line, since, wanted)
+            if event is not None:
+                yield event
 
 
 #: event kind -> item state it leaves the item in (replay's fold table)
@@ -216,20 +222,9 @@ def follow_events(
             buffer += chunk
             while "\n" in buffer:
                 line, buffer = buffer.split("\n", 1)
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    continue
-                if not isinstance(event, dict) or "kind" not in event:
-                    continue
-                if since is not None and event.get("ts", 0.0) < since:
-                    continue
-                if wanted is not None and event["kind"] not in wanted:
-                    continue
-                yield event
+                event = _decode(line, since, wanted)
+                if event is not None:
+                    yield event
         if stop is not None and stop():
             return
         time.sleep(poll_interval)

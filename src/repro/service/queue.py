@@ -206,12 +206,10 @@ class LeasedItem:
     attempts: int
 
 
-def run_id_for(keys: Iterable[Optional[str]]) -> str:
+def run_id_for(keys: Iterable[str]) -> str:
     """The stable identity of a run: sha256 over its ordered task hashes.
 
-    This is the service's job id.  Uncacheable tasks (hash ``None``)
-    participate as placeholders so two runs differing only in
-    uncacheable work still get distinct ids.
+    This is the service's job id.
     """
     blob = json.dumps(list(keys), separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
@@ -971,12 +969,6 @@ class QueueExecutor:
         entries: List[Tuple[str, Dict[str, Any]]] = []
         for unit in units:
             hashes = [task.task_hash() for task in unit.tasks]
-            if any(task_hash is None for task_hash in hashes):
-                raise ValueError(
-                    "service execution requires cacheable tasks; a task built from "
-                    "an ad-hoc graph factory has no content hash to dedup or "
-                    "checkpoint by"
-                )
             dedup_key = group_dedup_key(hashes)
             entries.append((dedup_key, group_payload(unit, hashes)))
             pending.setdefault(dedup_key, []).append((unit.indices, hashes))

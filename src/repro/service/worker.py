@@ -99,7 +99,7 @@ def _execute_payload(
         store = SQLiteResultStore(Path(queue_dir))
     store.put_many(
         [
-            (task_hash, task.key_dict() or {}, row)
+            (task_hash, task.key_dict(), row)
             for task, task_hash, row in zip(tasks, hashes, rows)
         ]
     )

@@ -4,13 +4,12 @@ import json
 
 import pytest
 
-from repro.analysis.sweep import default_graph_factory, run_baseline_sweep, run_scheme_sweep
+from repro.analysis.sweep import run_baseline_sweep, run_scheme_sweep
 from repro.analysis.tables import format_markdown_table, format_table
 from repro.analysis.tradeoff import theoretical_tradeoff_rows, tradeoff_rows
 from repro.core.scheme_main import ShortAdviceScheme
-from repro.core.scheme_trivial import TrivialRankScheme
-from repro.distributed.full_info import FullInformationMST
 from repro.graphs.generators import random_connected_graph
+from repro.runner.tasks import GraphSpec
 
 
 class TestTables:
@@ -46,9 +45,9 @@ class TestTables:
 class TestSweeps:
     def test_scheme_sweep_shapes(self):
         result = run_scheme_sweep(
-            TrivialRankScheme(),
+            "trivial",
             sizes=(8, 16, 32),
-            graph_factory=default_graph_factory(0.1),
+            graph_factory=GraphSpec("random", 0.1),
             seeds=(0, 1),
         )
         assert len(result.rows) == 3
@@ -59,7 +58,7 @@ class TestSweeps:
 
     def test_main_scheme_sweep_constant_advice(self):
         result = run_scheme_sweep(
-            ShortAdviceScheme(), sizes=(16, 64), seeds=(0,), graph_factory=default_graph_factory(0.1)
+            "theorem3", sizes=(16, 64), seeds=(0,), graph_factory=GraphSpec("random", 0.1)
         )
         assert all(result.series("correct"))
         advice = result.series("max_advice_bits")
@@ -67,7 +66,7 @@ class TestSweeps:
 
     def test_baseline_sweep(self):
         result = run_baseline_sweep(
-            FullInformationMST(), sizes=(8, 16), seeds=(0,), graph_factory=default_graph_factory(0.2)
+            "full-info", sizes=(8, 16), seeds=(0,), graph_factory=GraphSpec("random", 0.2)
         )
         assert all(result.series("correct"))
         assert all(r > 0 for r in result.series("rounds"))

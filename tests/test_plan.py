@@ -17,7 +17,6 @@ from repro.runner import (
 from repro.mst.boruvka import boruvka_trace
 from repro.mst.kruskal import kruskal_mst
 from repro.runner.plan import instance_key
-from repro.runner.registry import build_graph
 from repro.runner.tasks import clear_graph_memo
 
 SCHEMES = ("trivial", "theorem2", "theorem3", "theorem3-level")
@@ -106,16 +105,6 @@ class TestPlanGroups:
         # within a group, indices stay in task order
         for group in groups:
             assert list(group.indices) == sorted(group.indices)
-
-    def test_closure_tasks_become_singleton_groups(self):
-        factory = lambda n, seed: build_graph("cycle", n, seed)  # noqa: E731
-        tasks = [
-            SweepTask("scheme", "trivial", factory, 8, 0),
-            SweepTask("scheme", "trivial", factory, 8, 0),
-        ]
-        groups = plan_groups(tasks)
-        assert [g.indices for g in groups] == [(0,), (1,)]
-        assert all(g.key is None for g in groups)
 
     def test_density_normalisation_matches_task_identity(self):
         # density shapes only the "random" family, so cycle specs with

@@ -232,10 +232,6 @@ class TestCompile:
             assert {t.kind for t in sweep_tasks} == {"scheme", "baseline"}
             assert all(t.backend == backend for t in sweep_tasks)
 
-    def test_every_task_is_cacheable(self):
-        for _, tasks in compile_tasks(self._spec()):
-            assert all(task.cacheable for task in tasks)
-
 
 # ------------------------------------------------------------------ #
 # the golden report: byte-identity across jobs and backends

@@ -19,7 +19,8 @@ Five layers, in rising order of violence:
 * waiting tests: bells wake idle workers and waiting jobs long before
   their poll interval, and an unbindable or stale bell degrades to
   polling; 20 jobs through the HTTP daemon leave no connection, file
-  descriptor or job thread behind;
+  descriptor or job thread behind, and its routes serve artifacts only
+  of known jobs and answer a bad ``Content-Length`` with 400;
 * the chaos tests: a 12-task sweep over two real worker processes, one
   of which is SIGKILLed mid-lease, and a worker SIGKILLed between its
   child's store commit and the lease complete.  The job must complete,
@@ -34,6 +35,7 @@ same failure mode (a worker dying mid-task) on the in-process pool path.
 
 import contextlib
 import gc
+import http.client
 import json
 import os
 import signal
@@ -145,17 +147,6 @@ class TestWireFormat:
         rebuilt = task_from_wire(task_to_wire(task))
         assert rebuilt == task
         assert rebuilt.task_hash() == task.task_hash()
-
-    def test_uncacheable_task_is_rejected(self):
-        task = SweepTask(
-            kind="scheme",
-            target="trivial",
-            graph=lambda n, seed: None,  # ad-hoc factory: no content hash
-            n=8,
-            seed=0,
-        )
-        with pytest.raises(ValueError):
-            task_to_wire(task)
 
     def test_malformed_wire_payload_raises(self):
         wire = task_to_wire(make_task())
@@ -382,7 +373,12 @@ class TestEventLog:
         assert final["jobs"]["job"]["state"] == LeaseQueue.JOB_FAILED
         assert final["jobs"]["job"]["priority"] == PRIORITY_HIGH
 
-    def test_torn_lines_are_skipped_and_filters_apply(self, tmp_path):
+    @pytest.mark.parametrize(
+        "reader",
+        [read_events, lambda path, **filters: follow_events(path, stop=lambda: True, **filters)],
+        ids=["read_events", "follow_events"],
+    )
+    def test_torn_lines_are_skipped_and_filters_apply(self, tmp_path, reader):
         clock = FakeClock()
         queue = LeaseQueue(tmp_path, clock=clock)
         queue.submit_job("job", {"t": 1})
@@ -390,10 +386,11 @@ class TestEventLog:
         queue.enqueue("job", synthetic_entries(1))
         log_path = tmp_path / "events.jsonl"
         with open(log_path, "a", encoding="utf-8") as handle:
+            handle.write('\nnot json\n[1, 2]\n{"ts": 2500.0}\n')  # no event on any line
             handle.write('{"ts": 3000.0, "kind": "lea')  # torn mid-append
-        assert [e["kind"] for e in read_events(log_path)] == ["job-submit", "enqueue"]
-        assert [e["kind"] for e in read_events(log_path, since=1500.0)] == ["enqueue"]
-        assert [e["kind"] for e in read_events(log_path, kinds=["enqueue"])] == ["enqueue"]
+        assert [e["kind"] for e in reader(log_path)] == ["job-submit", "enqueue"]
+        assert [e["kind"] for e in reader(log_path, since=1500.0)] == ["enqueue"]
+        assert [e["kind"] for e in reader(log_path, kinds=["enqueue"])] == ["enqueue"]
 
     def test_follow_events_streams_appended_lines(self, tmp_path):
         queue = LeaseQueue(tmp_path)
@@ -574,16 +571,6 @@ class TestQueueGC:
 
 
 class TestQueueExecutor:
-    def test_rejects_uncacheable_tasks(self, tmp_path):
-        queue = LeaseQueue(tmp_path)
-        executor = QueueExecutor(queue, "job")
-        uncacheable = SweepTask(
-            kind="scheme", target="trivial", graph=lambda n, seed: None, n=8, seed=0
-        )
-        bad = TaskGroup(key=None, indices=(0,), tasks=(uncacheable,))
-        with pytest.raises(ValueError, match="cacheable"):
-            executor.run_units([bad], lambda batch: None)
-
     def test_commits_done_items_and_raises_on_quarantine(self, tmp_path):
         queue = LeaseQueue(tmp_path)
         store = SQLiteResultStore(tmp_path)
@@ -1636,3 +1623,67 @@ class TestConnectionHygiene:
             server.shutdown()
             server.server_close()
             service.drain(timeout=30.0)
+
+
+# ------------------------------------------------------------------ #
+# HTTP routes: what the daemon serves, and what it refuses
+# ------------------------------------------------------------------ #
+
+
+@pytest.fixture
+def served(tmp_path):
+    """A daemon on an ephemeral port, with no workers and no job threads."""
+    service = SweepService(tmp_path / "svc")
+    server = make_server(service)
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    try:
+        yield service, server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join(timeout=10.0)
+        service.queue.close()
+
+
+def raw_request(port: int, method: str, path: str, headers=()) -> http.client.HTTPResponse:
+    """Send ``path`` unnormalised (``http.client`` keeps ``..`` segments)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10.0)
+    conn.putrequest(method, path, skip_accept_encoding=True)
+    for name, value in headers:
+        conn.putheader(name, value)
+    conn.endheaders()
+    response = conn.getresponse()
+    response.body = response.read()
+    conn.close()
+    return response
+
+
+class TestHttpRoutes:
+    def test_artifacts_are_served_only_for_job_records(self, served):
+        service, port = served
+        job_id = "ab" * 16
+        service.queue.submit_job(job_id, {"format": "toml", "text": "", "name": None})
+        artifacts = service.artifacts_dir(job_id)
+        artifacts.mkdir(parents=True)
+        (artifacts / "index.md").write_bytes(b"# index\n")
+        task = make_task()
+        with contextlib.closing(SQLiteResultStore(service.directory)) as store:
+            store.put_many([(task.task_hash(), task.key_dict(), {"n": 8})])
+        for name in ("queue.sqlite", "results.sqlite", "events.jsonl"):
+            assert (service.directory / name).is_file()
+            response = raw_request(port, "GET", f"/jobs/../artifacts/{name}")
+            assert response.status == 404, name
+            assert b"no such artifact" in response.body
+        response = raw_request(port, "GET", f"/jobs/{job_id}/artifacts/index.md")
+        assert response.status == 200
+        assert response.body == b"# index\n"
+        assert response.getheader("Content-Type") == "text/markdown"
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_answered_with_400(self, served, length):
+        service, port = served
+        response = raw_request(port, "POST", "/jobs", [("Content-Length", length)])
+        assert response.status == 400
+        assert "Content-Length" in json.loads(response.body)["error"]
+        assert service.queue.list_jobs() == []

@@ -87,16 +87,6 @@ class TestResolveActualSizes:
         assert resolve_actual_sizes(GraphSpec("torus"), [15, 24, 64]) == [9, 16, 64]
         assert calls == []
 
-    def test_ad_hoc_factories_still_build(self):
-        built = []
-
-        def factory(n, seed):
-            built.append((n, seed))
-            return build_graph("hypercube", n, seed)
-
-        assert resolve_actual_sizes(factory, [10, 20], seed=3) == [8, 16]
-        assert built == [(10, 3), (20, 3)]
-
 
 class TestReportBuildCounts:
     def test_cold_builds_once_per_instance_group_and_warm_builds_nothing(
