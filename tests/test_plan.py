@@ -106,6 +106,15 @@ class TestPlanGroups:
         for group in groups:
             assert list(group.indices) == sorted(group.indices)
 
+    def test_repeated_tasks_share_one_keyed_group(self):
+        # every task names its instance, so a repeat joins its twin's
+        # group instead of running on an instance of its own
+        task = SweepTask("scheme", "trivial", GraphSpec("cycle"), 8, 0)
+        groups = plan_groups([task, SweepTask("scheme", "trivial", GraphSpec("cycle"), 8, 0)])
+        assert [g.indices for g in groups] == [(0, 1)]
+        assert groups[0].key is not None
+        assert groups[0].key == instance_key(task)
+
     def test_density_normalisation_matches_task_identity(self):
         # density shapes only the "random" family, so cycle specs with
         # different densities describe the same instance -> one group

@@ -232,6 +232,13 @@ class TestCompile:
             assert {t.kind for t in sweep_tasks} == {"scheme", "baseline"}
             assert all(t.backend == backend for t in sweep_tasks)
 
+    def test_every_task_has_a_sha256_key(self):
+        for _, tasks in compile_tasks(self._spec()):
+            for task in tasks:
+                key = task.task_hash()
+                assert isinstance(key, str) and len(key) == 64
+                assert set(key) <= set("0123456789abcdef")
+
 
 # ------------------------------------------------------------------ #
 # the golden report: byte-identity across jobs and backends

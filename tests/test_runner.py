@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis.sweep import run_baseline_sweep, run_scheme_sweep
 from repro.core.scheme_trivial import TrivialRankScheme
+from repro.distributed.full_info import FullInformationMST
 from repro.runner import (
     GraphSpec,
     SQLiteResultStore,
@@ -33,6 +34,8 @@ class TestRegistry:
 
     def test_resolve_baseline(self):
         assert resolve_baseline("full-info").name == "local-full-info"
+        with pytest.raises(ValueError, match="registry name"):
+            resolve_baseline(FullInformationMST())
         with pytest.raises(ValueError):
             resolve_baseline("nope")
 
@@ -48,6 +51,14 @@ class TestRegistry:
 
 
 class TestGraphSpec:
+    def test_spec_builds_the_registry_instance(self):
+        spec = GraphSpec("random", 0.1)
+        graph = spec.build(16, 3)
+        assert graph.n == 16
+        assert graph.wiring_table() == build_graph("random", 16, 3, 0.1).wiring_table()
+        assert spec.build(16, 3) is graph  # memoised per process
+        assert not callable(spec)  # a spec describes a family; it is not a factory
+
     def test_spec_is_hashable_and_comparable(self):
         assert GraphSpec("cycle") == GraphSpec("cycle")
         assert len({GraphSpec("cycle"), GraphSpec("cycle"), GraphSpec("grid")}) == 2
@@ -194,6 +205,13 @@ class TestRunTasks:
         assert json.dumps(rows) == json.dumps(fresh)
         assert SQLiteResultStore(tmp_path).get(key) == fresh  # rewritten
 
+    def test_every_task_is_stored_under_its_hash(self, tmp_path):
+        rows = run_tasks(self.TASKS, cache_dir=tmp_path)
+        store = SQLiteResultStore(tmp_path)
+        assert store.stats()["rows"] == len(self.TASKS)
+        for task, row in zip(self.TASKS, rows):
+            assert store.get(task.task_hash()) == row
+
 
 class TestSweepRouting:
     def test_scheme_sweep_serial_vs_parallel_identical(self):
@@ -211,6 +229,18 @@ class TestSweepRouting:
         serial = run_baseline_sweep("full-info", jobs=1, **kwargs)
         parallel = run_baseline_sweep("full-info", jobs=2, **kwargs)
         assert json.dumps(serial.rows) == json.dumps(parallel.rows)
+
+    def test_sweeps_reject_instances_and_closures(self):
+        # instances run through run_scheme/run_baseline; a sweep takes names
+        closure = lambda n, seed: build_graph("cycle", n, seed)  # noqa: E731
+        with pytest.raises(ValueError, match="registry name"):
+            run_scheme_sweep(TrivialRankScheme(), sizes=(8,), seeds=(0,))
+        with pytest.raises(ValueError, match="registry name"):
+            run_baseline_sweep(FullInformationMST(), sizes=(8,), seeds=(0,))
+        with pytest.raises(ValueError, match="GraphSpec"):
+            run_scheme_sweep("trivial", sizes=(8,), graph_factory=closure, seeds=(0,))
+        with pytest.raises(ValueError, match="GraphSpec"):
+            run_baseline_sweep("full-info", sizes=(8,), graph_factory=closure, seeds=(0,))
 
     def test_sweep_cache_reuse(self, tmp_path):
         kwargs = dict(sizes=(8, 16), graph_factory=GraphSpec("random", 0.1), seeds=(0, 1))

@@ -148,6 +148,14 @@ class TestWireFormat:
         assert rebuilt == task
         assert rebuilt.task_hash() == task.task_hash()
 
+    def test_wire_payload_with_a_non_name_target_raises(self):
+        # a worker reads queue items from disk: a target that is no
+        # registry name must fail as undecodable work, not run
+        wire = task_to_wire(make_task())
+        wire["target"] = {"name": "trivial"}
+        with pytest.raises(ValueError, match="registry name"):
+            task_from_wire(wire)
+
     def test_malformed_wire_payload_raises(self):
         wire = task_to_wire(make_task())
         wire["kind"] = "nonsense"
