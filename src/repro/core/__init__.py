@@ -21,7 +21,7 @@ module                    paper artefact
 ========================  ================================================
 """
 
-from repro.core.advice import AdviceAssignment, AdviceStats
+from repro.core.advice import AdviceAssignment, AdviceStats, PackingLayout
 from repro.core.bits import BitReader, BitString, BitWriter
 from repro.core.oracle import AdvisingScheme, SchemeReport, run_scheme
 from repro.core.problem import (
@@ -52,6 +52,7 @@ from repro.core.lower_bound import (
 __all__ = [
     "AdviceAssignment",
     "AdviceStats",
+    "PackingLayout",
     "BitReader",
     "BitString",
     "BitWriter",

@@ -7,16 +7,26 @@ rounds are the **maximum** and the **average** advice length; an
 time by ``t`` rounds (Theorem 1 and Theorem 2 additionally discuss the
 average).  :class:`AdviceAssignment` stores the per-node strings and
 computes exactly these statistics.
+
+The strings are packed: one flat array of 0/1 bytes holds every node's
+advice back to back, and ``n + 1`` offsets delimit them, so node ``u``'s
+advice is ``bits[offsets[u]:offsets[u + 1]]``.  The oracles write these
+arrays column by column; a :class:`~repro.core.bits.BitString` is built
+only when a node's string is asked for (the engine's payloads, the
+lower bound's pigeonhole, tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.bits import BitString
 
-__all__ = ["AdviceAssignment", "AdviceStats"]
+__all__ = ["AdviceAssignment", "AdviceStats", "PackingLayout"]
 
 
 @dataclass(frozen=True)
@@ -40,28 +50,64 @@ class AdviceStats:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class PackingLayout:
+    """Where a phase-by-phase oracle packed each phase's data bits.
+
+    ``phases[i - 1]`` is the pair ``(nodes, takes)`` of phase ``i``: the
+    nodes that received data bits of that phase (each at most once) and
+    how many.  ``capacity`` is the per-node data capacity the packing
+    used.  The Theorem-3 oracle records it, and the analytic backend
+    replays the decoder's convergecast streams from it.
+    """
+
+    capacity: int
+    phases: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+
+
 class AdviceAssignment:
-    """Per-node advice bit strings for one instance."""
+    """Per-node advice bit strings for one instance, packed in one bit array.
 
-    def __init__(self, n: int) -> None:
-        if n <= 0:
+    ``bits`` is a 0/1 array, ``offsets`` the ``n + 1`` non-decreasing
+    positions that split it into the nodes' strings.  ``layout``
+    describes how the oracle packed the bits, for the schemes whose
+    analytic model needs it (Theorem 3).
+
+    >>> advice = AdviceAssignment.from_strings(
+    ...     [BitString.from_string("101"), BitString.empty(), BitString.from_string("1")]
+    ... )
+    >>> advice.n, advice.get(0).to01(), advice.bits_of(1), advice.stats().total_bits
+    (3, '101', 0, 4)
+    """
+
+    __slots__ = ("n", "bits", "offsets", "layout")
+
+    def __init__(
+        self, bits, offsets, layout: Optional[PackingLayout] = None
+    ) -> None:
+        bits = np.asarray(bits, dtype=np.uint8)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if offsets.ndim != 1 or offsets.size < 2:
             raise ValueError("advice assignments need at least one node")
-        self.n = n
-        self._advice: Dict[int, BitString] = {}
+        if bits.ndim != 1 or offsets[0] != 0 or offsets[-1] != bits.size:
+            raise ValueError("offsets must run from 0 to the number of bits")
+        if np.any(offsets[1:] < offsets[:-1]):
+            raise ValueError("offsets must not decrease")
+        if bits.size and bits.max() > 1:
+            raise ValueError("advice bits must be 0 or 1")
+        self.n = offsets.size - 1
+        self.bits = bits
+        self.offsets = offsets
+        self.layout = layout
 
-    # ------------------------------------------------------------------ #
-    # mutation (oracle side)
-    # ------------------------------------------------------------------ #
-
-    def set(self, node: int, bits: BitString) -> None:
-        """Assign ``bits`` to ``node`` (replacing any previous string)."""
-        self._check_node(node)
-        self._advice[node] = bits
-
-    def append(self, node: int, bits: BitString) -> None:
-        """Concatenate ``bits`` to the advice of ``node``."""
-        self._check_node(node)
-        self._advice[node] = self.get(node) + bits
+    @classmethod
+    def from_strings(cls, strings: Sequence[BitString]) -> "AdviceAssignment":
+        """Pack one string per node (node ``u`` gets ``strings[u]``)."""
+        lengths = np.fromiter((len(s) for s in strings), dtype=np.int64, count=len(strings))
+        offsets = np.zeros(len(strings) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        bits = np.fromiter(chain.from_iterable(strings), dtype=np.uint8, count=int(offsets[-1]))
+        return cls(bits, offsets)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -70,21 +116,23 @@ class AdviceAssignment:
     def get(self, node: int) -> BitString:
         """Advice of ``node`` (the empty string when nothing was assigned)."""
         self._check_node(node)
-        return self._advice.get(node, BitString.empty())
+        lo, hi = self.offsets[node : node + 2].tolist()
+        return BitString._wrap(tuple(self.bits[lo:hi].tolist()))
 
     def bits_of(self, node: int) -> int:
         """Length of the advice of ``node``."""
-        return len(self.get(node))
+        self._check_node(node)
+        return int(self.offsets[node + 1] - self.offsets[node])
 
     def __iter__(self) -> Iterator[Tuple[int, BitString]]:
-        for node in range(self.n):
-            yield node, self.get(node)
+        return iter(self.as_payloads().items())
 
     def as_payloads(self) -> Dict[int, BitString]:
         """A ``node -> BitString`` mapping suitable for the simulator."""
-        empty = BitString.empty()
-        assigned = self._advice
-        return {node: assigned.get(node, empty) for node in range(self.n)}
+        flat = self.bits.tolist()
+        bounds = self.offsets.tolist()
+        wrap = BitString._wrap
+        return {u: wrap(tuple(flat[bounds[u] : bounds[u + 1]])) for u in range(self.n)}
 
     # ------------------------------------------------------------------ #
     # statistics
@@ -92,16 +140,14 @@ class AdviceAssignment:
 
     def stats(self) -> AdviceStats:
         """Maximum / total / average advice size of this assignment."""
-        # unassigned nodes have size 0, so only assigned entries can
-        # contribute to any of the aggregates — no need to enumerate n
-        sizes = [len(bits) for bits in self._advice.values()]
-        total = sum(sizes)
+        sizes = np.diff(self.offsets)
+        total = int(self.offsets[-1])
         return AdviceStats(
             n=self.n,
-            max_bits=max(sizes, default=0),
+            max_bits=int(sizes.max()),
             total_bits=total,
             average_bits=total / self.n,
-            nodes_with_advice=sum(1 for s in sizes if s > 0),
+            nodes_with_advice=int(np.count_nonzero(sizes)),
         )
 
     # ------------------------------------------------------------------ #

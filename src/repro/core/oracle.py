@@ -127,12 +127,13 @@ def run_scheme(
 ) -> SchemeReport:
     """Run ``scheme`` end to end on ``graph`` and verify the output.
 
-    ``advice`` may carry a precomputed oracle assignment — it **must** be
-    the value ``scheme.compute_advice`` returned for this exact
-    ``(graph, root)`` on this exact ``scheme`` object (the scheme holds
-    packing state, e.g. the Theorem-3 layout, that the analytic backend
-    replays).  The grouped runner uses this to compute each scheme's
-    advice once per instance and run every backend against it.
+    ``advice`` may carry a precomputed oracle assignment for this
+    ``(graph, root)``; advice for a different number of nodes raises
+    :class:`ValueError`.  What the analytic backend replays (e.g. the
+    Theorem-3 packing layout) travels with the advice, so any scheme
+    object of the right class can run it.  The grouped runner uses this
+    to compute each scheme's advice once per instance and run every
+    backend against it.
 
     The oracle is given the instance and the designated root; the
     decoder is run with the resulting advice; the outputs are then
@@ -167,6 +168,8 @@ def run_scheme(
 
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}")
+    if advice is not None and advice.n != graph.n:
+        raise ValueError(f"advice for {advice.n} nodes cannot run on a graph of {graph.n}")
     fault = effective_fault(fault, backend, getattr(scheme, "problem", DEFAULT_PROBLEM))
     if fault is not None:
         if advice is None:

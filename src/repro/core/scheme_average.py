@@ -154,38 +154,31 @@ class AverageConstantScheme(AdvisingScheme):
             rec_vals.append((arr["is_up"].astype(np.int64) << widths) | rank_m1)
             rec_widths.append(widths + 1)
 
-        advice = AdviceAssignment(graph.n)
+        n = graph.n
         if not rec_nodes:
-            return advice
+            return AdviceAssignment(np.zeros(0, dtype=np.uint8), np.zeros(n + 1, dtype=np.int64))
         # group records per choosing node; the stable sort keeps the
         # phase order of each node's records
         nodes_a = np.concatenate(rec_nodes)
+        widths_a = np.concatenate(rec_widths)
         order = np.argsort(nodes_a, kind="stable")
-        nodes_o = nodes_a[order]
         vals_o = np.concatenate(rec_vals)[order]
-        w_o = np.concatenate(rec_widths)[order]
+        w_o = widths_a[order]
 
         # big-endian record bits + the record-start bitmap, interleaved
-        # as (mark, bit) pairs in one vectorised pass
+        # as (mark, bit) pairs in one vectorised pass; the records are
+        # in node order, so this is the whole packed assignment
         total = int(w_o.sum())
         rec_starts = np.concatenate(([0], np.cumsum(w_o[:-1])))
         within = np.arange(total, dtype=np.int64) - np.repeat(rec_starts, w_o)
         wrep = np.repeat(w_o, w_o)
-        code = (np.repeat(vals_o, w_o) >> (wrep - 1 - within)) & 1
-        inter = np.empty(2 * total, dtype=np.int64)
-        inter[0::2] = (within == 0).astype(np.int64)
-        inter[1::2] = code
-        inter_list = inter.tolist()
-
-        rec_off = np.concatenate(([0], np.cumsum(2 * w_o))).tolist()
-        seg_bounds = np.concatenate(
-            ([0], np.flatnonzero(np.diff(nodes_o)) + 1, [nodes_o.size])
-        ).tolist()
-        for idx, u in enumerate(nodes_o[seg_bounds[:-1]].tolist()):
-            a = rec_off[seg_bounds[idx]]
-            b = rec_off[seg_bounds[idx + 1]]
-            advice.set(u, BitString._wrap(tuple(inter_list[a:b])))
-        return advice
+        inter = np.empty(2 * total, dtype=np.uint8)
+        inter[0::2] = within == 0
+        inter[1::2] = (np.repeat(vals_o, w_o) >> (wrep - 1 - within)) & 1
+        per_node = np.bincount(nodes_a, weights=2 * widths_a, minlength=n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(per_node.astype(np.int64), out=offsets[1:])
+        return AdviceAssignment(inter, offsets)
 
     def program_factory(self) -> ProgramFactory:
         return lambda ctx: _AverageProgram()

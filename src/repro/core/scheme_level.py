@@ -89,18 +89,12 @@ class LevelAdviceScheme(ShortAdviceScheme):
                 "use ShortAdviceScheme for instances with duplicated weights"
             )
 
-    def _prepare_headers(
+    def _extra_header_bits(
         self, graph: PortNumberedGraph, trace: BoruvkaTrace, phases: int
-    ) -> None:
-        # stash the per-node level bitmaps for the shared header writer
-        levels = self._node_levels(graph, trace, phases)
-        self._levels = levels
-        self._level_bits = {u: BitString._wrap(tuple(bits)) for u, bits in levels.items()}
+    ) -> np.ndarray:
+        return self._node_levels(graph, trace, phases)
 
-    def _extra_header_bits(self, u: int) -> BitString:
-        return self._level_bits[u]
-
-    def _fragment_advice_batch(self, arrays):
+    def _fragment_advice_batch(self, column):
         """``A(F)`` with the paper's literal level bit instead of the rank:
         per selection, the orientation bit, the level of the target
         fragment and the γ-coded DFS index of the choosing node."""
@@ -108,32 +102,23 @@ class LevelAdviceScheme(ShortAdviceScheme):
 
         return _batch_bit_codes(
             [
-                ("bit", arrays["is_up"].astype(np.int64)),
-                ("bit", arrays["level_of_target_fragment"]),
-                ("gamma", arrays["choosing_dfs_index"]),
-            ],
-            arrays["fragment"].size,
+                ("bit", column("is_up")),
+                ("bit", column("level_of_target_fragment")),
+                ("gamma", column("choosing_dfs_index")),
+            ]
         )
 
     @staticmethod
-    def _node_levels(
-        graph: PortNumberedGraph, trace: BoruvkaTrace, phases: int
-    ) -> Dict[int, List[int]]:
-        """Per node, its fragment's level at each phase ``1 .. phases``."""
-        cols = []
-        for i in range(1, phases + 1):
-            if i <= len(trace.phases):
-                phase = trace.phases[i - 1]
-                depth = phase.fragment_tree.depth_array()
-                cols.append((depth % 2)[phase.partition.fragment_of_array()])
-            else:
-                # the graph already merged into a single fragment: level 0
-                cols.append(np.zeros(graph.n, dtype=np.int64))
-        if cols:
-            rows = np.stack(cols, axis=1).tolist()
-        else:
-            rows = [[] for _ in range(graph.n)]
-        return {u: rows[u] for u in range(graph.n)}
+    def _node_levels(graph: PortNumberedGraph, trace: BoruvkaTrace, phases: int) -> np.ndarray:
+        """Per node (row), its fragment's level at each phase ``1 .. phases``.
+
+        Once the graph has merged into a single fragment the level stays 0.
+        """
+        levels = np.zeros((graph.n, phases), dtype=np.uint8)
+        for i, phase in enumerate(trace.phases[:phases]):
+            depth = phase.fragment_tree.depth_array()
+            levels[:, i] = (depth % 2)[phase.partition.fragment_of_array()]
+        return levels
 
     # ----------------------------- decoder ------------------------------ #
 

@@ -60,11 +60,11 @@ Deviations from the paper (documented in DESIGN.md):
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.advice import AdviceAssignment
+from repro.core.advice import AdviceAssignment, PackingLayout
 from repro.core.bits import BitReader, BitString
 from repro.core.oracle import AdvisingScheme
 from repro.graphs.weighted_graph import PortNumberedGraph
@@ -148,21 +148,22 @@ def _bit_length_arr(values: "np.ndarray") -> "np.ndarray":
 
 
 def _batch_bit_codes(
-    columns: Sequence[Tuple[str, "np.ndarray"]], count: int
-) -> Tuple[List[BitString], "np.ndarray"]:
-    """Build one :class:`BitString` per row from vectorised field columns.
+    columns: Sequence[Tuple[str, "np.ndarray"]],
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Write one record per row from vectorised field columns.
 
     ``columns`` lists the fields of the per-row record in write order;
     each is ``("bit", values)`` (one literal bit per row) or ``("gamma",
     values)`` (the Elias-γ code of each positive value: ``w - 1`` zeros
     followed by the ``w``-bit big-endian binary of the value, ``w`` its
-    bit length).  Returns ``(strings, lengths)`` with exactly the bits
-    the per-row ``BitWriter.write_bit`` / ``write_gamma`` calls produce,
-    assembled with NumPy repeat/cumsum arithmetic instead of per-row
-    Python writers.
+    bit length).  Returns ``(flat, starts)``: the records back to back
+    as one 0/1 array, row ``r`` at ``flat[starts[r]:starts[r + 1]]``,
+    with exactly the bits the per-row ``BitWriter.write_bit`` /
+    ``write_gamma`` calls produce.
     """
+    count = columns[0][1].size
     if count == 0:
-        return [], np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.uint8), np.zeros(1, dtype=np.int64)
     col_lens: List["np.ndarray"] = []
     for kind, values in columns:
         if kind == "bit":
@@ -174,7 +175,7 @@ def _batch_bit_codes(
         total_lens += extra
     starts = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(total_lens, out=starts[1:])
-    flat = np.zeros(int(starts[-1]), dtype=np.int64)
+    flat = np.zeros(int(starts[-1]), dtype=np.uint8)
     col_off = starts[:-1].copy()
     for (kind, values), lens in zip(columns, col_lens):
         if kind == "bit":
@@ -191,13 +192,7 @@ def _batch_bit_codes(
                 within < wrep - 1, 0, (vrep >> shift) & 1
             )
         col_off = col_off + lens
-    bits_list = flat.tolist()
-    bounds = starts.tolist()
-    strings = [
-        BitString._wrap(tuple(bits_list[bounds[i] : bounds[i + 1]]))
-        for i in range(count)
-    ]
-    return strings, total_lens
+    return flat, starts
 
 
 # ----------------------------------------------------------------------- #
@@ -220,19 +215,19 @@ class ShortAdviceScheme(AdvisingScheme):
     True
     >>> report.rounds <= scheme.round_bound(64)  # within 9*ceil(log n)-flavoured budget
     True
+
+    The advice carries its packing layout: the per-node data capacity
+    and, per phase, which nodes hold how many of that phase's bits.
+
+    >>> advice = scheme.compute_advice(random_connected_graph(64, 0.05, seed=1))
+    >>> advice.layout.capacity, len(advice.layout.phases)
+    (10, 3)
     """
 
     name = "theorem3-main"
 
     def __init__(self, capacity_candidates: Tuple[int, ...] = _CAP_CANDIDATES) -> None:
         self._capacity_candidates = capacity_candidates
-        #: per-node data capacity actually used by the last ``compute_advice`` call
-        self.last_capacity: Optional[int] = None
-        #: packing layout of the last ``compute_advice`` call:
-        #: ``last_layout[i - 1][u]`` is the number of data bits of phase
-        #: ``i`` packed at node ``u``.  The analytic backend replays the
-        #: decoder's convergecast streams from exactly this layout.
-        self.last_layout: List[Dict[int, int]] = []
 
     # ------------------------------ oracle ------------------------------ #
 
@@ -247,84 +242,87 @@ class ShortAdviceScheme(AdvisingScheme):
         self._check_instance(graph)
         if trace is None:
             trace = boruvka_trace(graph, root=root)
-        self._prepare_headers(graph, trace, phases)
-        data_bits = self._pack_with_capacity_search(graph, trace, phases)
-        return self._finish_advice(graph, root, trace, phases, data_bits)
+        data = self._pack_with_capacity_search(graph, trace, phases)
+        return self._finish_advice(graph, trace, phases, data)
 
     # The oracle is split into hooks so the level variant overrides only
     # its scheme-specific pieces and shares the capacity search:
     #
     # ``_check_instance``    precondition checks, before anything is built
-    # ``_prepare_headers``   per-node header state (the level variant's bitmap)
+    # ``_fragment_advice_batch``  the records A(F) of every phase
     # ``_pack_with_capacity_search``  the expensive shared middle
-    # ``_finish_advice``     final bits + header prefixes → AdviceAssignment
+    # ``_extra_header_bits`` per-node header fields (the level bitmap)
+    # ``_finish_advice``     final bits + headers + data → AdviceAssignment
 
     def _check_instance(self, graph: PortNumberedGraph) -> None:
         """Validate instance preconditions (the level variant overrides)."""
 
-    def _prepare_headers(
-        self, graph: PortNumberedGraph, trace: BoruvkaTrace, phases: int
-    ) -> None:
-        """Prepare per-node header state (the level variant overrides)."""
-
     def _finish_advice(
         self,
         graph: PortNumberedGraph,
-        root: int,
         trace: BoruvkaTrace,
         phases: int,
-        data_bits: Dict[int, BitString],
+        data: AdviceAssignment,
     ) -> AdviceAssignment:
-        """Final bits, flag headers and assembly of the advice strings."""
+        """Prefix every node's packed data with its header fields.
+
+        A node's advice is the phase count in :data:`_PHASE_FIELD_BITS`
+        bits, the collect flag, the "has final bit" flag (and the bit
+        itself when present), the scheme's extra header fields and the
+        packed fragment-advice data; every field is written for all
+        nodes at once.
+        """
         n = graph.n
         final_bit, collect_flag = self._assign_final_bits(graph, trace, phases)
+        extra = self._extra_header_bits(graph, trace, phases)
+        has_final = final_bit >= 0
+        head = _PHASE_FIELD_BITS + 2 + has_final.astype(np.int64)
+        if extra is not None:
+            head += extra.shape[1]
+        data_lens = np.diff(data.offsets)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(head + data_lens, out=offsets[1:])
+        starts = offsets[:-1]
+        bits = np.empty(int(offsets[-1]), dtype=np.uint8)
+        k = np.arange(_PHASE_FIELD_BITS)
+        bits[starts[:, None] + k] = (phases >> (_PHASE_FIELD_BITS - 1 - k)) & 1
+        flags = starts + _PHASE_FIELD_BITS
+        bits[flags] = collect_flag
+        bits[flags + 1] = has_final
+        bits[flags[has_final] + 2] = final_bit[has_final]
+        if extra is not None:
+            extra_starts = flags + 2 + has_final
+            bits[extra_starts[:, None] + np.arange(extra.shape[1])] = extra
+        shift = np.repeat(starts + head - data.offsets[:-1], data_lens)
+        bits[shift + np.arange(data.bits.size)] = data.bits
+        return AdviceAssignment(bits, offsets, data.layout)
 
-        # the six possible flag headers, shared across nodes: collect
-        # flag, then "has final bit" flag (+ the bit itself when present)
-        header = BitString.from_uint(phases, _PHASE_FIELD_BITS)._bits
-        prefixes: Dict[Tuple[bool, Optional[int]], Tuple[int, ...]] = {}
-        advice = AdviceAssignment(n)
-        assigned: Dict[int, BitString] = {}
-        wrap = BitString._wrap
-        extra_header = self._extra_header_bits
-        flag_get = collect_flag.get
-        final_get = final_bit.get
-        for u in range(n):
-            key = (bool(flag_get(u, False)), final_get(u))
-            prefix = prefixes.get(key)
-            if prefix is None:
-                prefix = header + ((1,) if key[0] else (0,))
-                prefix += (0,) if key[1] is None else (1, 1 if key[1] else 0)
-                prefixes[key] = prefix
-            extra = extra_header(u)
-            if extra is not None:
-                prefix = prefix + extra._bits
-            assigned[u] = wrap(prefix + data_bits[u]._bits)
-        advice._advice = assigned
-        return advice
-
-    def _extra_header_bits(self, u: int) -> Optional[BitString]:
-        """Scheme-specific header fields (the level variant adds its bitmap)."""
+    def _extra_header_bits(
+        self, graph: PortNumberedGraph, trace: BoruvkaTrace, phases: int
+    ) -> Optional["np.ndarray"]:
+        """Scheme-specific header fields, one row of bits per node, or
+        ``None`` (the level variant adds its bitmap)."""
         return None
 
     def _fragment_advice_batch(
-        self, arrays: Dict[str, "np.ndarray"]
-    ) -> Tuple[List[BitString], "np.ndarray"]:
-        """The fragment advice strings ``A(F)`` of one phase (column view).
+        self, column: Callable[[str], "np.ndarray"]
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """The fragment advice strings ``A(F)`` of every selection.
 
-        Rank-coded variant (deviation D1): per selection, the orientation
-        bit, the γ-coded rank of the selected edge at the choosing node
-        and the γ-coded DFS index of the choosing node.  The level
-        variant overrides this with the paper's literal level-coded
-        record; the shared packer below is oblivious to the contents.
+        ``column(key)`` is one field of the trace's selection arrays,
+        every packed phase's selections back to back.  Rank-coded
+        variant (deviation D1): per selection, the orientation bit, the
+        γ-coded rank of the selected edge at the choosing node and the
+        γ-coded DFS index of the choosing node.  The level variant
+        overrides this with the paper's literal level-coded record; the
+        shared packer below is oblivious to the contents.
         """
         return _batch_bit_codes(
             [
-                ("bit", arrays["is_up"].astype(np.int64)),
-                ("gamma", arrays["rank_at_choosing"]),
-                ("gamma", arrays["choosing_dfs_index"]),
-            ],
-            arrays["fragment"].size,
+                ("bit", column("is_up")),
+                ("gamma", column("rank_at_choosing")),
+                ("gamma", column("choosing_dfs_index")),
+            ]
         )
 
     def _pack_with_capacity_search(
@@ -332,41 +330,51 @@ class ShortAdviceScheme(AdvisingScheme):
         graph: PortNumberedGraph,
         trace: BoruvkaTrace,
         phases: int,
-    ) -> Dict[int, BitString]:
+    ) -> AdviceAssignment:
         """Pack with the smallest per-node capacity candidate that fits.
 
         The capacity-independent work — every fragment advice string and
         every DFS preorder — is collected *once*; each candidate capacity
         is then checked with prefix-sum placement arithmetic alone, and
         the advice bits are written out a single time for the winner.
+        Returns the packed data bits alone, with their layout.
         """
-        plan = self._collect_advice_plan(trace, phases)
+        a_bits, plan = self._collect_advice_plan(trace, phases)
         for cap in self._capacity_candidates:
             placement = self._place_plan(plan, graph.n, cap)
             if isinstance(placement, int):  # the phase index that overflowed
                 continue
-            self.last_capacity = cap
-            return self._materialize_plan(plan, placement, graph.n)
+            return self._materialize_plan(a_bits, plan, placement, graph.n, cap)
         raise CapacityError(  # pragma: no cover - the largest cap always fits
             "no candidate capacity could hold the fragment advice"
         )
 
     def _collect_advice_plan(
         self, trace: BoruvkaTrace, phases: int
-    ) -> List[Dict[str, Any]]:
-        """Per phase, the preorders and ``A(F)`` strings of every selection.
+    ) -> Tuple["np.ndarray", List[Dict[str, Any]]]:
+        """The ``A(F)`` strings of every selection, and per phase the preorders.
 
         This is everything the packer needs that does not depend on the
         per-node capacity, so the capacity search never recomputes it.
-        Each phase is flattened into one concatenated node array (segment
-        per selection) so placement is a handful of NumPy passes per
-        phase rather than per-fragment Python work.
+        The strings of all phases are written in one batch; a phase's
+        ``a_starts`` are positions in that one bit array.  Each phase is
+        flattened into one concatenated node array (segment per
+        selection) so placement is a handful of NumPy passes per phase
+        rather than per-fragment Python work.
         """
+        packed = trace.phases[:phases]
+        if not packed:  # no Borůvka phase to pack (n <= 2)
+            return np.zeros(0, dtype=np.uint8), []
+        a_bits, all_starts = self._fragment_advice_batch(
+            lambda key: np.concatenate([phase.arrays[key] for phase in packed])
+        )
         plan: List[Dict[str, Any]] = []
-        for phase in trace.phases[:phases]:
+        first = 0  # the phase's first selection among all phases' selections
+        for phase in packed:
             nodes, starts = phase.partition.preorder_arrays()
             num_sel = phase.arrays["fragment"].size
-            advice_strings, a_lens = self._fragment_advice_batch(phase.arrays)
+            a_starts = all_starts[first : first + num_sel + 1]
+            first += num_sel
             if num_sel:
                 frags = phase.arrays["fragment"]
                 lens = starts[frags + 1] - starts[frags]
@@ -389,14 +397,14 @@ class ShortAdviceScheme(AdvisingScheme):
             plan.append(
                 {
                     "index": phase.index,
-                    "advice": advice_strings,
-                    "a_lens": a_lens,
+                    "a_starts": a_starts,
+                    "a_lens": np.diff(a_starts),
                     "nodes": all_nodes,
                     "seg_id": seg_id,
                     "seg_starts": seg_starts,
                 }
             )
-        return plan
+        return a_bits, plan
 
     @staticmethod
     def _place_plan(plan: List[Dict[str, Any]], n: int, cap: int):
@@ -434,13 +442,21 @@ class ShortAdviceScheme(AdvisingScheme):
             placement.append((takes, filled))
         return placement
 
+    @staticmethod
     def _materialize_plan(
-        self,
+        a_bits: "np.ndarray",
         plan: List[Dict[str, Any]],
         placement: List[Tuple["np.ndarray", "np.ndarray"]],
         n: int,
-    ) -> Dict[int, BitString]:
-        """Write the placed bits out (once) and record the packing layout.
+        cap: int,
+    ) -> AdviceAssignment:
+        """Gather the placed bits (once) and record the packing layout.
+
+        A placed chunk is bits ``[hi - take, hi)`` of its selection's
+        ``A(F)`` in ``a_bits``.  Every chunk of every phase is gathered
+        with one ``repeat``/``arange`` index; a stable sort by node keeps
+        each node's chunks in phase order (a node holds at most one chunk
+        per phase, since it lies in one fragment).
 
         A node that receives only part of an ``A(F)`` (other than its
         tail) is full and can never receive bits of a later phase, which
@@ -448,53 +464,42 @@ class ShortAdviceScheme(AdvisingScheme):
         concatenated in DFS order, always start with the current phase's
         ``A(F)``.
         """
-        # raw bit buffers instead of BitWriters: the chunks are already
-        # normalised 0/1 tuples, so slicing ``_bits`` directly skips one
-        # BitString wrap and one per-bit normalisation pass per chunk
-        buffers: List[List[int]] = [[] for _ in range(n)]
-        layout: List[Dict[int, int]] = []
+        layout: List[Tuple["np.ndarray", "np.ndarray"]] = []
+        sources: List["np.ndarray"] = []
         for phase, (takes, filled) in zip(plan, placement):
-            phase_layout: Dict[int, int] = {}
-            advice_strings = phase["advice"]
-            chunk_positions = np.flatnonzero(takes)
-            chunk_nodes = phase["nodes"][chunk_positions].tolist()
-            chunk_segs = phase["seg_id"][chunk_positions].tolist()
-            chunk_his = filled[chunk_positions].tolist()
-            chunk_takes = takes[chunk_positions].tolist()
-            for u, seg, hi, take in zip(chunk_nodes, chunk_segs, chunk_his, chunk_takes):
-                buffers[u].extend(advice_strings[seg]._bits[hi - take : hi])
-                phase_layout[u] = phase_layout.get(u, 0) + take
-            layout.append(phase_layout)
-        self.last_layout = layout
-        return {u: BitString._wrap(tuple(buffers[u])) for u in range(n)}
-
-    def _pack_phase_advice(
-        self,
-        graph: PortNumberedGraph,
-        trace: BoruvkaTrace,
-        phases: int,
-        cap: int,
-    ) -> Dict[int, BitString]:
-        """Distribute every fragment advice ``A(F)`` of phases ``1..phases``
-        at one fixed capacity (the single-capacity view of the search)."""
-        plan = self._collect_advice_plan(trace, phases)
-        placement = self._place_plan(plan, graph.n, cap)
-        if isinstance(placement, int):
-            raise CapacityError(
-                f"capacity {cap} too small for fragment advice at phase {placement}"
+            positions = np.flatnonzero(takes)
+            chunk_takes = takes[positions]
+            layout.append((phase["nodes"][positions], chunk_takes))
+            hi = phase["a_starts"][phase["seg_id"][positions]] + filled[positions]
+            sources.append(hi - chunk_takes)
+        packing = PackingLayout(cap, tuple(layout))
+        if not layout:  # no Borůvka phase to pack (n <= 2)
+            return AdviceAssignment(
+                np.zeros(0, dtype=np.uint8), np.zeros(n + 1, dtype=np.int64), packing
             )
-        return self._materialize_plan(plan, placement, graph.n)
+        nodes = np.concatenate([chunk_nodes for chunk_nodes, _ in layout])
+        takes = np.concatenate([chunk_takes for _, chunk_takes in layout])
+        order = np.argsort(nodes, kind="stable")
+        takes_o = takes[order]
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(nodes, weights=takes, minlength=n).astype(np.int64), out=offsets[1:])
+        out_starts = np.cumsum(takes_o) - takes_o
+        index = np.repeat(np.concatenate(sources)[order] - out_starts, takes_o)
+        index += np.arange(int(offsets[-1]), dtype=np.int64)
+        return AdviceAssignment(a_bits[index], offsets, packing)
 
     def _assign_final_bits(
         self,
         graph: PortNumberedGraph,
         trace: BoruvkaTrace,
         phases: int,
-    ) -> Tuple[Dict[int, int], Dict[int, bool]]:
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
         """One bit per node: the parent rank of each remaining fragment root.
 
-        Also computes the per-node "collection region" flag (depth in the
-        final fragment smaller than the number of bits to collect).
+        Returns ``(final_bit, collect_flag)``: per node its final bit
+        (``-1`` where it holds none) and its "collection region" flag
+        (depth in the final fragment smaller than the number of bits to
+        collect).
         """
         partition = trace.partition_before_phase(phases + 1)
         tree = trace.tree
@@ -531,16 +536,17 @@ class ShortAdviceScheme(AdvisingScheme):
         total = int(wk.sum())
         row_starts = np.concatenate(([0], np.cumsum(wk[:-1]))) if wk.size else wk
         within = np.arange(total, dtype=np.int64) - np.repeat(row_starts, wk)
-        fb_nodes = nodes[np.repeat(starts[:-1][keep], wk) + within]
-        fb_bits = (vk >> (wrep - 1 - within)) & 1
-        final_bit: Dict[int, int] = dict(zip(fb_nodes.tolist(), fb_bits.tolist()))
+        final_bit = np.full(graph.n, -1, dtype=np.int8)
+        final_bit[nodes[np.repeat(starts[:-1][keep], wk) + within]] = (
+            vk >> (wrep - 1 - within)
+        ) & 1
 
         # collection-region flag: depth within the fragment < field width
         frag_ids = np.repeat(np.arange(counts.size), counts)
         tree_depth = np.asarray(tree.depth, dtype=np.int64)
         depth_in_frag = tree_depth[nodes] - np.repeat(tree_depth[frag_roots], counts)
-        mask = keep[frag_ids] & (depth_in_frag <= np.repeat(width, counts) - 1)
-        collect_flag: Dict[int, bool] = dict.fromkeys(nodes[mask].tolist(), True)
+        collect_flag = np.zeros(graph.n, dtype=bool)
+        collect_flag[nodes] = keep[frag_ids] & (depth_in_frag <= np.repeat(width, counts) - 1)
         return final_bit, collect_flag
 
     # ----------------------------- decoder ------------------------------ #

@@ -78,7 +78,6 @@ class TrivialRankScheme(AdvisingScheme):
         """Assign the advice (``tree`` may be passed to reuse a rooted MST)."""
         if tree is None:
             tree = build_rooted_tree(graph, kruskal_mst(graph), root=root)
-        advice = AdviceAssignment(graph.n)
         # all parent-edge ranks in one gather over the cached slot order
         if graph.m:
             slot_rank = graph._slot_orders()[0]
@@ -88,29 +87,23 @@ class TrivialRankScheme(AdvisingScheme):
             ]
         else:
             ranks = np.zeros(graph.n, dtype=np.int64)  # edgeless: only the root
-        # per non-root node the advice is the root flag 0 followed by the
-        # rank in ⌈log₂ deg⌉ bits; all strings are filled in one flat
-        # big-endian expansion instead of a from_uint call per node
+        # per node the advice is the root flag followed by the rank in
+        # ⌈log₂ deg⌉ bits (none at the root); all strings are written in
+        # one flat big-endian expansion
         from repro.core.scheme_main import _bit_length_arr
 
         widths = _bit_length_arr(np.maximum(graph._degrees - 1, 0))
+        widths[root] = 0
         lens = widths + 1
-        starts = np.concatenate(([0], np.cumsum(lens[:-1])))
-        total = int(starts[-1]) + int(lens[-1])
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, lens)
-        wrep = np.repeat(widths, lens)
-        vrep = np.repeat(ranks, lens)
-        flat = np.where(
-            within == 0, 0, (vrep >> np.maximum(wrep - within, 0)) & 1
-        ).tolist()
-        starts_l = starts.tolist()
-        ends_l = (starts + lens).tolist()
-        advice._advice = {
-            u: BitString._wrap(tuple(flat[starts_l[u] : ends_l[u]]))
-            for u in range(graph.n)
-        }
-        advice._advice[root] = BitString.from_uint(1, 1)
-        return advice
+        offsets = np.zeros(graph.n + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        starts = offsets[:-1]
+        within = np.arange(int(offsets[-1]), dtype=np.int64) - np.repeat(starts, lens)
+        shift = np.maximum(np.repeat(widths, lens) - within, 0)
+        bits = ((np.repeat(ranks, lens) >> shift) & 1).astype(np.uint8)
+        bits[starts] = 0
+        bits[starts[root]] = 1
+        return AdviceAssignment(bits, offsets)
 
     def program_factory(self) -> ProgramFactory:
         return lambda ctx: _TrivialProgram()

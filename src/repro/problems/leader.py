@@ -80,12 +80,9 @@ class LeaderFlagScheme(AdvisingScheme):
     def compute_advice(self, graph: PortNumberedGraph, root: int = 0) -> AdviceAssignment:
         if not 0 <= root < graph.n:
             raise ValueError("root out of range")
-        advice = AdviceAssignment(graph.n)
         one = BitString.from_uint(1, 1)
         zero = BitString.from_uint(0, 1)
-        for u in range(graph.n):
-            advice.set(u, one if u == root else zero)
-        return advice
+        return AdviceAssignment.from_strings([one if u == root else zero for u in range(graph.n)])
 
     def program_factory(self) -> ProgramFactory:
         return lambda ctx: _FlagProgram()
@@ -130,14 +127,14 @@ class LeaderRankScheme(AdvisingScheme):
         if not 0 <= root < n:
             raise ValueError("root out of range")
         width = max(1, (n - 1).bit_length())
-        advice = AdviceAssignment(n)
+        strings = []
         for u in range(n):
             if u == root:
                 rank = 0
             else:
                 rank = u + 1 if u < root else u
-            advice.set(u, BitString.from_uint(rank, width))
-        return advice
+            strings.append(BitString.from_uint(rank, width))
+        return AdviceAssignment.from_strings(strings)
 
     def program_factory(self) -> ProgramFactory:
         return lambda ctx: _RankProgram()

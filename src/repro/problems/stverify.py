@@ -105,8 +105,8 @@ class StDistanceScheme(AdvisingScheme):
     def compute_advice(self, graph: PortNumberedGraph, root: int = 0) -> AdviceAssignment:
         tree = build_rooted_tree(graph, kruskal_mst(graph), root=root)
         depth_width = max(1, max(tree.depth).bit_length())
-        advice = AdviceAssignment(graph.n)
         degrees = graph._degrees.tolist()
+        strings = []
         for u in range(graph.n):
             writer = BitWriter()
             if u == root:
@@ -115,8 +115,8 @@ class StDistanceScheme(AdvisingScheme):
                 writer.write_bit(0)
                 writer.write_uint(tree.parent_port[u], port_width(int(degrees[u])))
                 writer.write_uint(tree.depth[u], depth_width)
-            advice.set(u, writer.getvalue())
-        return advice
+            strings.append(writer.getvalue())
+        return AdviceAssignment.from_strings(strings)
 
     def program_factory(self) -> ProgramFactory:
         return lambda ctx: _DistanceProgram()
@@ -183,8 +183,8 @@ class StFlagScheme(AdvisingScheme):
 
     def compute_advice(self, graph: PortNumberedGraph, root: int = 0) -> AdviceAssignment:
         tree = build_rooted_tree(graph, kruskal_mst(graph), root=root)
-        advice = AdviceAssignment(graph.n)
         degrees = graph._degrees.tolist()
+        strings = []
         for u in range(graph.n):
             writer = BitWriter()
             if u == root:
@@ -192,8 +192,8 @@ class StFlagScheme(AdvisingScheme):
             else:
                 writer.write_bit(0)
                 writer.write_uint(tree.parent_port[u], port_width(int(degrees[u])))
-            advice.set(u, writer.getvalue())
-        return advice
+            strings.append(writer.getvalue())
+        return AdviceAssignment.from_strings(strings)
 
     def program_factory(self) -> ProgramFactory:
         return lambda ctx: _FlagProgram()

@@ -107,8 +107,8 @@ class SpanningTreeWakeupScheme(AdvisingScheme):
             e = tree.parent_edge[v]
             port = graph.edge_port_u[e] if graph.edge_u[e] == u else graph.edge_port_v[e]
             child_ports[u].append(int(port))
-        advice = AdviceAssignment(graph.n)
         degrees = graph._degrees.tolist()
+        strings = []
         for u in range(graph.n):
             degree = int(degrees[u])
             writer = BitWriter()
@@ -117,8 +117,8 @@ class SpanningTreeWakeupScheme(AdvisingScheme):
             width = port_width(degree)
             for port in child_ports[u]:
                 writer.write_uint(port, width)
-            advice.set(u, writer.getvalue())
-        return advice
+            strings.append(writer.getvalue())
+        return AdviceAssignment.from_strings(strings)
 
     def program_factory(self) -> ProgramFactory:
         return lambda ctx: _TreeWakeupProgram()

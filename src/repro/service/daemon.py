@@ -270,6 +270,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     service: SweepService  # injected by make_server
     server_version = "repro-serve"
+    #: seconds one socket read or write may block; a client that stalls
+    #: mid-request (a short body under a long ``Content-Length``) has its
+    #: connection closed instead of holding a handler thread until it
+    #: hangs up.  The progress stream writes at least every 0.5 s, so it
+    #: is never idle for this long.
+    timeout = 30.0
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         print(f"serve: {self.address_string()} {format % args}", file=sys.stderr)

@@ -104,7 +104,10 @@ def _decode(
         return None  # blank, or torn by a writer killed mid-append
     if not isinstance(event, dict) or "kind" not in event:
         return None
-    if since is not None and event.get("ts", 0.0) < since:
+    ts = event.get("ts", 0.0)
+    if isinstance(ts, bool) or not isinstance(ts, (int, float)):
+        return None  # as unreadable as a torn line
+    if since is not None and ts < since:
         return None
     if wanted is not None and event["kind"] not in wanted:
         return None

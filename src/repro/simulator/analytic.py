@@ -394,23 +394,25 @@ def _analytic_main(scheme, graph: PortNumberedGraph, root: int, is_level: bool, 
     trace = boruvka_trace(graph, root=root)
     if advice is None:
         advice = scheme.compute_advice(graph, root=root, trace=trace)
+    if advice.layout is None:
+        raise ValueError(
+            "the Theorem-3 model replays the advice's packing layout, "
+            "and this advice carries none"
+        )
     outputs = _expected_outputs(trace.tree)
     if n == 1:
         # the lone degree-0 node halts during init: no rounds at all
         return advice, _result(outputs, _Ledger().metrics(n, 0))
 
     phases = num_boruvka_phases(n)
-    layout = scheme.last_layout  # per real phase, bits packed per node
+    # per real phase, the nodes that hold its data bits and how many
+    layout = advice.layout.phases
     conv_start = 2 if is_level else 1
     tree_depth = np.asarray(trace.tree.depth, dtype=np.int64)
     consumed = np.zeros(n, dtype=np.int64)
     data_total = np.zeros(n, dtype=np.int64)
-    layout_arrays: List[Tuple[np.ndarray, np.ndarray]] = []
-    for phase_layout in layout:
-        keys = np.fromiter(phase_layout.keys(), dtype=np.int64, count=len(phase_layout))
-        takes = np.fromiter(phase_layout.values(), dtype=np.int64, count=len(phase_layout))
-        layout_arrays.append((keys, takes))
-        data_total[keys] += takes  # packer keys are unique per phase
+    for nodes, takes in layout:
+        data_total[nodes] += takes  # a node holds one chunk per phase
 
     ledger = _Ledger()
     offset = 0
@@ -523,9 +525,9 @@ def _analytic_main(scheme, graph: PortNumberedGraph, root: int, is_level: bool, 
 
         # the broadcasts of this window consumed exactly the bits the
         # oracle packed for phase i (the packing invariant)
-        if i <= len(layout_arrays):
-            keys, takes = layout_arrays[i - 1]
-            consumed[keys] += takes
+        if i <= len(layout):
+            nodes, takes = layout[i - 1]
+            consumed[nodes] += takes
         offset += window
 
     # ------------------------- final collection ------------------------ #
@@ -870,10 +872,9 @@ def run_scheme_analytic(
     exceed ``max_rounds``, :class:`AnalyticUnsupported` is raised and the
     caller should fall back to the engine for exact truncated metrics.
 
-    ``advice`` may carry a precomputed assignment; it must come from
-    ``scheme.compute_advice`` on this exact ``scheme`` object for this
-    ``(graph, root)`` — the Theorem-3 model replays the packing layout
-    the oracle left on the scheme instance.
+    ``advice`` may carry a precomputed assignment for this ``(graph,
+    root)``; the Theorem-3 model replays the packing layout the advice
+    carries, and raises :class:`ValueError` for advice without one.
 
     >>> from repro.core.scheme_main import ShortAdviceScheme
     >>> from repro.graphs.generators import random_connected_graph

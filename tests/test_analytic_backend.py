@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.core.advice import AdviceAssignment
 from repro.core.oracle import run_scheme
 from repro.core.scheme_main import ShortAdviceScheme
 from repro.distributed.base import run_baseline
@@ -232,6 +233,42 @@ def test_run_scheme_rejects_unknown_backend():
     graph, root = GRAPHS["n2"]
     with pytest.raises(ValueError, match="unknown backend"):
         run_scheme(SCHEMES["trivial"](), graph, root=root, backend="quantum")
+
+
+@pytest.mark.parametrize("scheme_name", ["theorem3", "theorem3-level"])
+def test_a_reused_scheme_object_runs_the_layout_of_the_advice_it_is_handed(scheme_name):
+    # the packing layout travels with the advice: computing advice for
+    # another instance on the same scheme object cannot change the run
+    scheme = SCHEMES[scheme_name]()
+    graph = random_connected_graph(64, 0.1, seed=1)
+    advice = scheme.compute_advice(graph, root=0)
+    scheme.compute_advice(random_connected_graph(64, 0.1, seed=2), root=0)
+    analytic = run_scheme(scheme, graph, advice=advice, backend="analytic")
+    engine = run_scheme(scheme, graph, advice=advice, backend="engine")
+    assert analytic.metrics.as_dict() == engine.metrics.as_dict()
+    assert analytic.metrics.messages_per_round == engine.metrics.messages_per_round
+    assert analytic.correct and engine.correct
+
+
+@pytest.mark.parametrize("backend", ["engine", "analytic"])
+@pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+def test_advice_for_another_node_count_is_rejected(scheme_name, backend):
+    scheme = SCHEMES[scheme_name]()
+    advice = scheme.compute_advice(random_connected_graph(48, 0.1, seed=1), root=0)
+    graph = random_connected_graph(64, 0.1, seed=1)
+    with pytest.raises(ValueError, match="advice for 48 nodes"):
+        run_scheme(scheme, graph, advice=advice, backend=backend)
+
+
+def test_the_theorem3_model_needs_the_packing_layout():
+    graph, root = GRAPHS["random24"]
+    scheme = SCHEMES["theorem3"]()
+    advice = scheme.compute_advice(graph, root=root)
+    bare = AdviceAssignment(advice.bits, advice.offsets)
+    with pytest.raises(ValueError, match="packing layout"):
+        run_scheme(scheme, graph, root=root, advice=bare, backend="analytic")
+    # the engine decodes the bits alone
+    assert run_scheme(scheme, graph, root=root, advice=bare).correct
 
 
 # --------------------------------------------------------------------- #

@@ -31,13 +31,18 @@ def _check_packing_invariant(graph, root=0, cap=10):
     scheme = ShortAdviceScheme(capacity_candidates=(cap,))
     phases = num_boruvka_phases(graph.n)
     trace = boruvka_trace(graph, root=root)
-    data = scheme._pack_phase_advice(graph, trace, phases, cap)
+    packed = scheme._pack_with_capacity_search(graph, trace, phases)
+    data = packed.as_payloads()
+    assert packed.layout.capacity == cap
 
     # capacity respected everywhere
     assert all(len(bits) <= cap for bits in data.values())
 
     consumed = {u: 0 for u in range(graph.n)}
-    for phase in trace.phases[:phases]:
+    for phase, (layout_nodes, layout_takes) in zip(
+        trace.phases[:phases], packed.layout.phases, strict=True
+    ):
+        before = dict(consumed)
         partition = phase.partition
         for sel in phase.selections:
             preorder = partition.dfs_preorder(sel.fragment)
@@ -58,6 +63,9 @@ def _check_packing_invariant(graph, root=0, cap=10):
                 consumed[u] += take
                 to_consume -= take
             assert to_consume == 0
+        # the layout names exactly the bits this phase's decoding consumed
+        took = {u: consumed[u] - before[u] for u in consumed if consumed[u] > before[u]}
+        assert took == dict(zip(layout_nodes.tolist(), layout_takes.tolist()))
     # after the last packed phase everything that was written has been consumed
     assert all(consumed[u] == len(data[u]) for u in range(graph.n))
 

@@ -39,6 +39,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import sqlite3
 import subprocess
 import sys
@@ -395,6 +396,7 @@ class TestEventLog:
         log_path = tmp_path / "events.jsonl"
         with open(log_path, "a", encoding="utf-8") as handle:
             handle.write('\nnot json\n[1, 2]\n{"ts": 2500.0}\n')  # no event on any line
+            handle.write('{"ts": "x", "kind": "lease"}\n')  # a stamp that is no time
             handle.write('{"ts": 3000.0, "kind": "lea')  # torn mid-append
         assert [e["kind"] for e in reader(log_path)] == ["job-submit", "enqueue"]
         assert [e["kind"] for e in reader(log_path, since=1500.0)] == ["enqueue"]
@@ -1638,20 +1640,34 @@ class TestConnectionHygiene:
 # ------------------------------------------------------------------ #
 
 
-@pytest.fixture
-def served(tmp_path):
-    """A daemon on an ephemeral port, with no workers and no job threads."""
-    service = SweepService(tmp_path / "svc")
+@contextlib.contextmanager
+def serving(directory: Path, timeout: float = None):
+    """A daemon on an ephemeral port, with no workers and no job threads.
+
+    ``timeout`` replaces the handler's socket timeout for this server.
+    """
+    service = SweepService(directory)
     server = make_server(service)
-    serving = threading.Thread(target=server.serve_forever, daemon=True)
-    serving.start()
+    if timeout is not None:
+        server.RequestHandlerClass.timeout = timeout
+    # a short poll interval: shutdown() waits for the loop's next poll
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
     try:
         yield service, server.server_address[1]
     finally:
         server.shutdown()
         server.server_close()
-        serving.join(timeout=10.0)
+        thread.join(timeout=10.0)
         service.queue.close()
+
+
+@pytest.fixture
+def served(tmp_path):
+    with serving(tmp_path / "svc") as served:
+        yield served
 
 
 def raw_request(port: int, method: str, path: str, headers=()) -> http.client.HTTPResponse:
@@ -1695,3 +1711,62 @@ class TestHttpRoutes:
         assert response.status == 400
         assert "Content-Length" in json.loads(response.body)["error"]
         assert service.queue.list_jobs() == []
+
+
+#: the handler socket timeout the slow-client tests give their server,
+#: shorter than the 0.5 s between two progress lines
+SHORT_TIMEOUT = 0.3
+
+
+def request_threads():
+    return [t for t in threading.enumerate() if "process_request_thread" in t.name]
+
+
+class TestSlowClients:
+    def test_a_stalled_body_is_dropped_after_the_timeout(self, tmp_path, capfd):
+        with serving(tmp_path / "svc", timeout=SHORT_TIMEOUT) as (service, port):
+            with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+                sock.sendall(
+                    b"POST /jobs HTTP/1.1\r\nHost: test\r\nContent-Length: 100\r\n"
+                    b"Content-Type: application/json\r\n\r\n" + b"{" * 10
+                )
+                started = time.monotonic()
+                # the server closes the connection without an answer
+                assert sock.recv(1024) == b""
+                waited = time.monotonic() - started
+            assert waited < SHORT_TIMEOUT + 5.0
+            deadline = time.monotonic() + 5.0
+            while request_threads():
+                assert time.monotonic() < deadline, request_threads()
+                time.sleep(0.01)
+            # the daemon still serves, and accepted nothing from the stall
+            assert http_json(f"http://127.0.0.1:{port}/healthz")["ok"]
+            assert service.queue.list_jobs() == []
+        err = capfd.readouterr().err
+        assert "Request timed out" in err
+        assert "Traceback" not in err
+
+    def test_progress_streams_outlive_the_timeout(self, tmp_path):
+        with serving(tmp_path / "svc", timeout=SHORT_TIMEOUT) as (service, port):
+            job_id = "cd" * 16
+            service.queue.submit_job(job_id, {"format": "toml", "text": "", "name": None})
+            with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+                sock.sendall(
+                    f"GET /jobs/{job_id}/progress HTTP/1.1\r\nHost: test\r\n\r\n".encode()
+                )
+                received = b""
+                started = time.monotonic()
+                # three progress lines span at least two idle gaps of 0.5 s
+                while received.count(b"job ") < 3 or time.monotonic() - started < 3 * SHORT_TIMEOUT:
+                    chunk = sock.recv(4096)
+                    assert chunk, "the stream closed while the job ran"
+                    received += chunk
+                service.queue.set_job_state(job_id, LeaseQueue.JOB_FAILED, "stopped")
+                while chunk:
+                    chunk = sock.recv(4096)
+                    received += chunk
+        text = received.decode("utf-8")
+        assert text.startswith("HTTP/1.0 200")
+        assert text.count(f"job {job_id[:8]}") >= 3
+        assert text.endswith("state: failed\nerror: stopped\n")
+

@@ -1,5 +1,6 @@
 """Tests of distributed-output verification and advice accounting."""
 
+import numpy as np
 import pytest
 
 from repro.core.advice import AdviceAssignment
@@ -84,9 +85,9 @@ class TestCheckOutputs:
 
 class TestAdviceAssignment:
     def test_stats(self):
-        advice = AdviceAssignment(4)
-        advice.set(0, BitString([1, 0, 1]))
-        advice.set(2, BitString([1]))
+        advice = AdviceAssignment.from_strings(
+            [BitString([1, 0, 1]), BitString.empty(), BitString([1]), BitString.empty()]
+        )
         stats = advice.stats()
         assert stats.max_bits == 3
         assert stats.total_bits == 4
@@ -95,25 +96,46 @@ class TestAdviceAssignment:
         assert stats.as_dict()["max_bits"] == 3
 
     def test_get_default_empty(self):
-        advice = AdviceAssignment(3)
+        advice = AdviceAssignment(np.zeros(0, dtype=np.uint8), np.zeros(4, dtype=np.int64))
         assert advice.get(1) == BitString.empty()
         assert advice.bits_of(1) == 0
+        assert advice.stats().max_bits == 0
 
-    def test_append(self):
-        advice = AdviceAssignment(2)
-        advice.append(0, BitString([1]))
-        advice.append(0, BitString([0, 1]))
+    def test_arrays_round_trip(self):
+        advice = AdviceAssignment([1, 0, 1, 1], [0, 3, 3, 4])
+        assert advice.n == 3
         assert advice.get(0) == BitString([1, 0, 1])
+        assert advice.get(2) == BitString([1])
+        assert [advice.bits_of(u) for u in range(3)] == [3, 0, 1]
+        packed = AdviceAssignment.from_strings([advice.get(u) for u in range(3)])
+        assert packed.bits.tolist() == advice.bits.tolist()
+        assert packed.offsets.tolist() == advice.offsets.tolist()
 
     def test_payloads_and_iter(self):
-        advice = AdviceAssignment(2)
-        advice.set(1, BitString([1]))
+        advice = AdviceAssignment.from_strings([BitString.empty(), BitString([1])])
         assert advice.as_payloads() == {0: BitString.empty(), 1: BitString([1])}
         assert [node for node, _ in advice] == [0, 1]
+        assert dict(advice) == advice.as_payloads()
 
     def test_node_range_checks(self):
-        advice = AdviceAssignment(2)
+        advice = AdviceAssignment.from_strings([BitString.empty(), BitString([1])])
         with pytest.raises(ValueError):
-            advice.set(5, BitString([1]))
+            advice.get(5)
         with pytest.raises(ValueError):
-            AdviceAssignment(0)
+            advice.bits_of(-1)
+        with pytest.raises(ValueError):
+            AdviceAssignment.from_strings([])
+
+    @pytest.mark.parametrize(
+        "bits, offsets, message",
+        [
+            ([1, 0], [0, 1], "offsets must run"),
+            ([1, 0], [1, 2], "offsets must run"),
+            ([1, 0, 1], [0, 2, 1, 3], "must not decrease"),
+            ([1, 2], [0, 2], "0 or 1"),
+            ([1], [[0, 1]], "at least one node"),
+        ],
+    )
+    def test_malformed_arrays_are_rejected(self, bits, offsets, message):
+        with pytest.raises(ValueError, match=message):
+            AdviceAssignment(bits, offsets)
