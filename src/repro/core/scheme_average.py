@@ -41,7 +41,7 @@ from repro.core.advice import AdviceAssignment
 from repro.core.bits import BitString
 from repro.core.oracle import AdvisingScheme
 from repro.core.scheme_main import _bit_length_arr
-from repro.graphs.weighted_graph import PortNumberedGraph
+from repro.graphs.weighted_graph import PortNumberedGraph, lexsort_order
 from repro.mst.boruvka import boruvka_trace
 from repro.mst.rooted_tree import ROOT_OUTPUT
 from repro.simulator.algorithm import NodeProgram, ProgramFactory
@@ -157,11 +157,11 @@ class AverageConstantScheme(AdvisingScheme):
         n = graph.n
         if not rec_nodes:
             return AdviceAssignment(np.zeros(0, dtype=np.uint8), np.zeros(n + 1, dtype=np.int64))
-        # group records per choosing node; the stable sort keeps the
-        # phase order of each node's records
+        # group records per choosing node; sorting by (node, record)
+        # keeps the phase order of each node's records
         nodes_a = np.concatenate(rec_nodes)
         widths_a = np.concatenate(rec_widths)
-        order = np.argsort(nodes_a, kind="stable")
+        order = lexsort_order((nodes_a, np.arange(nodes_a.size)), (n, nodes_a.size))
         vals_o = np.concatenate(rec_vals)[order]
         w_o = widths_a[order]
 

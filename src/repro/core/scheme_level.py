@@ -116,7 +116,7 @@ class LevelAdviceScheme(ShortAdviceScheme):
         """
         levels = np.zeros((graph.n, phases), dtype=np.uint8)
         for i, phase in enumerate(trace.phases[:phases]):
-            depth = phase.fragment_tree.depth_array()
+            depth = phase.fragment_tree.depth
             levels[:, i] = (depth % 2)[phase.partition.fragment_of_array()]
         return levels
 

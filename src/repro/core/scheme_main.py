@@ -67,7 +67,7 @@ import numpy as np
 from repro.core.advice import AdviceAssignment, PackingLayout
 from repro.core.bits import BitReader, BitString
 from repro.core.oracle import AdvisingScheme
-from repro.graphs.weighted_graph import PortNumberedGraph
+from repro.graphs.weighted_graph import PortNumberedGraph, lexsort_order
 from repro.mst.boruvka import BoruvkaTrace, boruvka_trace
 from repro.mst.rooted_tree import ROOT_OUTPUT
 from repro.simulator.algorithm import NodeProgram, ProgramFactory
@@ -454,8 +454,8 @@ class ShortAdviceScheme(AdvisingScheme):
 
         A placed chunk is bits ``[hi - take, hi)`` of its selection's
         ``A(F)`` in ``a_bits``.  Every chunk of every phase is gathered
-        with one ``repeat``/``arange`` index; a stable sort by node keeps
-        each node's chunks in phase order (a node holds at most one chunk
+        with one ``repeat``/``arange`` index; a sort by ``(node, chunk)``
+        keeps each node's chunks in phase order (a node holds at most one chunk
         per phase, since it lies in one fragment).
 
         A node that receives only part of an ``A(F)`` (other than its
@@ -479,7 +479,7 @@ class ShortAdviceScheme(AdvisingScheme):
             )
         nodes = np.concatenate([chunk_nodes for chunk_nodes, _ in layout])
         takes = np.concatenate([chunk_takes for _, chunk_takes in layout])
-        order = np.argsort(nodes, kind="stable")
+        order = lexsort_order((nodes, np.arange(nodes.size)), (n, nodes.size))
         takes_o = takes[order]
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(nodes, weights=takes, minlength=n).astype(np.int64), out=offsets[1:])
@@ -511,8 +511,8 @@ class ShortAdviceScheme(AdvisingScheme):
         # max(1, bit_length(degree)) covers the values 0 .. degree
         keep = degrees > 0
         width = np.maximum(1, _bit_length_arr(degrees))
-        parent_edge = np.asarray(tree.parent_edge, dtype=np.int64)[frag_roots]
-        parent_port = np.asarray(tree.parent_port, dtype=np.int64)[frag_roots]
+        parent_edge = tree.parent_edge[frag_roots]
+        parent_port = tree.parent_port[frag_roots]
         slot_rank = graph._slot_orders()[0]
         value = np.zeros(frag_roots.size, dtype=np.int64)  # 0 = the global root
         has_parent = parent_edge >= 0
@@ -543,7 +543,7 @@ class ShortAdviceScheme(AdvisingScheme):
 
         # collection-region flag: depth within the fragment < field width
         frag_ids = np.repeat(np.arange(counts.size), counts)
-        tree_depth = np.asarray(tree.depth, dtype=np.int64)
+        tree_depth = tree.depth
         depth_in_frag = tree_depth[nodes] - np.repeat(tree_depth[frag_roots], counts)
         collect_flag = np.zeros(graph.n, dtype=bool)
         collect_flag[nodes] = keep[frag_ids] & (depth_in_frag <= np.repeat(width, counts) - 1)

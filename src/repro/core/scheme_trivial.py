@@ -81,7 +81,7 @@ class TrivialRankScheme(AdvisingScheme):
         # all parent-edge ranks in one gather over the cached slot order
         if graph.m:
             slot_rank = graph._slot_orders()[0]
-            parent_port = np.asarray(tree.parent_port, dtype=np.int64)
+            parent_port = tree.parent_port
             ranks = slot_rank[
                 graph._offsets[:-1] + np.where(parent_port >= 0, parent_port, 0)
             ]

@@ -25,6 +25,7 @@ changes any bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -35,6 +36,9 @@ __all__ = [
     "LocalView",
     "PortNumberedGraph",
     "canonical_edge_key",
+    "canonical_edge_order",
+    "lexsort_order",
+    "weight_ranks",
 ]
 
 
@@ -49,6 +53,76 @@ def canonical_edge_key(weight: float, edge_id: int) -> Tuple[float, int]:
     """
 
     return (float(weight), int(edge_id))
+
+
+def lexsort_order(keys: Sequence[np.ndarray], widths: Sequence[int]) -> np.ndarray:
+    """The permutation ``np.lexsort(keys[::-1])`` gives, from one default sort.
+
+    ``keys`` are non-negative integer arrays, most significant first,
+    with ``keys[i] < widths[i]``, and no two positions agree on all of
+    them.  Packed into one int64 key they are then unique, so NumPy's
+    default (unstable) argsort returns exactly the stable order, at a
+    fraction of the cost of the stable timsort behind ``np.lexsort`` and
+    ``kind="stable"``.  When the product of the widths passes ``2**63``
+    the packed key would overflow, and ``np.lexsort`` runs instead.
+    """
+    if math.prod(map(int, widths)) > 2**63:
+        return np.lexsort(keys[::-1])
+    key = np.multiply(keys[0], int(widths[1]), dtype=np.int64)
+    for k, w in zip(keys[1:-1], widths[2:]):
+        key += k
+        key *= int(w)
+    key += keys[-1]
+    return key.argsort()
+
+
+def weight_ranks(w: np.ndarray) -> Tuple[np.ndarray, int, np.ndarray]:
+    """Dense ranks of ``w``: ``(rank, number of ranks, ascending order)``.
+
+    Equal weights share a rank exactly when ``np.lexsort`` ties them:
+    ``-0.0`` ties ``0.0``, and every NaN ties every other NaN above all
+    numbers.  ``order`` is one ascending (not stable) order of ``w``.
+    """
+    order = w.argsort()
+    ranked = w[order]
+    step = ranked[1:] != ranked[:-1]
+    if w.size and ranked[-1] != ranked[-1]:  # NaNs sort last
+        step[np.isnan(ranked[:-1])] = False
+    del ranked
+    dense = np.zeros(w.size, dtype=np.int64)
+    step.cumsum(out=dense[1:])
+    rank = np.empty_like(dense)
+    rank[order] = dense
+    return rank, int(dense[-1]) + 1 if w.size else 0, order
+
+
+def canonical_edge_order(
+    edge_w: np.ndarray, ranks: Optional[Tuple[np.ndarray, int, np.ndarray]] = None
+) -> np.ndarray:
+    """Edge ids sorted by the canonical ``(weight, edge_id)`` key.
+
+    The one order behind Kruskal and both Borůvka loops; it equals
+    ``np.lexsort((np.arange(m), edge_w))``.  With pairwise distinct
+    weights the ascending order of the weights already is it.  ``ranks``
+    may carry :func:`weight_ranks` of ``edge_w`` when the caller has them.
+    """
+    rank, num_ranks, order = weight_ranks(edge_w) if ranks is None else ranks
+    if num_ranks == edge_w.size:
+        return order
+    return lexsort_order((rank, np.arange(edge_w.size)), (num_ranks, edge_w.size))
+
+
+def _occurrence_ranks(endpoints: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray:
+    """Per endpoint, its rank among its node's endpoints in sequence order.
+
+    The ``k``-th incident edge of a node in input-edge order has rank
+    ``k``: one ``(node, position)`` sort of the interleaved endpoints.
+    """
+    size = endpoints.size
+    order = lexsort_order((endpoints, np.arange(size)), (n, size))
+    ranks = np.empty(size, dtype=np.int64)
+    ranks[order] = np.arange(size) - offsets[endpoints[order]]
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -217,15 +291,11 @@ class PortNumberedGraph:
         self._offsets = offsets
 
         # occurrence rank of every endpoint (the k-th incident edge of a
-        # node in input-edge order has rank k) — one stable grouped
-        # ranking over the interleaved endpoint sequence instead of a
-        # Python loop over the edges
+        # node in input-edge order has rank k)
         endpoints = np.empty(2 * self.m, dtype=np.int64)
         endpoints[0::2] = edge_u
         endpoints[1::2] = edge_v
-        order = np.argsort(endpoints, kind="stable")
-        ranks = np.empty(2 * self.m, dtype=np.int64)
-        ranks[order] = np.arange(2 * self.m) - offsets[endpoints[order]]
+        ranks = _occurrence_ranks(endpoints, offsets, self.n)
         if port_permutations is None:
             # default assignment: the rank is the port
             pu = ranks[0::2]
@@ -435,22 +505,34 @@ class PortNumberedGraph:
     # the paper's index order at a node
     # ------------------------------------------------------------------ #
 
-    def _slot_orders(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _slot_orders(
+        self, edge_ranks: Optional[Tuple[np.ndarray, int, np.ndarray]] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per adjacency slot: its ``index_u`` rank and index pair, in bulk.
 
-        One global lexsort over ``(node, weight, port)`` ranks every
+        One global sort over ``(node, weight rank, port)`` ranks every
         incident edge of every node at once: ``rank[slot]`` is the 0-based
         position of the slot in its node's ``(weight, port)`` order, and
         ``(x - 1, y - 1)`` split that rank at the first slot of the same
         ``(node, weight)`` group.  The Borůvka tracer asks for ranks and
         index pairs of thousands of ``(node, port)`` pairs per trace —
         computing them all in one pass replaces a per-call tuple scan.
+        ``edge_ranks`` may carry :func:`weight_ranks` of ``edge_w`` when
+        the caller has them.
         """
         cached = getattr(self, "_slot_order_cache", None)
         if cached is None:
+            if edge_ranks is None:
+                edge_ranks = weight_ranks(self.edge_w)
+            w_rank, num_ranks, _ = edge_ranks
             node_of_slot = np.repeat(np.arange(self.n), self._degrees)
             cached = _slot_order_kernel(
-                node_of_slot, self._adj_weight, self._offsets[:-1], self.n
+                node_of_slot,
+                self._adj_weight,
+                w_rank[self._adj_edge],
+                num_ranks,
+                self._offsets[:-1],
+                int(self._degrees.max(initial=0)),
             )
             self._slot_order_cache = cached
         return cached
@@ -644,9 +726,7 @@ class PortNumberedGraph:
         endpoints = np.empty(2 * self.m, dtype=np.int64)
         endpoints[0::2] = self.edge_u
         endpoints[1::2] = self.edge_v
-        order = np.argsort(endpoints, kind="stable")
-        ranks = np.empty(2 * self.m, dtype=np.int64)
-        ranks[order] = np.arange(2 * self.m) - self._offsets[endpoints[order]]
+        ranks = _occurrence_ranks(endpoints, self._offsets, self.n)
         table = np.empty(2 * self.m, dtype=np.int64)
         table[self._offsets[self.edge_u] + ranks[0::2]] = self.edge_port_u
         table[self._offsets[self.edge_v] + ranks[1::2]] = self.edge_port_v
@@ -678,31 +758,27 @@ class PortNumberedGraph:
 def _slot_order_kernel(
     node_of_slot: np.ndarray,
     w: np.ndarray,
+    w_rank: np.ndarray,
+    num_ranks: int,
     first_slot: np.ndarray,
-    num_nodes: int,
+    max_degree: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``(rank, x - 1, y - 1)`` computation behind ``_slot_orders``.
 
     ``first_slot[u]`` is the position of node ``u``'s first adjacency
-    slot; the outputs depend only on the within-node ``(weight, port)``
-    order and the ``(node, weight)`` group boundaries.
-
-    The sort is stable, and within a node the slots are already in port
-    order, so ``(weight, node)`` keys alone give the full ``(node,
-    weight, port)`` order; with integral non-negative weights (every
-    built-in weight mode) the two keys collapse into one int64 key,
-    whose stable argsort is a radix pass — same order, a fraction of
-    the lexsort time.
+    slot, and ``w_rank`` the dense rank (:func:`weight_ranks`) of every
+    slot's weight ``w``; the outputs depend only on the within-node
+    ``(weight, port)`` order and the ``(node, weight)`` group boundaries.
+    A slot's port is its offset from its node's first slot, so ``(node,
+    weight rank, port)`` is a unique key: one default sort gives the
+    stable ``(node, weight, port)`` order for every weight mode.
     """
     total = node_of_slot.size
-    w_int = w.astype(np.int64)
-    span = 0
-    if total and np.array_equal(w_int, w) and int(w_int.min()) >= 0:
-        span = int(w_int.max()) + 1
-    if span and span < (2**62) // max(num_nodes, 1):
-        order = (node_of_slot * span + w_int).argsort(kind="stable")
-    else:
-        order = np.lexsort((w, node_of_slot))
+    port = np.arange(total) - first_slot[node_of_slot]
+    order = lexsort_order(
+        (node_of_slot, w_rank, port), (first_slot.size, num_ranks, max_degree)
+    )
+    del port
     sorted_nodes = node_of_slot[order]
     sorted_rank = np.arange(total) - first_slot[sorted_nodes]
     rank = np.empty(total, dtype=np.int64)
@@ -719,4 +795,3 @@ def _slot_order_kernel(
     x_minus_1 = np.empty(total, dtype=np.int64)
     x_minus_1[order] = group_first
     return rank, x_minus_1, rank - x_minus_1
-

@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Set, Tuple
 
 import numpy as np
 
-from repro.graphs.weighted_graph import PortNumberedGraph
+from repro.graphs.weighted_graph import PortNumberedGraph, canonical_edge_order, weight_ranks
 from repro.mst.fragments import FragmentPartition, FragmentTree
 from repro.mst.rooted_tree import RootedSpanningTree, build_rooted_tree, graph_of
 
@@ -205,7 +205,7 @@ class BoruvkaTrace:
 
     def mst_edge_ids(self) -> List[int]:
         """Edge ids of the MST produced by the run (the reference tree's edges)."""
-        return sorted(self.tree.edge_ids)
+        return self.tree.edge_ids.tolist()
 
 
 # ---------------------------------------------------------------------- #
@@ -309,7 +309,7 @@ def plain_boruvka_phases(
     MST of :func:`boruvka_mst` and the phase structure of the GHS-style
     baseline's analytic model.
     """
-    order = np.lexsort((np.arange(graph.m), graph.edge_w))
+    order = canonical_edge_order(graph.edge_w)
     sorted_u = graph.edge_u[order]
     sorted_v = graph.edge_v[order]
     labels = np.arange(graph.n, dtype=np.int64)  # a representative per node
@@ -375,7 +375,12 @@ def boruvka_trace(graph: PortNumberedGraph, root: int = 0) -> BoruvkaTrace:
     if cached is not None:
         return cached
 
-    order = np.lexsort((np.arange(graph.m), graph.edge_w))
+    # the annotation reads the slot orders; one ranking of the weights
+    # serves them and the canonical order
+    ranks = weight_ranks(graph.edge_w)
+    graph._slot_orders(ranks)
+    order = canonical_edge_order(graph.edge_w, ranks)
+    del ranks
     sorted_u = graph.edge_u[order]
     sorted_v = graph.edge_v[order]
 
@@ -383,7 +388,6 @@ def boruvka_trace(graph: PortNumberedGraph, root: int = 0) -> BoruvkaTrace:
     labels = np.arange(graph.n, dtype=np.int64)  # a representative per node
     fragments = graph.n
     raw_phases: List[Dict] = []
-    all_selected: Set[int] = set()
     phase_index = 0
     while fragments > 1:
         phase_index += 1
@@ -398,7 +402,9 @@ def boruvka_trace(graph: PortNumberedGraph, root: int = 0) -> BoruvkaTrace:
         active = sizes[frags] < (1 << phase_index)
         frags, edge_ids, nodes = frags[active], edge_ids[active], nodes[active]
 
-        new_edges = np.unique(edge_ids).tolist()
+        # an edge both of its fragments selected appears twice
+        new_edges = np.sort(edge_ids)
+        new_edges = new_edges[np.diff(new_edges, prepend=-1) != 0]
         raw_phases.append(
             {
                 "index": phase_index,
@@ -408,20 +414,22 @@ def boruvka_trace(graph: PortNumberedGraph, root: int = 0) -> BoruvkaTrace:
                 "new_edges": new_edges,
             }
         )
-        all_selected.update(new_edges)
         labels, merges = _hook_and_jump(graph, labels, frags, edge_ids, nodes)
         fragments -= merges
         if phase_index > graph.n:  # pragma: no cover - safety net
             raise RuntimeError("Borůvka did not converge")
 
-    mst_edges = sorted(all_selected)
-    if len(mst_edges) != graph.n - 1:  # pragma: no cover - internal invariant
+    # a selected edge joins two fragments, so no phase selects it again
+    mst_edges = np.sort(
+        np.concatenate([raw["new_edges"] for raw in raw_phases] or [np.empty(0, np.int64)])
+    )
+    if mst_edges.size != graph.n - 1:  # pragma: no cover - internal invariant
         raise RuntimeError("Borůvka produced a non-spanning edge set")
     # the Borůvka MST equals the Kruskal MST under the shared canonical
     # order; seeding the memo spares the non-trace schemes and the
     # verifier a full Kruskal pass over the same instance
     if getattr(graph, "_kruskal_cache", None) is None:
-        graph._kruskal_cache = tuple(mst_edges)
+        graph._kruskal_cache = tuple(mst_edges.tolist())
     tree = build_rooted_tree(graph, mst_edges, root=root)
 
     phases = _annotate_phases(graph, tree, raw_phases)
@@ -444,7 +452,6 @@ def _annotate_phases(
     with one vectorised pass per phase.
     """
     phases: List[BoruvkaPhase] = []
-    parent_edge_arr = np.asarray(tree.parent_edge, dtype=np.int64)
     slot_rank, slot_x, slot_y = graph._slot_orders()
     offsets = graph._offsets
     for raw in raw_phases:
@@ -464,7 +471,7 @@ def _annotate_phases(
         port = np.where(at_u, graph.edge_port_u[eids], graph.edge_port_v[eids])
         slot = offsets[choosing] + port
         counts = partition.fragment_sizes_array()
-        levels = ftree.depth_array() % 2
+        levels = ftree.depth % 2
         target_frag = frag_of[target]
         arrays = {
             "fragment": frag,
@@ -476,7 +483,7 @@ def _annotate_phases(
             "rank_at_choosing": slot_rank[slot] + 1,
             "index_x": slot_x[slot] + 1,
             "index_y": slot_y[slot] + 1,
-            "is_up": parent_edge_arr[choosing] == eids,
+            "is_up": tree.parent_edge[choosing] == eids,
             "target_node": target,
             "target_fragment": target_frag,
             "level_of_fragment": levels[frag],
@@ -489,7 +496,7 @@ def _annotate_phases(
                 partition=partition,
                 fragment_tree=ftree,
                 active=active,
-                selected_edge_ids=tuple(raw["new_edges"]),
+                selected_edge_ids=tuple(raw["new_edges"].tolist()),
                 arrays=arrays,
             )
         )

@@ -20,10 +20,11 @@ of selected edges, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.graphs.weighted_graph import lexsort_order
 from repro.mst.rooted_tree import RootedSpanningTree
 
 __all__ = ["FragmentPartition", "FragmentTree"]
@@ -35,21 +36,14 @@ class FragmentPartition:
     Fragments are the connected components of the *selected* MST edges;
     every fragment is therefore a connected subtree of the reference
     tree.  Fragment indices are assigned in increasing order of the
-    smallest member node, which makes them deterministic.
-
-    The partition is backed by one NumPy fragment-index array; the
-    historical tuple views ``fragment_of`` and ``members`` are built
-    lazily on first access — the hot path (Borůvka annotation, the
-    packers, the analytic backend) only ever touches the arrays, and the
-    per-phase nested-tuple construction used to dominate trace time.
+    smallest member node, which makes them deterministic.  The partition
+    is one NumPy fragment-index array, and every query reads arrays.
     """
 
     __slots__ = (
         "tree",
         "_frag_array",
         "_num_fragments",
-        "_fragment_of_t",
-        "_members_t",
         "_cache",
         "__weakref__",
     )
@@ -60,8 +54,6 @@ class FragmentPartition:
         self.tree = tree
         self._frag_array = frag_array
         self._num_fragments = int(num_fragments)
-        self._fragment_of_t: Optional[Tuple[int, ...]] = None
-        self._members_t: Optional[Tuple[Tuple[int, ...], ...]] = None
         #: per-instance caches (preorders and fragment roots are requested
         #: by the oracle, the packer and the analytic backend)
         self._cache: Dict = {}
@@ -74,7 +66,7 @@ class FragmentPartition:
         )
 
     def __hash__(self) -> int:
-        return hash((self.tree, self.fragment_of))
+        return hash((self.tree, self._frag_array.tobytes()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -83,52 +75,27 @@ class FragmentPartition:
         )
 
     # ------------------------------------------------------------------ #
-    # lazy tuple views
-    # ------------------------------------------------------------------ #
-
-    @property
-    def fragment_of(self) -> Tuple[int, ...]:
-        """Fragment index of every node (lazy tuple view of the array)."""
-        if self._fragment_of_t is None:
-            self._fragment_of_t = tuple(self._frag_array.tolist())
-        return self._fragment_of_t
-
-    @property
-    def members(self) -> Tuple[Tuple[int, ...], ...]:
-        """Members of every fragment, sorted (lazy nested-tuple view)."""
-        if self._members_t is None:
-            grouped = np.argsort(self._frag_array, kind="stable").tolist()
-            bounds = np.concatenate(
-                ([0], np.cumsum(self.fragment_sizes_array()))
-            ).tolist()
-            self._members_t = tuple(
-                tuple(grouped[bounds[f] : bounds[f + 1]])
-                for f in range(self._num_fragments)
-            )
-        return self._members_t
-
-    # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
 
     @staticmethod
     def from_roots(tree: RootedSpanningTree, roots: "np.ndarray") -> "FragmentPartition":
-        """Partition from a per-node representative array, in one bulk pass.
+        """Partition from a per-node representative array, in ``O(n)``.
 
-        Fragment indices are assigned in increasing order of the smallest
-        member node, so any choice of representatives for the same
-        grouping gives the same partition.
+        ``roots`` holds node indices.  Fragment indices are assigned in
+        increasing order of the smallest member node, so any choice of
+        representatives for the same grouping gives the same partition.
         """
         roots = np.asarray(roots, dtype=np.int64)
-        uniq, first_pos, inverse = np.unique(roots, return_index=True, return_inverse=True)
-        # np.unique orders groups by representative value; reorder them by
-        # first occurrence = smallest member (node indices are scanned in
-        # increasing order), the documented deterministic fragment order
-        order = np.argsort(first_pos, kind="stable")
-        relabel = np.empty(len(uniq), dtype=np.int64)
-        relabel[order] = np.arange(len(uniq))
-        fragment_of = relabel[inverse]
-        return FragmentPartition(tree, fragment_of, num_fragments=len(uniq))
+        nodes = np.arange(roots.size)
+        # per representative its smallest member (``minimum.at`` applies
+        # every repeated index, where a plain assignment keeps any one)
+        smallest = np.full(roots.size, roots.size, dtype=np.int64)
+        np.minimum.at(smallest, roots, nodes)
+        leader = smallest[roots]
+        label = np.cumsum(leader == nodes) - 1
+        num_fragments = int(label[-1]) + 1 if roots.size else 0
+        return FragmentPartition(tree, label[leader], num_fragments=num_fragments)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -163,19 +130,27 @@ class FragmentPartition:
         """All fragment preorders in one pass: ``(nodes, starts)``.
 
         ``nodes`` holds every node grouped by fragment, each group in the
-        DFS preorder of its fragment subtree; fragment ``f`` occupies
-        ``nodes[starts[f] : starts[f + 1]]``.  Built from the whole-tree
-        preorder in one ``lexsort``: a fragment is a connected subtree of
-        the reference MST, so the restriction of the tree preorder to its
+        DFS preorder of its fragment subtree ``T_F`` from ``r_F``, children
+        in edge-index order; fragment ``f`` occupies ``nodes[starts[f] :
+        starts[f + 1]]``.  This is the order along which the Theorem-3
+        oracle distributes the fragment advice ``A(F)`` over the nodes of
+        ``F`` (deviation D6 in DESIGN.md: DFS preorder instead of BFS; the
+        ``j``-th node in preorder is at depth at most ``j - 1``, so every
+        round bound of the paper is preserved).
+
+        Built from the whole-tree preorder in one sort by ``(fragment,
+        preorder position)``: a fragment is a connected subtree of the
+        reference MST, so the restriction of the tree preorder to its
         members *is* its DFS preorder (same children order) — no per-
         fragment Python walk needed.
         """
         cached = self._cache.get("bulk_preorder")
         if cached is None:
-            pos = self.tree.preorder_index()
             frag = self.fragment_of_array()
-            nodes = np.lexsort((pos, frag))
-            counts = np.bincount(frag, minlength=self.num_fragments)
+            nodes = lexsort_order(
+                (frag, self.tree.preorder_index()), (self.num_fragments, frag.size)
+            )
+            counts = self.fragment_sizes_array()
             starts = np.zeros(self.num_fragments + 1, dtype=np.int64)
             np.cumsum(counts, out=starts[1:])
             cached = (nodes, starts)
@@ -205,42 +180,6 @@ class FragmentPartition:
         threshold = 1 << phase
         return np.flatnonzero(self.fragment_sizes_array() < threshold).tolist()
 
-    def parent_in_fragment(self, u: int) -> Optional[int]:
-        """Parent of ``u`` inside its fragment subtree ``T_F`` (``None`` for ``r_F``)."""
-        p = self.tree.parent[u]
-        if p < 0 or self._frag_array[p] != self._frag_array[u]:
-            return None
-        return p
-
-    def depth_in_fragment(self, u: int) -> int:
-        """Depth of ``u`` within its fragment subtree ``T_F``."""
-        r = self.root_of(int(self._frag_array[u]))
-        return self.tree.depth[u] - self.tree.depth[r]
-
-    def dfs_preorder(self, f: int) -> List[int]:
-        """DFS preorder of ``T_F`` from ``r_F``, children in edge-index order.
-
-        This is the canonical ordering along which the Theorem-3 oracle
-        distributes the fragment advice ``A(F)`` over the nodes of ``F``
-        (deviation D6 in DESIGN.md: DFS preorder instead of BFS; the
-        ``j``-th node in preorder is at depth at most ``j - 1``, so every
-        round bound of the paper is preserved).
-
-        The preorder of each fragment is computed once and cached: the
-        Borůvka tracer, the Theorem-3 packer and the analytic backend all
-        walk the same fragments of the same partition objects.
-        """
-        preorders = self._cache.get("preorders")
-        if preorders is None:
-            preorders = {}
-            self._cache["preorders"] = preorders
-        cached = preorders.get(f)
-        if cached is None:
-            nodes, starts = self.preorder_arrays()
-            cached = nodes[starts[f] : starts[f + 1]].tolist()
-            preorders[f] = cached
-        return list(cached)
-
     # ------------------------------------------------------------------ #
     # contraction
     # ------------------------------------------------------------------ #
@@ -264,14 +203,12 @@ class FragmentPartition:
         nodes, starts = self.preorder_arrays()
         frag_roots = nodes[starts[:-1]]  # r_F per fragment, in one gather
         frag = self._frag_array
-        tree_parent = np.asarray(tree.parent, dtype=np.int64)
+        tree_parent = tree.parent
         root_parents = tree_parent[frag_roots]
         has_parent = root_parents >= 0
         parent_fragment = np.full(k, -1, dtype=np.int64)
         parent_fragment[has_parent] = frag[root_parents[has_parent]]
-        connecting_edge = np.where(
-            has_parent, np.asarray(tree.parent_edge, dtype=np.int64)[frag_roots], -1
-        )
+        connecting_edge = tree.parent_edge[frag_roots]
 
         pre = tree.preorder_index()
         span = tree.subtree_span()
@@ -287,9 +224,9 @@ class FragmentPartition:
         ftree = FragmentTree(
             fragment_array=frag,
             root_fragment=int(frag[tree.root]),
-            parent_fragment=tuple(parent_fragment.tolist()),
-            connecting_edge=tuple(connecting_edge.tolist()),
-            depth=tuple(depth.tolist()),
+            parent_fragment=parent_fragment,
+            connecting_edge=connecting_edge,
+            depth=depth,
         )
         self._cache["fragment_tree"] = ftree
         return ftree
@@ -299,7 +236,9 @@ class FragmentPartition:
 class FragmentTree:
     """The contracted, rooted "tree of fragments" ``T_i`` with its levels.
 
-    It holds its partition's fragment array rather than the partition,
+    Every per-fragment field is an int64 array.  The paper's level of a
+    fragment is the parity of its contracted depth, ``depth % 2``.  The
+    tree holds its partition's fragment array rather than the partition,
     which caches it: a back-reference would make every partition a
     reference cycle that only the cyclic garbage collector can free.
     """
@@ -308,14 +247,20 @@ class FragmentTree:
     fragment_array: np.ndarray
     root_fragment: int
     #: parent fragment of every fragment (``-1`` for the root fragment)
-    parent_fragment: Tuple[int, ...]
-    #: MST edge id connecting a fragment's root ``r_F`` to its parent fragment
-    connecting_edge: Tuple[int, ...]
+    parent_fragment: np.ndarray
+    #: MST edge id connecting a fragment's root ``r_F`` to its parent
+    #: fragment (``-1`` for the root fragment)
+    connecting_edge: np.ndarray
     #: depth of every fragment in the contracted tree
-    depth: Tuple[int, ...]
+    depth: np.ndarray
 
     def _key(self) -> Tuple:
-        return (self.root_fragment, self.parent_fragment, self.connecting_edge, self.depth)
+        return (
+            self.root_fragment,
+            self.parent_fragment.tobytes(),
+            self.connecting_edge.tobytes(),
+            self.depth.tobytes(),
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FragmentTree):
@@ -330,24 +275,4 @@ class FragmentTree:
     @property
     def num_fragments(self) -> int:
         """Number of fragments (nodes of the contracted tree)."""
-        return len(self.parent_fragment)
-
-    def level(self, f: int) -> int:
-        """The paper's fragment level: parity of the contracted depth (0 or 1)."""
-        return self.depth[f] % 2
-
-    def level_of_node(self, u: int) -> int:
-        """Level of the fragment containing node ``u``."""
-        return self.level(int(self.fragment_array[u]))
-
-    def depth_array(self) -> "np.ndarray":
-        """Contracted depth per fragment as a NumPy array (cached)."""
-        cached = getattr(self, "_depth_array", None)
-        if cached is None:
-            cached = np.asarray(self.depth, dtype=np.int64)
-            object.__setattr__(self, "_depth_array", cached)
-        return cached
-
-    def are_adjacent(self, f: int, g: int) -> bool:
-        """``True`` iff ``f`` and ``g`` are joined by an MST edge (parent/child)."""
-        return self.parent_fragment[f] == g or self.parent_fragment[g] == f
+        return self.parent_fragment.size

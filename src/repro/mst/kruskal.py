@@ -13,7 +13,7 @@ from typing import List
 
 import numpy as np
 
-from repro.graphs.weighted_graph import PortNumberedGraph
+from repro.graphs.weighted_graph import PortNumberedGraph, canonical_edge_order
 from repro.mst.union_find import UnionFind
 
 __all__ = ["kruskal_in_order", "kruskal_mst"]
@@ -34,7 +34,7 @@ def kruskal_mst(graph: PortNumberedGraph) -> List[int]:
         return list(cached)
     if not graph.is_connected():
         raise ValueError("MST is undefined on a disconnected graph")
-    tree = kruskal_in_order(graph, np.lexsort((np.arange(graph.m), graph.edge_w)))
+    tree = kruskal_in_order(graph, canonical_edge_order(graph.edge_w))
     graph._kruskal_cache = tuple(tree)
     return tree
 

@@ -11,15 +11,24 @@ against.
 Section 2.2 of the paper orients every tree edge from the point of view
 of a node ``v``: the edge is *up at v* when it is the first edge on the
 path from ``v`` to the root, and *down at v* otherwise.  This is exactly
-``edge == parent_edge(v)`` here.
+``edge == parent_edge[v]`` here.
+
+Trees are rooted with the Euler-tour technique (Tarjan and Vishkin, "An
+efficient parallel biconnectivity algorithm", SIAM J. Comput. 14(4),
+1985): every tree edge becomes two opposite arcs, each node's arcs are
+put in a cyclic order, and leaving a node by the arc after the one it
+was entered by walks the whole tree once from the root.  Pointer-jumping
+list ranking (Wyllie, "The complexity of parallel computations", PhD
+thesis, Cornell, 1979) numbers that walk in ``O(log n)`` whole-array
+passes; of an edge's two arcs the one walked first goes down, and every
+subtree is the stretch of the walk between its node's two arcs.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -47,23 +56,44 @@ def graph_of(ref: "weakref.ReferenceType[PortNumberedGraph]") -> PortNumberedGra
     return graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootedSpanningTree:
-    """A spanning tree of a port-numbered graph, rooted at ``root``."""
+    """A spanning tree of a port-numbered graph, rooted at ``root``.
+
+    Every field is a read-only int64 array indexed by node.  Two trees
+    are equal when they root the same edge set of the same graph at the
+    same node, which determines every field.
+    """
 
     #: weak reference to the graph (see :func:`graph_of`)
     graph_ref: "weakref.ReferenceType[PortNumberedGraph]"
     root: int
     #: parent node index per node (``-1`` for the root)
-    parent: Tuple[int, ...]
+    parent: np.ndarray
     #: edge id of the parent edge per node (``-1`` for the root)
-    parent_edge: Tuple[int, ...]
+    parent_edge: np.ndarray
     #: port (at the child) of the parent edge per node (``-1`` for the root)
-    parent_port: Tuple[int, ...]
+    parent_port: np.ndarray
     #: hop depth per node (0 for the root)
-    depth: Tuple[int, ...]
+    depth: np.ndarray
     #: sorted edge ids of the tree
-    edge_ids: Tuple[int, ...]
+    edge_ids: np.ndarray
+    #: per node, the Euler-tour positions of the arcs entering and leaving
+    #: it (``-1`` and ``2(n - 1)`` for the root)
+    tour_enter: np.ndarray
+    tour_exit: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RootedSpanningTree):
+            return NotImplemented
+        return (
+            self.graph_ref == other.graph_ref
+            and self.root == other.root
+            and np.array_equal(self.edge_ids, other.edge_ids)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.root, self.edge_ids.tobytes()))
 
     # ------------------------------------------------------------------ #
     # queries
@@ -77,7 +107,7 @@ class RootedSpanningTree:
     @property
     def n(self) -> int:
         """Number of nodes."""
-        return len(self.parent)
+        return self.parent.size
 
     def is_root(self, u: int) -> bool:
         """``True`` iff ``u`` is the root."""
@@ -89,43 +119,51 @@ class RootedSpanningTree:
         The order matters: the paper's fragment machinery walks subtrees
         "guided by the indexes of the edges ... lower index first".
         """
-        return list(self.children_table()[u])
+        kids, starts = self._index_order()[:2]
+        return kids[starts[u] : starts[u + 1]].tolist()
 
-    def children_table(self) -> Tuple[Tuple[int, ...], ...]:
-        """Children of every node, each ordered by the ``index_u`` order.
+    def _index_order(self):
+        """``(children, starts, preorder index)`` under the ``index_u`` order.
 
-        Computed once in a single bulk pass over the tree edges (the
-        fragment machinery asks for children of the same tree across
-        every Borůvka phase, so a per-call port scan is quadratic in
-        practice) and cached on the instance.
+        Computed once, on the first call, and cached.  The non-root nodes
+        sorted by ``(parent, rank of the parent edge at the parent)``
+        list every node's children in order, ``starts`` delimiting them.
+        A child's preorder position is its parent's plus one plus the
+        sizes of its earlier siblings.  That increment summed over the
+        path from the root is a prefix sum along the Euler tour, which
+        enters every ancestor of a node, and no other node, without
+        leaving it before reaching the node.
         """
-        cached = getattr(self, "_children_table", None)
+        cached = getattr(self, "_index_order_cache", None)
         if cached is not None:
             return cached
         graph = self.graph
-        # rank every child's parent edge at the parent in one bulk gather
-        # over the cached slot order, then group children by (parent,
-        # rank) with a single lexsort — no per-node rank_of_port calls
-        parent = np.asarray(self.parent, dtype=np.int64)
-        children = np.flatnonzero(parent >= 0)
-        if children.size == 0:
-            table = tuple(() for _ in range(graph.n))
-            object.__setattr__(self, "_children_table", table)
-            return table
-        parents = parent[children]
-        eids = np.asarray(self.parent_edge, dtype=np.int64)[children]
-        at_u = graph.edge_u[eids] == parents
-        port_at_parent = np.where(at_u, graph.edge_port_u[eids], graph.edge_port_v[eids])
-        rank = graph._slot_orders()[0][graph._offsets[parents] + port_at_parent]
-        order = np.lexsort((children, rank, parents))
-        kids = children[order].tolist()
-        counts = np.bincount(parents, minlength=graph.n)
-        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-        table = tuple(
-            tuple(kids[bounds[u] : bounds[u + 1]]) for u in range(graph.n)
+        n = self.n
+        non_root = np.flatnonzero(self.parent >= 0)
+        parents = self.parent[non_root]
+        eids = self.parent_edge[non_root]
+        port_at_parent = np.where(
+            graph.edge_u[eids] == parents, graph.edge_port_u[eids], graph.edge_port_v[eids]
         )
-        object.__setattr__(self, "_children_table", table)
-        return table
+        first_slot = graph._offsets[parents]
+        rank = graph._slot_orders()[0][first_slot + port_at_parent]
+        # (parent, rank) as one unique key: ranks are distinct at a node
+        kids = non_root[np.argsort(first_slot + rank)]
+        starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(parents, minlength=n), out=starts[1:])
+        enter = self.tour_enter[kids]
+        exit_ = self.tour_exit[kids]
+        size = (exit_ - enter + 1) >> 1
+        before = np.cumsum(size) - size  # sizes of all earlier kids
+        step = 1 + before - before[starts[self.parent[kids]]]
+        walk = np.zeros(2 * (n - 1), dtype=np.int64)
+        walk[enter] = step
+        walk[exit_] = -step
+        pre = np.zeros(n, dtype=np.int64)
+        pre[kids] = np.cumsum(walk)[enter]
+        cached = (_frozen(kids), _frozen(starts), _frozen(pre))
+        object.__setattr__(self, "_index_order_cache", cached)
+        return cached
 
     def preorder(self) -> "np.ndarray":
         """DFS preorder of the whole tree (children in ``index_u`` order).
@@ -138,26 +176,15 @@ class RootedSpanningTree:
         """
         cached = getattr(self, "_preorder", None)
         if cached is None:
-            table = self.children_table()
-            order: List[int] = []
-            stack = [self.root]
-            while stack:
-                u = stack.pop()
-                order.append(u)
-                stack.extend(reversed(table[u]))
-            cached = np.asarray(order, dtype=np.int64)
+            cached = np.empty(self.n, dtype=np.int64)
+            cached[self.preorder_index()] = np.arange(self.n)
+            cached = _frozen(cached)
             object.__setattr__(self, "_preorder", cached)
         return cached
 
     def preorder_index(self) -> "np.ndarray":
         """Position of every node in :meth:`preorder` (``pos[preorder[k]] == k``)."""
-        cached = getattr(self, "_preorder_index", None)
-        if cached is None:
-            order = self.preorder()
-            cached = np.empty(self.n, dtype=np.int64)
-            cached[order] = np.arange(self.n)
-            object.__setattr__(self, "_preorder_index", cached)
-        return cached
+        return self._index_order()[2]
 
     def subtree_span(self) -> "np.ndarray":
         """Per node, one past the last preorder position of its subtree.
@@ -167,51 +194,30 @@ class RootedSpanningTree:
         """
         cached = getattr(self, "_subtree_span", None)
         if cached is None:
-            order = self.preorder()
-            # walk the preorder once; a node's interval closes when the
-            # walk first reaches a position whose depth is not deeper
-            end = np.empty(self.n, dtype=np.int64)
-            depth = self.depth
-            stack: List[int] = []
-            for k, u in enumerate(order.tolist()):
-                d = depth[u]
-                while stack and depth[stack[-1]] >= d:
-                    end[stack.pop()] = k
-                stack.append(u)
-            for u in stack:
-                end[u] = self.n
-            cached = end  # indexed by node; values are preorder positions
+            # the tour walks each edge below a node twice between its two arcs
+            sizes = (self.tour_exit - self.tour_enter + 1) >> 1
+            cached = _frozen(self.preorder_index() + sizes)
             object.__setattr__(self, "_subtree_span", cached)
         return cached
 
     def subtree_nodes(self, u: int) -> List[int]:
         """All nodes of the subtree rooted at ``u`` (preorder)."""
-        out: List[int] = []
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            out.append(x)
-            stack.extend(reversed(self.children(x)))
-        return out
+        start = int(self.preorder_index()[u])
+        return self.preorder()[start : int(self.subtree_span()[u])].tolist()
 
     def subtree_size(self, u: int) -> int:
         """Number of nodes in the subtree rooted at ``u``."""
-        return len(self.subtree_nodes(u))
+        return int(self.tour_exit[u] - self.tour_enter[u] + 1) >> 1
 
     def path_to_root(self, u: int) -> List[int]:
-        """Nodes on the path from ``u`` to the root, inclusive."""
-        path = [u]
-        while path[-1] != self.root:
-            path.append(self.parent[path[-1]])
-        return path
+        """Nodes on the path from ``u`` to the root, inclusive.
 
-    def is_up_edge_at(self, node: int, edge_id: int) -> bool:
-        """``True`` iff ``edge_id`` is *up at* ``node`` (leads towards the root)."""
-        return self.parent_edge[node] == edge_id
-
-    def contains_edge(self, edge_id: int) -> bool:
-        """``True`` iff ``edge_id`` is a tree edge."""
-        return edge_id in set(self.edge_ids)
+        The ancestors of ``u`` are the nodes whose tour stretch holds
+        ``u``'s; deeper ancestors are entered later.
+        """
+        enter = self.tour_enter
+        ancestors = np.flatnonzero((enter <= enter[u]) & (self.tour_exit >= self.tour_exit[u]))
+        return ancestors[np.argsort(-enter[ancestors])].tolist()
 
     # ------------------------------------------------------------------ #
     # outputs
@@ -223,21 +229,26 @@ class RootedSpanningTree:
         Every non-root node maps to the port of its parent edge; the root
         maps to :data:`ROOT_OUTPUT`.
         """
-        out: Dict[int, int] = {}
-        for u in range(self.n):
-            out[u] = ROOT_OUTPUT if u == self.root else int(self.parent_port[u])
+        out = dict(enumerate(self.parent_port.tolist()))
+        out[self.root] = ROOT_OUTPUT
         return out
 
     def total_weight(self) -> float:
         """Sum of the tree edge weights."""
         return self.graph.total_weight(self.edge_ids)
 
-    def nodes_by_depth(self) -> List[List[int]]:
-        """Nodes grouped by depth (index 0 = the root)."""
-        buckets: List[List[int]] = [[] for _ in range(max(self.depth) + 1)]
-        for u in range(self.n):
-            buckets[self.depth[u]].append(u)
-        return buckets
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _edge_id_array(tree_edge_ids: Iterable[int]) -> np.ndarray:
+    if not isinstance(tree_edge_ids, (np.ndarray, list, tuple, range)):
+        tree_edge_ids = list(tree_edge_ids)
+    edge_ids = np.array(tree_edge_ids, dtype=np.int64)
+    edge_ids.sort()
+    return edge_ids
 
 
 def build_rooted_tree(
@@ -252,69 +263,106 @@ def build_rooted_tree(
     ``(root, edge set)`` on the (immutable) graph instance: the Borůvka
     tracer, the trivial scheme's Kruskal tree and the analytic backend
     all root the same MST of the same instance, and the tree object
-    itself carries useful caches (children table, preorder, subtree
-    spans).
+    itself caches its preorder and subtree spans.
     """
     if not 0 <= root < graph.n:
         raise ValueError("root out of range")
-    edge_ids = sorted(int(e) for e in tree_edge_ids)
+    edge_ids = _edge_id_array(tree_edge_ids)
     memo = getattr(graph, "_rooted_tree_cache", None)
     if memo is None:
         memo = {}
         graph._rooted_tree_cache = memo
-    memo_key = (root, tuple(edge_ids))
+    memo_key = (root, edge_ids.tobytes())
     cached = memo.get(memo_key)
     if cached is not None:
         return cached
-    if len(edge_ids) != graph.n - 1:
+    n = graph.n
+    if edge_ids.size != n - 1:
         raise ValueError(
-            f"a spanning tree of {graph.n} nodes needs {graph.n - 1} edges, "
-            f"got {len(edge_ids)}"
+            f"a spanning tree of {n} nodes needs {n - 1} edges, got {edge_ids.size}"
         )
-    if len(set(edge_ids)) != len(edge_ids):
+    if n > 1 and (edge_ids[0] < 0 or edge_ids[-1] >= graph.m):
+        raise ValueError("tree edge id out of range")
+    if (edge_ids[1:] == edge_ids[:-1]).any():
         raise ValueError("duplicate edge ids in the tree edge set")
-
-    # adjacency restricted to the tree (plain array reads, no EdgeRef)
-    eids_arr = np.asarray(edge_ids, dtype=np.int64)
-    eu = graph.edge_u[eids_arr].tolist()
-    ev = graph.edge_v[eids_arr].tolist()
-    pu = graph.edge_port_u[eids_arr].tolist()
-    pv = graph.edge_port_v[eids_arr].tolist()
-    adjacency: List[List[Tuple[int, int, int]]] = [[] for _ in range(graph.n)]
-    for k, eid in enumerate(edge_ids):
-        adjacency[eu[k]].append((ev[k], eid, pv[k]))
-        adjacency[ev[k]].append((eu[k], eid, pu[k]))
-
-    parent = [-1] * graph.n
-    parent_edge = [-1] * graph.n
-    parent_port = [-1] * graph.n
-    depth = [-1] * graph.n
-    depth[root] = 0
-    queue = deque([root])
-    visited = 1
-    while queue:
-        u = queue.popleft()
-        du = depth[u]
-        for v, eid, port_v in adjacency[u]:
-            if depth[v] >= 0 or v == root:
-                continue
-            depth[v] = du + 1
-            parent[v] = u
-            parent_edge[v] = eid
-            parent_port[v] = port_v
-            visited += 1
-            queue.append(v)
-    if visited != graph.n:
-        raise ValueError("the given edge set does not span the graph")
-
     tree = RootedSpanningTree(
-        graph_ref=weakref.ref(graph),
-        root=root,
-        parent=tuple(parent),
-        parent_edge=tuple(parent_edge),
-        parent_port=tuple(parent_port),
-        depth=tuple(depth),
-        edge_ids=tuple(edge_ids),
+        graph_ref=weakref.ref(graph), root=root, **_euler_tour(graph, edge_ids, root)
     )
     memo[memo_key] = tree
     return tree
+
+
+def _euler_tour(graph: PortNumberedGraph, edge_ids: np.ndarray, root: int) -> Dict[str, np.ndarray]:
+    """Every array field of the tree rooting ``edge_ids`` at ``root``.
+
+    Arc ``2j`` runs ``edge_u -> edge_v`` of tree edge ``j`` and arc ``2j +
+    1`` back.  Each node's arcs, in port order, form its cyclic order;
+    the tour leaves a node by the arc after the reverse of the one it
+    arrived by and starts with the root's first arc.  An edge set of
+    ``n - 1`` edges is a spanning tree exactly when every node has an
+    arc and the tour from the root walks all ``2(n - 1)`` arcs.
+    """
+    n = graph.n
+    arcs = 2 * (n - 1)
+    # rows: parent, parent_edge, parent_port, depth, tour_enter, tour_exit
+    table = np.full((6, n), -1, dtype=np.int64)
+    table[3] = 0
+    table[5] = arcs
+    if arcs:
+        src = np.empty(arcs, dtype=np.int64)
+        src[0::2] = graph.edge_u[edge_ids]
+        src[1::2] = graph.edge_v[edge_ids]
+        port = np.empty(arcs, dtype=np.int64)
+        port[0::2] = graph.edge_port_u[edge_ids]
+        port[1::2] = graph.edge_port_v[edge_ids]
+        counts = np.bincount(src, minlength=n)
+        if not counts.all():
+            raise ValueError("the given edge set does not span the graph")
+        # an arc's slot at its source node is unique: one sort groups the
+        # arcs by node, in port order
+        by_node = (graph._offsets[src] + port).argsort()
+        ends = counts.cumsum()
+        following = np.arange(1, arcs + 1)
+        following[ends - 1] = ends - counts
+        # succ[a]: the arc after a on the tour; ``arcs`` ends it, before
+        # the root's first arc comes round again
+        succ = np.empty(arcs + 1, dtype=np.int64)
+        succ[by_node ^ 1] = by_node[following]
+        succ[by_node[ends[root] - 1] ^ 1] = arcs
+        succ[arcs] = arcs
+        # Wyllie's list ranking: the number of arcs from each arc to the end
+        remaining = np.ones(arcs + 1, dtype=np.int64)
+        remaining[arcs] = 0
+        for _ in range((arcs - 1).bit_length()):
+            remaining += remaining[succ]
+            succ = succ[succ]
+        if remaining[by_node[ends[root] - counts[root]]] != arcs:
+            raise ValueError("the given edge set does not span the graph")
+        pos = arcs - remaining[:arcs]
+        # of an edge's two arcs the tour walks the downward one first
+        up = np.arange(0, arcs, 2) + (pos[0::2] < pos[1::2])
+        down = up ^ 1
+        child = src[up]
+        enter = pos[down]
+        parent, parent_edge, parent_port, depth, tour_enter, tour_exit = table
+        parent[child] = src[down]
+        parent_edge[child] = edge_ids
+        parent_port[child] = port[up]
+        tour_enter[child] = enter
+        tour_exit[child] = pos[up]
+        # depth at a down arc: the down arcs walked so far minus the up arcs
+        downs = np.zeros(arcs, dtype=np.int64)
+        downs[enter] = 1
+        depth[child] = 2 * downs.cumsum()[enter] - enter - 1
+    table.flags.writeable = False
+    edge_ids.flags.writeable = False
+    parent, parent_edge, parent_port, depth, tour_enter, tour_exit = table
+    return dict(
+        parent=parent,
+        parent_edge=parent_edge,
+        parent_port=parent_port,
+        depth=depth,
+        edge_ids=edge_ids,
+        tour_enter=tour_enter,
+        tour_exit=tour_exit,
+    )

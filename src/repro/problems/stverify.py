@@ -104,8 +104,10 @@ class StDistanceScheme(AdvisingScheme):
 
     def compute_advice(self, graph: PortNumberedGraph, root: int = 0) -> AdviceAssignment:
         tree = build_rooted_tree(graph, kruskal_mst(graph), root=root)
-        depth_width = max(1, max(tree.depth).bit_length())
+        depth_width = max(1, int(tree.depth.max()).bit_length())
         degrees = graph._degrees.tolist()
+        parent_port = tree.parent_port.tolist()
+        depth = tree.depth.tolist()
         strings = []
         for u in range(graph.n):
             writer = BitWriter()
@@ -113,8 +115,8 @@ class StDistanceScheme(AdvisingScheme):
                 writer.write_bit(1)
             else:
                 writer.write_bit(0)
-                writer.write_uint(tree.parent_port[u], port_width(int(degrees[u])))
-                writer.write_uint(tree.depth[u], depth_width)
+                writer.write_uint(parent_port[u], port_width(int(degrees[u])))
+                writer.write_uint(depth[u], depth_width)
             strings.append(writer.getvalue())
         return AdviceAssignment.from_strings(strings)
 
@@ -184,6 +186,7 @@ class StFlagScheme(AdvisingScheme):
     def compute_advice(self, graph: PortNumberedGraph, root: int = 0) -> AdviceAssignment:
         tree = build_rooted_tree(graph, kruskal_mst(graph), root=root)
         degrees = graph._degrees.tolist()
+        parent_port = tree.parent_port.tolist()
         strings = []
         for u in range(graph.n):
             writer = BitWriter()
@@ -191,7 +194,7 @@ class StFlagScheme(AdvisingScheme):
                 writer.write_bit(1)
             else:
                 writer.write_bit(0)
-                writer.write_uint(tree.parent_port[u], port_width(int(degrees[u])))
+                writer.write_uint(parent_port[u], port_width(int(degrees[u])))
             strings.append(writer.getvalue())
         return AdviceAssignment.from_strings(strings)
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.core.advice import AdviceAssignment
 from repro.core.bits import BitReader, BitString, BitWriter
 from repro.core.oracle import AdvisingScheme
@@ -99,14 +101,13 @@ class SpanningTreeWakeupScheme(AdvisingScheme):
     def compute_advice(self, graph: PortNumberedGraph, root: int = 0) -> AdviceAssignment:
         tree = build_rooted_tree(graph, kruskal_mst(graph), root=root)
         # child ports as seen from the parent, bucketed per parent
+        children = np.flatnonzero(tree.parent >= 0)
+        parents = tree.parent[children]
+        e = tree.parent_edge[children]
+        ports = np.where(graph.edge_u[e] == parents, graph.edge_port_u[e], graph.edge_port_v[e])
         child_ports: List[List[int]] = [[] for _ in range(graph.n)]
-        for v in range(graph.n):
-            u = tree.parent[v]
-            if u < 0:
-                continue
-            e = tree.parent_edge[v]
-            port = graph.edge_port_u[e] if graph.edge_u[e] == u else graph.edge_port_v[e]
-            child_ports[u].append(int(port))
+        for u, port in zip(parents.tolist(), ports.tolist()):
+            child_ports[u].append(port)
         degrees = graph._degrees.tolist()
         strings = []
         for u in range(graph.n):

@@ -417,7 +417,7 @@ def apply_churn(
         if e in tree_edges and new_w > old_w:
             # cut repair: the child-side subtree looks for the cheapest
             # edge leaving the cut (possibly still e itself)
-            child = u if tree.parent_edge[u] == e else v
+            child = u if int(tree.parent_edge[u]) == e else v
             sub = tree.subtree_nodes(child)
             sub_set = set(sub)
             best = None
@@ -432,7 +432,7 @@ def apply_churn(
                     key = (float(weights[eid]), eid)
                     if best is None or key < best:
                         best = key
-            height = max(tree.depth[x] for x in sub) - tree.depth[child] + 1
+            height = int(tree.depth[sub].max() - tree.depth[child]) + 1
             rounds_charged += height + 1
             messages_charged += examined + len(sub)
             if best is not None and best < (new_w, e):
@@ -448,8 +448,7 @@ def apply_churn(
             lca_v = next(i for i, x in enumerate(path_v) if x in on_u)
             cycle_nodes = path_u[: on_u[path_v[lca_v]]] + path_v[:lca_v]
             worst = None
-            for x in cycle_nodes:
-                eid = int(tree.parent_edge[x])
+            for eid in tree.parent_edge[cycle_nodes].tolist():
                 key = (float(weights[eid]), eid)
                 if worst is None or key > worst:
                     worst = key

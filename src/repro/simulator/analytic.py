@@ -314,13 +314,13 @@ class _PartitionGeometry:
         self.frag = frag
         positions = np.arange(nodes.size, dtype=np.int64)
         self.kpos = positions - starts[frag]
-        tree_depth = np.asarray(tree.depth, dtype=np.int64)
+        tree_depth = tree.depth
         root_depth = tree_depth[nodes[starts[:-1]]]
         self.depth = tree_depth[nodes] - root_depth[frag]
         # subtree intervals: members of the fragment-subtree of node u are
         # exactly the fragment members inside u's whole-tree Euler
-        # interval; within the lexsorted (fragment, preorder-pos) order a
-        # search on the combined key finds the interval end
+        # interval; within the (fragment, preorder-pos) order a search on
+        # the combined key finds the interval end
         pos_in_tree = tree.preorder_index()[nodes]
         stride = tree.n + 1
         key = frag * stride + pos_in_tree
@@ -348,7 +348,7 @@ def _expected_outputs(tree) -> Dict[int, Any]:
     # runs four schemes per trace
     cached = getattr(tree, "_expected_outputs_cache", None)
     if cached is None:
-        cached = dict(enumerate(tree.parent_port))
+        cached = dict(enumerate(tree.parent_port.tolist()))
         cached[tree.root] = ROOT_OUTPUT
         object.__setattr__(tree, "_expected_outputs_cache", cached)
     return cached
@@ -408,7 +408,7 @@ def _analytic_main(scheme, graph: PortNumberedGraph, root: int, is_level: bool, 
     # per real phase, the nodes that hold its data bits and how many
     layout = advice.layout.phases
     conv_start = 2 if is_level else 1
-    tree_depth = np.asarray(trace.tree.depth, dtype=np.int64)
+    tree_depth = trace.tree.depth
     consumed = np.zeros(n, dtype=np.int64)
     data_total = np.zeros(n, dtype=np.int64)
     for nodes, takes in layout:

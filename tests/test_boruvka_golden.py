@@ -23,6 +23,7 @@ from repro.graphs.weighted_graph import PortNumberedGraph
 from repro.mst.boruvka import boruvka_mst, boruvka_trace
 from repro.mst.kruskal import kruskal_mst
 from repro.mst.prim import prim_mst
+from repro.mst.rooted_tree import build_rooted_tree
 from repro.mst.union_find import UnionFind
 from repro.runner.registry import GRAPH_FAMILIES, build_graph
 
@@ -45,11 +46,11 @@ def _fingerprint(trace):
     for ph in trace.phases:
         phases.append({
             "index": ph.index,
-            "fragment_of": tuple(ph.partition.fragment_of),
+            "fragment_of": tuple(ph.partition.fragment_of_array().tolist()),
             "active": ph.active,
             "selected_edge_ids": ph.selected_edge_ids,
-            "ftree_parent": ph.fragment_tree.parent_fragment,
-            "ftree_depth": ph.fragment_tree.depth,
+            "ftree_parent": tuple(ph.fragment_tree.parent_fragment.tolist()),
+            "ftree_depth": tuple(ph.fragment_tree.depth.tolist()),
             "selections": tuple(
                 (s.phase, s.fragment, s.fragment_size, s.choosing_node, s.selected_edge,
                  s.port_at_choosing, s.weight, s.rank_at_choosing, s.index_pair, s.is_up,
@@ -59,8 +60,8 @@ def _fingerprint(trace):
         })
     return {
         "root": trace.root,
-        "tree_edges": tuple(trace.tree.edge_ids),
-        "parent": tuple(trace.tree.parent),
+        "tree_edges": tuple(trace.tree.edge_ids.tolist()),
+        "parent": tuple(trace.tree.parent.tolist()),
         "phases": tuple(phases),
     }
 
@@ -225,3 +226,71 @@ def test_selection_columns_are_in_fragment_order():
     for _graph, trace in _registry_traces():
         for ph in trace.phases:
             assert np.all(np.diff(ph.arrays["fragment"]) > 0), ph.index
+
+
+# --------------------------------------------------------------------- #
+# rooted trees and slot orders under tied, float, signed-zero and NaN
+# weights, with shuffled ports
+# --------------------------------------------------------------------- #
+
+#: sha256 of :func:`_tree_digest`, taken from the breadth-first rooting,
+#: the stack preorder and the lexsort slot and edge orders
+TREE_FINGERPRINT = "a4c79ef512a2ba67df392c5fd7279c2aefd698559e1e7582fb2b6c1d4799db03"
+
+TREE_SIZES = (8, 33, 128)
+
+
+def _weight_variants(graph, rng):
+    m = graph.m
+    yield graph.edge_w
+    yield rng.integers(1, 3, m).astype(np.float64)  # tied integers in 1..2
+    yield rng.random(m)  # uniform floats
+    yield rng.choice([-0.0, 0.0, 1.0], m)  # -0.0 ties 0.0
+    yield rng.choice([np.nan, 1.0, 2.0], m)  # NaNs tie each other, above all numbers
+
+
+def _tie_graphs():
+    for k, family in enumerate(GRAPH_FAMILIES):
+        for n in TREE_SIZES:
+            for seed in range(2):
+                base = build_graph(family, n, seed=seed)
+                rng = np.random.default_rng([k, n, seed])
+                ports = {
+                    u: rng.permutation(d).tolist() for u, d in enumerate(base.degrees().tolist())
+                }
+                for weights in _weight_variants(base, rng):
+                    edges = [(u, v, w) for (u, v, _), w in zip(base.edge_list(), weights.tolist())]
+                    yield PortNumberedGraph(base.n, edges, port_permutations=ports), seed % base.n
+
+
+def _tree_digest():
+    digest = hashlib.sha256()
+    for graph, root in _tie_graphs():
+        tree = build_rooted_tree(graph, kruskal_mst(graph), root=root)
+        digest.update(f"{graph.n} {root}".encode())
+        for field in (
+            tree.parent,
+            tree.parent_edge,
+            tree.parent_port,
+            tree.depth,
+            tree.edge_ids,
+            tree.preorder(),
+            tree.preorder_index(),
+            tree.subtree_span(),
+        ):
+            _update(digest, field)
+        kids = [tree.children(u) for u in range(graph.n)]
+        _update(digest, [len(group) for group in kids])
+        _update(digest, [c for group in kids for c in group])
+        for column in graph._slot_orders():  # rank, x - 1, y - 1
+            _update(digest, column)
+        for ph in boruvka_trace(graph, root=root).phases:
+            _update(digest, ph.arrays["selected_edge"])
+            _update(digest, ph.arrays["choosing_node"])
+    return digest.hexdigest()
+
+
+def test_tied_weight_trees_match_the_pinned_fingerprint():
+    """Every rooted-tree field, the children, the slot orders and the
+    Borůvka selections, on every registry family under five weightings."""
+    assert _tree_digest() == TREE_FINGERPRINT

@@ -8,6 +8,7 @@ the choosing-node bookkeeping.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.graphs.generators import (
@@ -111,17 +112,18 @@ class TestTrace:
     def test_choosing_dfs_index_is_consistent(self, traced):
         _, _, _, trace = traced
         for phase in trace.phases:
+            nodes, starts = phase.partition.preorder_arrays()
             for sel in phase.selections:
-                preorder = phase.partition.dfs_preorder(sel.fragment)
+                preorder = nodes[starts[sel.fragment] : starts[sel.fragment + 1]]
                 assert preorder[sel.choosing_dfs_index - 1] == sel.choosing_node
-                assert len(preorder) == sel.fragment_size
+                assert preorder.size == sel.fragment_size
 
     def test_final_partition_is_one_fragment(self, traced):
         _, graph, _, trace = traced
         final = trace.partition_before_phase(trace.num_phases + 1)
         assert final.num_fragments == 1
         assert final.sizes() == [graph.n]
-        assert final.members == (tuple(range(graph.n)),)
+        assert final.fragment_of_array().tolist() == [0] * graph.n
         assert final.fragment_tree().num_fragments == 1
         # built once: every phase past the end gets the same object
         assert trace.partition_before_phase(trace.num_phases + 2) is final
@@ -161,31 +163,33 @@ class TestFragmentPartition:
         g = random_connected_graph(12, 0.2, seed=7)
         partition = boruvka_trace(g, root=0).partition_before_phase(1)
         assert partition.num_fragments == g.n
-        assert partition.fragment_of == tuple(range(g.n))
+        assert partition.fragment_of_array().tolist() == list(range(g.n))
         assert partition.sizes() == [1] * g.n
-        assert partition.dfs_preorder(3) == [partition.members[3][0]]
+        nodes, starts = partition.preorder_arrays()
+        assert nodes[starts[3] : starts[4]].tolist() == [3]
 
     def test_fragment_root_and_depths(self):
         g = random_connected_graph(25, 0.1, seed=10)
         trace = boruvka_trace(g, root=0)
+        depth, parent = trace.tree.depth, trace.tree.parent
         for phase in trace.phases:
             partition = phase.partition
+            frag = partition.fragment_of_array()
+            nodes, starts = partition.preorder_arrays()
             for f in range(partition.num_fragments):
                 r_f = partition.root_of(f)
+                members = np.flatnonzero(frag == f)
                 # the fragment root is the member closest to the global root
-                assert all(
-                    trace.tree.depth[r_f] <= trace.tree.depth[u]
-                    for u in partition.members[f]
-                )
-                assert partition.depth_in_fragment(r_f) == 0
-                assert partition.parent_in_fragment(r_f) is None
+                assert depth[r_f] == depth[members].min()
+                # it has no parent inside T_F, and every other member has one
+                assert parent[r_f] < 0 or frag[parent[r_f]] != f
                 # DFS preorder visits each member exactly once, root first
-                preorder = partition.dfs_preorder(f)
-                assert sorted(preorder) == list(partition.members[f])
+                preorder = nodes[starts[f] : starts[f + 1]]
+                assert np.array_equal(np.sort(preorder), members)
                 assert preorder[0] == r_f
-                # the k-th preorder node is at depth at most k-1
-                for k, u in enumerate(preorder):
-                    assert partition.depth_in_fragment(u) <= k
+                assert np.all(frag[parent[preorder[1:]]] == f)
+                # the k-th preorder node is at depth at most k-1 in T_F
+                assert np.all(depth[preorder] - depth[r_f] <= np.arange(preorder.size))
 
     def test_fragment_tree_levels(self):
         g = random_connected_graph(30, 0.1, seed=11)
@@ -193,19 +197,18 @@ class TestFragmentPartition:
         for phase in trace.phases:
             ftree = phase.fragment_tree
             partition = phase.partition
-            root_fragment = partition.fragment_of[4]
+            frag = partition.fragment_of_array()
+            root_fragment = frag[4]
             assert ftree.root_fragment == root_fragment
-            assert ftree.depth[root_fragment] == 0
-            assert ftree.level(root_fragment) == 0
+            assert ftree.depth[root_fragment] == 0  # level 0
             for f in range(partition.num_fragments):
                 parent = ftree.parent_fragment[f]
                 if f == root_fragment:
                     assert parent == -1
+                    assert ftree.connecting_edge[f] == -1
                 else:
                     assert ftree.depth[f] == ftree.depth[parent] + 1
-                    assert ftree.are_adjacent(f, parent)
                     # the connecting edge joins the fragment's root to its parent fragment
-                    eid = ftree.connecting_edge[f]
-                    ref = g.edge(eid)
-                    assert partition.fragment_of[ref.u] in (f, parent)
-                    assert partition.fragment_of[ref.v] in (f, parent)
+                    ref = g.edge(int(ftree.connecting_edge[f]))
+                    assert partition.root_of(f) in (ref.u, ref.v)
+                    assert {frag[ref.u], frag[ref.v]} == {f, parent}

@@ -14,8 +14,8 @@ class TestBuild:
     def test_path_rooted_at_end(self):
         g = path_graph(5, seed=1)
         tree = build_rooted_tree(g, range(4), root=0)
-        assert tree.depth == (0, 1, 2, 3, 4)
-        assert tree.parent == (-1, 0, 1, 2, 3)
+        assert tree.depth.tolist() == [0, 1, 2, 3, 4]
+        assert tree.parent.tolist() == [-1, 0, 1, 2, 3]
         assert tree.is_root(0) and not tree.is_root(3)
 
     def test_path_rooted_in_middle(self):
@@ -42,6 +42,29 @@ class TestBuild:
         g = PortNumberedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0)])
         with pytest.raises(ValueError):
             build_rooted_tree(g, [0, 1, 2], root=0)  # a triangle misses node 3
+
+    def test_rejects_a_cycle_whose_arcs_all_lie_on_one_tour(self):
+        # n - 1 = 5 edges: K4 minus the edge 2-3, a cycle, leaving nodes 4
+        # and 5 unreached; with these ports the Euler tour from the root
+        # walks all ten arcs, so only the unreached nodes give it away
+        g = PortNumberedGraph(
+            6,
+            [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (1, 2, 4.0), (1, 3, 5.0), (3, 4, 6.0), (4, 5, 7.0)],
+        )
+        tree_edges = [0, 1, 2, 3, 4]
+        arcs = [(int(g.edge_u[e]), e) for e in tree_edges] + [(int(g.edge_v[e]), e) for e in tree_edges]
+        around = {}  # each node's arcs in port order
+        for node, e in sorted(arcs, key=lambda arc: (arc[0], g.edge(arc[1]).endpoint_port(arc[0]))):
+            around.setdefault(node, []).append(e)
+        walked, node, e = [], 0, around[0][0]
+        while (node, e) not in walked:
+            walked.append((node, e))
+            node = g.edge(e).other_endpoint(node)
+            ring = around[node]
+            e = ring[(ring.index(e) + 1) % len(ring)]
+        assert len(walked) == len(arcs)
+        with pytest.raises(ValueError, match="does not span"):
+            build_rooted_tree(g, tree_edges, root=0)
 
     def test_rejects_duplicate_edges(self):
         g = path_graph(4, seed=1)
@@ -88,8 +111,8 @@ class TestQueries:
         g = path_graph(4, seed=1)
         tree = build_rooted_tree(g, range(3), root=0)
         # edge 1 joins nodes 1 and 2; it is up at 2 (towards the root) and down at 1
-        assert tree.is_up_edge_at(2, 1)
-        assert not tree.is_up_edge_at(1, 1)
+        assert tree.parent_edge[2] == 1
+        assert tree.parent_edge[1] != 1
 
     def test_expected_outputs(self):
         g = random_connected_graph(20, 0.1, seed=8)
@@ -104,6 +127,6 @@ class TestQueries:
     def test_nodes_by_depth_and_total_weight(self):
         g = path_graph(4, seed=1)
         tree = build_rooted_tree(g, range(3), root=0)
-        assert tree.nodes_by_depth() == [[0], [1], [2], [3]]
+        assert tree.depth.tolist() == [0, 1, 2, 3]
         assert abs(tree.total_weight() - g.total_weight(range(3))) < 1e-9
-        assert tree.contains_edge(0) and not tree.contains_edge(99)
+        assert tree.edge_ids.tolist() == [0, 1, 2]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.oracle import run_scheme
@@ -147,6 +148,6 @@ class TestBounds:
         for f in range(partition.num_fragments):
             r_f = partition.root_of(f)
             width = max(1, graph.degree(r_f).bit_length())
-            holders = [u for u in partition.members[f] if final_bits[u] >= 0]
-            assert len(holders) == width
+            members = partition.fragment_of_array() == f
+            assert np.count_nonzero(final_bits[members] >= 0) == width
             assert collect[r_f]

@@ -43,9 +43,9 @@ def _check_packing_invariant(graph, root=0, cap=10):
         trace.phases[:phases], packed.layout.phases, strict=True
     ):
         before = dict(consumed)
-        partition = phase.partition
+        nodes, starts = phase.partition.preorder_arrays()
         for sel in phase.selections:
-            preorder = partition.dfs_preorder(sel.fragment)
+            preorder = nodes[starts[sel.fragment] : starts[sel.fragment + 1]].tolist()
             stream = BitString.empty()
             for u in preorder:
                 stream = stream + data[u][consumed[u]:]
@@ -133,8 +133,8 @@ class TestLevelOracleInternals:
         levels = LevelAdviceScheme._node_levels(graph, trace, phases)
         for i in range(1, min(phases, len(trace.phases)) + 1):
             ftree = trace.phases[i - 1].fragment_tree
-            for u in range(graph.n):
-                assert levels[u][i - 1] == ftree.level_of_node(u)
+            node_levels = ftree.depth[ftree.fragment_array] % 2
+            assert levels[:, i - 1].tolist() == node_levels.tolist()
 
     def test_level_advice_layout_parses(self):
         graph = random_connected_graph(50, 0.08, seed=9)

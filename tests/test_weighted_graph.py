@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs.weighted_graph import LocalView, PortNumberedGraph, canonical_edge_key
+from repro.graphs.weighted_graph import (
+    LocalView,
+    PortNumberedGraph,
+    canonical_edge_key,
+    canonical_edge_order,
+    lexsort_order,
+    weight_ranks,
+)
 
 
 def triangle():
@@ -138,6 +145,58 @@ class TestIndexOrder:
         g = triangle()
         assert g.local_view(0) == g.local_view(0)
         assert len({g.local_view(0), g.local_view(0)}) == 1
+
+
+class TestUniqueKeySorts:
+    """One default sort of a packed unique key replaces every stable sort."""
+
+    def test_packed_keys_give_the_lexsort_order(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        keys = (rng.integers(0, 4, 500), rng.integers(0, 3, 500), np.arange(500))
+        expected = np.lexsort(keys[::-1])
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda k: calls.append(k) or lexsort(k))
+        assert np.array_equal(lexsort_order(keys, (4, 3, 500)), expected)
+        assert not calls
+        # widths whose product passes 2**63 would overflow the packed key
+        assert np.array_equal(lexsort_order(keys, (2**32, 2**31, 500)), expected)
+        assert len(calls) == 1
+
+    def test_a_key_of_exactly_int64_max_still_packs(self, monkeypatch):
+        monkeypatch.setattr(np, "lexsort", None)  # never called
+        keys = (np.array([2**31 - 1, 2**31 - 1, 0]), np.array([2**32 - 1, 0, 5]))
+        assert lexsort_order(keys, (2**31, 2**32)).tolist() == [2, 1, 0]
+
+    def test_equal_weights_share_a_rank_as_lexsort_ties_them(self):
+        w = np.array([1.0, -0.0, np.nan, 0.0, 2.0, np.nan, 1.0, np.inf, -1.0])
+        rank, num_ranks, order = weight_ranks(w)
+        assert rank.tolist() == [2, 1, 5, 1, 3, 5, 2, 4, 0]
+        assert num_ranks == 6
+        assert np.array_equal(w[order][:7], np.sort(w)[:7])
+
+    @pytest.mark.parametrize("values", [(1.0, 2.0), (-0.0, 0.0, 1.0), (np.nan, 1.0, 2.0)])
+    def test_canonical_edge_order_is_the_weight_then_id_lexsort(self, values):
+        rng = np.random.default_rng(len(values))
+        for size in (0, 1, 7, 300):
+            w = rng.choice(values, size)
+            assert np.array_equal(
+                canonical_edge_order(w), np.lexsort((np.arange(size), w))
+            )
+        distinct = rng.permutation(50).astype(np.float64)
+        assert np.array_equal(canonical_edge_order(distinct), np.argsort(distinct))
+
+    def test_slot_orders_with_nan_weights_keep_the_lexsort_order(self):
+        rng = np.random.default_rng(5)
+        edges = [(0, v, float(w)) for v, w in zip(range(1, 9), rng.choice([np.nan, 1.0], 8))]
+        edges += [(1, 2, np.nan), (2, 3, -0.0), (3, 4, 0.0)]
+        g = PortNumberedGraph(9, edges, port_permutations={0: rng.permutation(8).tolist()})
+        rank = g._slot_orders()[0]
+        for u in range(g.n):
+            w = g.incident_weights(u)
+            expected = np.empty(w.size, dtype=np.int64)
+            expected[np.lexsort((np.arange(w.size), w))] = np.arange(w.size)
+            assert rank[g._offsets[u] : g._offsets[u + 1]].tolist() == expected.tolist()
 
 
 class TestTransforms:
